@@ -14,28 +14,28 @@ test:
 race:
 	$(GO) test -race ./...
 
-# mdglint is this repo's own static-analysis suite (cmd/mdglint):
-# determinism, float-equality, panic, discarded-error, and global-state
-# checks plus the type-aware unitcheck (units of measure), loopcapture
-# (concurrency capture), and convcheck (lossy conversion) analyzers, the
-# call-graph-backed alloccheck (hot-path allocation sites) and parpure
-# (par-callback purity) analyzers, and the dataflow trio over the engine
-# seam: purecheck (Scenario purity/retention), ctxflow (context
-# threading), and errflow (dead/overwritten errors).
+# mdglint is this repo's own static-analysis suite (cmd/mdglint), eleven
+# analyzers: determinism, float-equality, panic, error (discarded, or
+# dead/overwritten), and global-state checks plus the type-aware
+# unitcheck (units of measure) and convcheck (lossy conversion)
+# analyzers, the call-graph-backed alloccheck (hot-path allocation sites)
+# and parpure (par-callback purity) analyzers, and the dataflow pair over
+# the engine seam: purecheck (Scenario purity/retention) and ctxflow
+# (context threading).
 # CI runs it; `make lint` reproduces the gate locally.
 lint:
 	$(GO) run ./cmd/mdglint ./...
 
 # lint-json emits one JSON object per finding (file, line, analyzer,
-# message) — the format the CI annotation step consumes.
+# message) — the format of CI's one lint step, which fails on any line.
 lint-json:
 	$(GO) run ./cmd/mdglint -json ./...
 
-# lint-dataflow runs just the three seam analyzers (purecheck, ctxflow,
-# errflow) — the fast loop while auditing a planner for scenario
+# lint-dataflow runs just the dataflow analyzers (purecheck, ctxflow,
+# errcheck) — the fast loop while auditing a planner for scenario
 # mutation, context laundering, or dropped errors.
 lint-dataflow:
-	$(GO) run ./cmd/mdglint -run purecheck,ctxflow,errflow ./...
+	$(GO) run ./cmd/mdglint -run purecheck,ctxflow,errcheck ./...
 
 # lint-fix-hints lists the analyzers with their one-line docs as a
 # reminder of what each finding class means and how to suppress one
@@ -64,22 +64,28 @@ bench:
 conformance:
 	$(GO) test -race -count=1 ./internal/engine/...
 
-# cover enforces the committed per-package coverage floors; cover-update
-# regenerates them (measured minus a 1-point jitter margin).
+# The three ratchets share one tool, cmd/mdgratchet: each kind compares
+# a fresh measurement against its committed baseline (exit 0 holds, 1
+# regression, 2 operational error), and -update rewrites the baseline.
+#
+# cover enforces the committed per-package coverage floors
+# (COVERAGE_ratchet.txt); cover-update regenerates them (measured minus
+# a 1-point jitter margin).
 cover:
-	$(GO) test -cover ./... | $(GO) run ./cmd/mdgcov -ratchet COVERAGE_ratchet.txt
+	$(GO) test -cover ./... | $(GO) run ./cmd/mdgratchet cover
 
 cover-update:
-	$(GO) test -cover ./... | $(GO) run ./cmd/mdgcov -ratchet COVERAGE_ratchet.txt -update
+	$(GO) test -cover ./... | $(GO) run ./cmd/mdgratchet cover -update
 
 # escape enforces the committed heap-escape baseline for the hot
-# packages: `go build -gcflags='-m -m'` diagnostics may not grow per
-# file. escape-update regenerates the baseline after a deliberate change.
+# packages (ESCAPE_baseline.txt): `go build -gcflags='-m -m'` diagnostics
+# may not grow per file. escape-update regenerates the baseline after a
+# deliberate change.
 escape:
-	$(GO) run ./cmd/mdgescape -baseline ESCAPE_baseline.txt
+	$(GO) run ./cmd/mdgratchet escape
 
 escape-update:
-	$(GO) run ./cmd/mdgescape -baseline ESCAPE_baseline.txt -update
+	$(GO) run ./cmd/mdgratchet escape -update
 
 # alloc-bench runs the steady-state hot-path benchmarks with allocation
 # reporting; the SteadyState benchmarks must show 0 allocs/op (the test
@@ -89,15 +95,13 @@ alloc-bench:
 
 # perf enforces the committed planner perf baseline (PERF_baseline.json):
 # quality fields and span counts bit-identical, allocs_per_op may not
-# grow, bytes/wall-clock within noise-aware tolerances (median of
-# PERF_K runs). perf-update regenerates the baseline after a deliberate
-# change.
-PERF_K ?= 3
+# grow, bytes/wall-clock within noise-aware tolerances (median of three
+# runs). perf-update regenerates the baseline after a deliberate change.
 perf:
-	$(GO) run ./cmd/mdgperf -k $(PERF_K)
+	$(GO) run ./cmd/mdgratchet perf
 
 perf-update:
-	$(GO) run ./cmd/mdgperf -k $(PERF_K) -update
+	$(GO) run ./cmd/mdgratchet perf -update
 
 # trace records a seeded planner trace and prints its per-phase summary
 # (deterministic: byte-identical across runs of the same seed).

@@ -2,13 +2,11 @@ package mobicol
 
 // End-to-end tests for the verification surface of the CLIs: the -check
 // flag on the planning/simulation tools, the mdgreport experiment
-// selector, wsngen's placement families, and the mdgcov coverage
-// ratchet. Companion to cli_test.go, sharing its buildCLIs/runCLI
-// helpers.
+// selector, and wsngen's placement families. Companion to cli_test.go,
+// sharing its buildCLIs/runCLI helpers.
 
 import (
 	"bytes"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -98,42 +96,5 @@ func TestCLIReportUnknownExperiment(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "unknown experiment") {
 		t.Fatalf("stderr missing diagnostic:\n%s", stderr)
-	}
-}
-
-// TestCLICoverageRatchet drives mdgcov through its whole lifecycle with
-// canned `go test -cover` output: write floors, hold against them, then
-// fail when a package regresses.
-func TestCLICoverageRatchet(t *testing.T) {
-	const healthy = "ok  \tmobicol/internal/geom\t0.011s\tcoverage: 82.5% of statements\n" +
-		"ok  \tmobicol/internal/wsn\t0.020s\tcoverage: 74.1% of statements\n" +
-		"?   \tmobicol/cmd/wsngen\t[no test files]\n"
-	ratchet := filepath.Join(t.TempDir(), "ratchet.txt")
-
-	out, _ := runCLI(t, []byte(healthy), "mdgcov", "-ratchet", ratchet, "-update", "-margin", "1.0")
-	if !strings.Contains(out, "wrote 2 floors") {
-		t.Fatalf("mdgcov -update output:\n%s", out)
-	}
-	raw, err := os.ReadFile(ratchet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), "mobicol/internal/geom 81.5") {
-		t.Fatalf("ratchet file missing margin-adjusted floor:\n%s", raw)
-	}
-
-	out, _ = runCLI(t, []byte(healthy), "mdgcov", "-ratchet", ratchet)
-	if !strings.Contains(out, "hold against") {
-		t.Fatalf("mdgcov compare output:\n%s", out)
-	}
-
-	const regressed = "ok  \tmobicol/internal/geom\t0.011s\tcoverage: 60.0% of statements\n" +
-		"ok  \tmobicol/internal/wsn\t0.020s\tcoverage: 74.1% of statements\n"
-	_, stderr, code := runCLIErr(t, []byte(regressed), "mdgcov", "-ratchet", ratchet)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "below the coverage ratchet") || !strings.Contains(stderr, "internal/geom") {
-		t.Fatalf("mdgcov regression stderr:\n%s", stderr)
 	}
 }

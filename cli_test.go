@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +59,29 @@ func runCLI(t *testing.T, stdin []byte, name string, args ...string) (stdout, st
 		t.Fatalf("%s %v: %v\nstderr: %s", name, args, err, errBuf.String())
 	}
 	return outBuf.String(), errBuf.String()
+}
+
+// TestNoDanglingToolNames checks that every cmd/<tool> the build, CI and
+// docs name exists, so a deleted or renamed binary cannot linger in a
+// Makefile target, a CI step or a documented command.
+func TestNoDanglingToolNames(t *testing.T) {
+	files, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no CI workflows found: %v", err)
+	}
+	files = append(files, "Makefile", "README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+	toolRE := regexp.MustCompile(`cmd/([a-z][a-z0-9_-]*)`)
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range toolRE.FindAllStringSubmatch(string(raw), -1) {
+			if st, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !st.IsDir() {
+				t.Errorf("%s names %s, which is not a directory", name, m[0])
+			}
+		}
+	}
 }
 
 func TestCLIPipelinePlan(t *testing.T) {

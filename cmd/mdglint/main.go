@@ -1,8 +1,7 @@
 // Command mdglint runs the repository's static-analysis suite: the
-// determinism, floateq, nopanic, errcheck, globalvar, unitcheck,
-// loopcapture, convcheck, alloccheck, parpure, purecheck, ctxflow, and
-// errflow analyzers from internal/lint over every package in the
-// module.
+// eleven determinism, floateq, nopanic, errcheck, globalvar, unitcheck,
+// convcheck, alloccheck, parpure, purecheck, and ctxflow analyzers from
+// internal/lint over every package in the module.
 //
 // Usage:
 //
@@ -12,7 +11,7 @@
 // always lints the whole module containing the working directory — the
 // quality gate is all-or-nothing. -run narrows the suite to a
 // comma-separated list of analyzer names (see -list) for a focused
-// audit, e.g. `-run purecheck,ctxflow,errflow` for the dataflow gate.
+// audit, e.g. `-run purecheck,ctxflow,errcheck` for the dataflow analyzers.
 // It prints one `file:line: analyzer: message` per finding (or, with
 // -json, one JSON object per line with file, line, analyzer, and
 // message fields for CI annotation), globally ordered by (file, line,

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the comparison half of the performance ratchet
-// (cmd/mdgperf): read two BENCH_planner.json artifacts — the committed
+// (`mdgratchet perf`): read two BENCH_planner.json artifacts — the committed
 // baseline and a fresh run — and decide whether the fresh run regressed.
 //
 // The policy mirrors how trustworthy each field is:
@@ -57,7 +57,7 @@ func ReadPlannerBench(r io.Reader) (*PlannerBenchResult, error) {
 		return nil, fmt.Errorf("bench: planner artifact: %w", err)
 	}
 	if res.Schema != PlannerBenchSchema {
-		return nil, fmt.Errorf("bench: planner artifact schema %q, want %q (regenerate with mdgbench -bench-out or mdgperf -update)", res.Schema, PlannerBenchSchema)
+		return nil, fmt.Errorf("bench: planner artifact schema %q, want %q (regenerate with mdgbench -bench-out or mdgratchet perf -update)", res.Schema, PlannerBenchSchema)
 	}
 	return &res, nil
 }
@@ -91,7 +91,7 @@ func ComparePerf(base, cur *PlannerBenchResult, pol PerfPolicy) []string {
 
 // compareScale gates the deterministic columns of the scale rows: tour
 // quality and the warm/cold ratio are seeded-algorithm outputs, so a
-// change means the algorithm changed. Timing and RSS columns are never
+// change means the algorithm changed. Timing columns are never
 // compared. A baseline without scale rows gates nothing (the CI perf run
 // skips the large-n sweep); a baseline row missing from the current run
 // is a structural regression.
@@ -184,7 +184,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // fields — phase_ns, allocs_per_op, bytes_per_op — per algorithm. The
 // deterministic fields are taken from the first run; feeding it runs of
 // different configurations is an error. Medians shed one-off scheduler
-// spikes, which is what mdgperf -k buys.
+// spikes, which is what mdgratchet perf's median of three runs buys.
 func MedianPerf(runs []*PlannerBenchResult) (*PlannerBenchResult, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("bench: MedianPerf of zero runs")

@@ -32,7 +32,7 @@ type PlannerAlgoBench struct {
 	// bytes per full planning run (deployment included), measured
 	// sequentially from runtime.MemStats deltas after one warmup run.
 	// Machine-dependent like PhaseNs; the enforced allocation gates are
-	// the escape baseline (cmd/mdgescape) and the zero-alloc
+	// the escape baseline (mdgratchet escape) and the zero-alloc
 	// steady-state benchmarks, not these fields.
 	AllocsPerOp uint64 `json:"allocs_per_op"`
 	BytesPerOp  uint64 `json:"bytes_per_op"`

@@ -14,8 +14,8 @@ import (
 
 // ScaleBench is one row of the scale table: one planner at one deployment
 // size, plus the warm-start comparison where it applies. Quality fields
-// (tour_m, stops, warm_ratio) are deterministic; the timing and RSS
-// columns are machine-dependent by nature and never gated.
+// (tour_m, stops, warm_ratio) are deterministic; the timing columns are
+// machine-dependent by nature and never gated.
 type ScaleBench struct {
 	N     int     `json:"n"`
 	Algo  string  `json:"algo"`
@@ -25,11 +25,6 @@ type ScaleBench struct {
 	// PlansPerSec is its reciprocal, the column the README quotes.
 	PlanNs      int64   `json:"plan_ns"`
 	PlansPerSec float64 `json:"plans_per_sec"`
-	// PeakRSSBytes is the process's high-water resident set after the
-	// run (Linux getrusage; 0 where unsupported). It is monotone across
-	// rows of one invocation, so order rows smallest-first to read it as
-	// a per-size ceiling.
-	PeakRSSBytes uint64 `json:"peak_rss_bytes"`
 	// Warm-start columns (shdg rows with warm measurement enabled): a
 	// ~1% scenario delta is applied, and warm repair is compared to a
 	// cold replan of the perturbed scenario.
@@ -99,11 +94,10 @@ func scaleSHDG(cfg Config, n int, warm bool) (ScaleBench, error) {
 		N:    n,
 		Algo: "shdg",
 		//mdglint:ignore unitcheck JSON boundary: scale rows store tour lengths as raw float64
-		TourM:        float64(sol.Length),
-		Stops:        sol.Stops(),
-		PlanNs:       planNs,
-		PlansPerSec:  1e9 / float64(planNs),
-		PeakRSSBytes: peakRSSBytes(),
+		TourM:       float64(sol.Length),
+		Stops:       sol.Stops(),
+		PlanNs:      planNs,
+		PlansPerSec: 1e9 / float64(planNs),
 	}
 	if !warm {
 		return row, nil
@@ -141,7 +135,6 @@ func scaleSHDG(cfg Config, n int, warm bool) (ScaleBench, error) {
 	row.WarmSpeedup = float64(coldNs) / float64(warmNs)
 	row.WarmRatio = check.WarmRatio(warmPlan.Length(), cold.Length)
 	row.WarmDirty = st.Dirty()
-	row.PeakRSSBytes = peakRSSBytes()
 	return row, nil
 }
 
@@ -162,10 +155,9 @@ func scaleVisitAll(cfg Config, n int) (ScaleBench, error) {
 		N:    n,
 		Algo: "visit-all",
 		//mdglint:ignore unitcheck JSON boundary: scale rows store tour lengths as raw float64
-		TourM:        float64(sol.Length),
-		Stops:        sol.Stops(),
-		PlanNs:       planNs,
-		PlansPerSec:  1e9 / float64(planNs),
-		PeakRSSBytes: peakRSSBytes(),
+		TourM:       float64(sol.Length),
+		Stops:       sol.Stops(),
+		PlanNs:      planNs,
+		PlansPerSec: 1e9 / float64(planNs),
 	}, nil
 }

@@ -44,7 +44,7 @@ func TestScaleBenchmarksSmall(t *testing.T) {
 
 // TestScaleBenchmarksDeterministicQuality: the gated columns (tour,
 // stops, warm ratio) must be bit-identical across runs and worker
-// counts; only timing and RSS may differ.
+// counts; only timing may differ.
 func TestScaleBenchmarksDeterministicQuality(t *testing.T) {
 	a, err := ScaleBenchmarks(Config{Trials: 1, Seed: 1, Workers: 1}, []int{300}, true)
 	if err != nil {

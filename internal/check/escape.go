@@ -16,8 +16,8 @@ import (
 // number of heap escapes on the hot path can only move down. It is the
 // compiler-verdict complement to the lint engine's syntactic alloccheck:
 // alloccheck flags allocation *sites*, the escape ratchet pins what the
-// compiler actually decided about them. cmd/mdgescape is the CLI front
-// end, mirroring cmd/mdgcov's create/compare shape.
+// compiler actually decided about them. `mdgratchet escape` is the CLI
+// front end.
 
 // EscapeRecord is one compiler escape diagnostic: a value the compiler
 // heap-allocated in the named package.
@@ -140,64 +140,32 @@ func CountEscapes(recs []EscapeRecord) map[EscapeKey]int {
 // WriteEscapeBaseline writes counts in the format ReadEscapeBaseline
 // parses — "pkg file kind count", sorted for stable diffs.
 func WriteEscapeBaseline(w io.Writer, counts map[EscapeKey]int) error {
-	keys := make([]EscapeKey, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
+	lines := make([]string, 0, len(counts))
+	for k, n := range counts {
+		lines = append(lines, fmt.Sprintf("%s %s %s %d", k.Pkg, k.File, k.Kind, n))
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		return a.Kind < b.Kind
-	})
-	if _, err := fmt.Fprintln(w, "# Per-file heap-escape counts from `go build -gcflags='-m -m'` over the"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "# hot packages. CI fails if a file gains escapes. Regenerate with:"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "# make escape-update (cmd/mdgescape -update)."); err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%s %s %s %d\n", k.Pkg, k.File, k.Kind, counts[k]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeBaseline(w, "Per-file heap-escape counts from `go build -gcflags='-m -m'` over the\n"+
+		"hot packages. CI fails if a file gains escapes. Regenerate with:\n"+
+		"make escape-update (mdgratchet escape -update).", lines)
 }
 
 // ReadEscapeBaseline parses a baseline file: one "pkg file kind count"
 // quadruple per line, '#' comments and blank lines ignored.
 func ReadEscapeBaseline(r io.Reader) (map[EscapeKey]int, error) {
 	out := make(map[EscapeKey]int)
-	sc := bufio.NewScanner(r)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	err := readBaseline(r, "escape baseline", "pkg file kind count", func(f []string) error {
+		if f[2] != KindEscapes && f[2] != KindMoved {
+			return fmt.Errorf("unknown kind %q", f[2])
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("check: escape baseline line %d: want \"pkg file kind count\", got %q", lineno, line)
-		}
-		if fields[2] != KindEscapes && fields[2] != KindMoved {
-			return nil, fmt.Errorf("check: escape baseline line %d: unknown kind %q", lineno, fields[2])
-		}
-		n, err := strconv.Atoi(fields[3])
+		n, err := strconv.Atoi(f[3])
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("check: escape baseline line %d: bad count %q", lineno, fields[3])
+			return fmt.Errorf("bad count %q", f[3])
 		}
-		out[EscapeKey{Pkg: fields[0], File: fields[1], Kind: fields[2]}] = n
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("check: reading escape baseline: %w", err)
+		out[EscapeKey{Pkg: f[0], File: f[1], Kind: f[2]}] = n
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

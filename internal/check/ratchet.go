@@ -11,8 +11,13 @@ import (
 
 // This file implements the coverage ratchet: CI runs `go test -cover`,
 // parses the per-package percentages, and compares them against committed
-// floors so coverage can only move up (modulo a small slack for flaky
-// inlining decisions). cmd/mdgcov is the CLI front end.
+// floors so coverage can only move up. `mdgratchet cover` is the CLI
+// front end. It also holds the line reader and writer the coverage and
+// escape baselines share.
+
+// FloorMargin is the percentage points Floors subtracts from a
+// measurement, so ordinary run-to-run jitter does not fail CI.
+const FloorMargin = 1.0
 
 // ParseCover extracts per-package coverage percentages from the output of
 // `go test -cover ./...`. Packages without test files and packages without
@@ -71,26 +76,16 @@ func coverPercent(fields []string) (pct float64, found bool, err error) {
 // per line, '#' comments and blank lines ignored.
 func ReadRatchet(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
-	sc := bufio.NewScanner(r)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("check: ratchet line %d: want \"package percent\", got %q", lineno, line)
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
+	err := readBaseline(r, "ratchet", "package percent", func(f []string) error {
+		v, err := strconv.ParseFloat(f[1], 64)
 		if err != nil || v < 0 || v > 100 {
-			return nil, fmt.Errorf("check: ratchet line %d: bad percentage %q", lineno, fields[1])
+			return fmt.Errorf("bad percentage %q", f[1])
 		}
-		out[fields[0]] = v
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("check: reading ratchet: %w", err)
+		out[f[0]] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -98,34 +93,19 @@ func ReadRatchet(r io.Reader) (map[string]float64, error) {
 // WriteRatchet writes floors in the format ReadRatchet parses, packages
 // sorted for stable diffs.
 func WriteRatchet(w io.Writer, floors map[string]float64) error {
-	pkgs := make([]string, 0, len(floors))
-	for p := range floors {
-		pkgs = append(pkgs, p)
+	lines := make([]string, 0, len(floors))
+	for p, v := range floors {
+		lines = append(lines, fmt.Sprintf("%s %.1f", p, v))
 	}
-	sort.Strings(pkgs)
-	if _, err := fmt.Fprintln(w, "# Per-package `go test -cover` floors. CI fails if a package drops below"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "# its floor. Regenerate with: make cover-update (cmd/mdgcov -update)."); err != nil {
-		return err
-	}
-	for _, p := range pkgs {
-		if _, err := fmt.Fprintf(w, "%s %.1f\n", p, floors[p]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeBaseline(w, "Per-package `go test -cover` floors. CI fails if a package drops below\n"+
+		"its floor. Regenerate with: make cover-update (mdgratchet cover -update).", lines)
 }
 
 // CompareRatchet checks measured coverage against committed floors and
 // returns one message per violated floor (sorted by package; nil when all
-// floors hold). slack widens the comparison: a package passes while
-// measured + slack >= floor. Packages present in got but absent from the
-// ratchet never fail — new packages ratchet in on the next -update.
-func CompareRatchet(got, floors map[string]float64, slack float64) []string {
-	if slack < 0 {
-		slack = 0
-	}
+// floors hold). Packages present in got but absent from the ratchet never
+// fail — new packages ratchet in on the next -update.
+func CompareRatchet(got, floors map[string]float64) []string {
 	pkgs := make([]string, 0, len(floors))
 	for p := range floors {
 		pkgs = append(pkgs, p)
@@ -139,20 +119,21 @@ func CompareRatchet(got, floors map[string]float64, slack float64) []string {
 			bad = append(bad, fmt.Sprintf("%s: no coverage reported, ratchet floor is %.1f%%", p, floor))
 			continue
 		}
-		if cov+slack < floor {
-			bad = append(bad, fmt.Sprintf("%s: coverage %.1f%% fell below ratchet floor %.1f%% (slack %.1f)", p, cov, floor, slack))
+		if cov < floor {
+			bad = append(bad, fmt.Sprintf("%s: coverage %.1f%% fell below ratchet floor %.1f%%", p, cov, floor))
 		}
 	}
 	return bad
 }
 
-// Floors derates measured coverage by margin to produce committable ratchet
-// floors, clamped to [0, 100] and truncated to one decimal so regenerated
-// files stay stable across runs that only wiggle in the second decimal.
-func Floors(cov map[string]float64, margin float64) map[string]float64 {
+// Floors derates measured coverage by FloorMargin to produce committable
+// ratchet floors, clamped to [0, 100] and truncated to one decimal so
+// regenerated files stay stable across runs that only wiggle in the
+// second decimal.
+func Floors(cov map[string]float64) map[string]float64 {
 	out := make(map[string]float64, len(cov))
 	for p, v := range cov {
-		f := v - margin
+		f := v - FloorMargin
 		if f < 0 {
 			f = 0
 		}
@@ -160,4 +141,47 @@ func Floors(cov map[string]float64, margin float64) map[string]float64 {
 		out[p] = float64(int(f*10)) / 10
 	}
 	return out
+}
+
+// readBaseline is the line reader both text baselines share: '#'
+// comments and blank lines are skipped, every other line must split into
+// exactly as many fields as format names, and parse converts one line's
+// fields. Errors cite the baseline (what) and the line number.
+func readBaseline(r io.Reader, what, format string, parse func(fields []string) error) error {
+	want := len(strings.Fields(format))
+	sc := bufio.NewScanner(r)
+	for lineno := 1; sc.Scan(); lineno++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != want {
+			return fmt.Errorf("check: %s line %d: want %q, got %q", what, lineno, format, line)
+		}
+		if err := parse(fields); err != nil {
+			return fmt.Errorf("check: %s line %d: %v", what, lineno, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("check: reading %s: %w", what, err)
+	}
+	return nil
+}
+
+// writeBaseline is readBaseline's writer: the header as '#' comment
+// lines, then the data lines sorted. Data lines start with their key
+// fields and names never contain a byte below the separating space, so
+// the byte order of the lines is the order of their keys.
+func writeBaseline(w io.Writer, header string, lines []string) error {
+	sort.Strings(lines)
+	var b strings.Builder
+	for _, h := range strings.Split(header, "\n") {
+		b.WriteString("# " + h + "\n")
+	}
+	for _, l := range lines {
+		b.WriteString(l + "\n")
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -92,25 +92,25 @@ func TestReadRatchetRejectsMalformed(t *testing.T) {
 func TestCompareRatchet(t *testing.T) {
 	floors := map[string]float64{"a": 80, "b": 50, "gone": 10}
 	got := map[string]float64{"a": 80.5, "b": 48.0, "new": 99}
-	bad := CompareRatchet(got, floors, 1.0)
-	// b is 48.0 against floor 50 with slack 1 → violation; gone is missing
-	// → violation; a passes; new is unpinned and never fails.
+	bad := CompareRatchet(got, floors)
+	// b is 48.0 against floor 50 → violation; gone is missing → violation;
+	// a passes; new is unpinned and never fails.
 	if len(bad) != 2 {
 		t.Fatalf("want 2 violations, got %v", bad)
 	}
 	if !strings.Contains(bad[0], "b:") || !strings.Contains(bad[1], "gone:") {
 		t.Fatalf("unexpected violations %v", bad)
 	}
-	if v := CompareRatchet(got, floors, 5.0); len(v) != 1 {
-		t.Fatalf("slack 5 should forgive b, got %v", v)
+	if v := CompareRatchet(map[string]float64{"a": 80, "b": 50, "gone": 10}, floors); v != nil {
+		t.Fatalf("measurements at their floors should hold, got %v", v)
 	}
-	if v := CompareRatchet(map[string]float64{}, map[string]float64{}, 0); v != nil {
+	if v := CompareRatchet(map[string]float64{}, map[string]float64{}); v != nil {
 		t.Fatalf("empty ratchet produced %v", v)
 	}
 }
 
 func TestFloors(t *testing.T) {
-	f := Floors(map[string]float64{"a": 91.38, "b": 0.4}, 1.0)
+	f := Floors(map[string]float64{"a": 91.38, "b": 0.4})
 	if math.Abs(f["a"]-90.3) > 1e-9 {
 		t.Fatalf("a floor %v, want 90.3", f["a"])
 	}

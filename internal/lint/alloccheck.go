@@ -29,7 +29,7 @@ import (
 //   - string <-> []byte conversions, which copy.
 //
 // Escapes are approximated syntactically — the compiler's exact verdict
-// is what cmd/mdgescape ratchets — so the audited suppression carries
+// is what mdgratchet escape ratchets — so the audited suppression carries
 // the judgement call: //mdglint:allow-alloc(reason) on the line (or the
 // line above) excuses a site, and on a function declaration it marks an
 // allocation boundary hotness does not propagate through. Test files

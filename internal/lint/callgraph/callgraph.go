@@ -39,7 +39,7 @@
 // set, however unrelated. The trade-off: a function value stashed by
 // cold setup code and invoked from hot code is missed — acceptable for
 // a lint whose edges are otherwise over-approximate, and the escape
-// ratchet (cmd/mdgescape) catches what the static view cannot see.
+// ratchet (mdgratchet escape) catches what the static view cannot see.
 package callgraph
 
 import (

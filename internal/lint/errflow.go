@@ -6,14 +6,13 @@ import (
 	"go/types"
 )
 
-// ErrFlowAnalyzer builds the dataflow upgrade of errcheck.
-//
-// errcheck catches a call whose error result is never bound; errflow
-// catches the bound-but-dead cases: an error variable overwritten by a
-// later assignment in the same block before anything reads it, and an
-// error assignment no statement ever consults — through multi-assignment
-// (`v, err = f()`) and named-return paths (a naked return publishes the
-// named error; `return nil` discards it).
+// This file is errcheck's dead rule, the dataflow half of the analyzer:
+// errcheck's discarded rule catches a call whose error result is never
+// bound; checkErrFlow catches the bound-but-dead cases: an error variable
+// overwritten by a later assignment in the same block before anything
+// reads it, and an error assignment no statement ever consults — through
+// multi-assignment (`v, err = f()`) and named-return paths (a naked
+// return publishes the named error; `return nil` discards it).
 //
 // The analysis is deliberately branch-insensitive in the quiet
 // direction: a kill only counts within the same innermost block (so
@@ -22,37 +21,6 @@ import (
 // it — keeps it silent, and variables captured by closures or with
 // their address taken are skipped entirely (a deferred handler may read
 // them at any time).
-func ErrFlowAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name: "errflow",
-		Doc:  "flag error values overwritten or dead before any check in non-test code",
-		Run:  runErrFlow,
-	}
-}
-
-func runErrFlow(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		if pass.IsTestFile(file.Pos()) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkErrFlow(pass, fd.Type, fd.Body)
-			// Nested literals get their own walk so their locals are
-			// analyzed; enclosing-scope vars they touch are disqualified
-			// as captured in the enclosing walk.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkErrFlow(pass, lit.Type, lit.Body)
-				}
-				return true
-			})
-		}
-	}
-}
 
 // errEvent is one assignment to a tracked error variable.
 type errEvent struct {
@@ -239,12 +207,7 @@ func checkErrFlow(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 		return false
 	}
 
-	// Deterministic report order: by assignment position.
-	type reportItem struct {
-		pos token.Pos
-		msg string
-	}
-	var reports []reportItem
+	// Map order is fine here: Run sorts every finding by position.
 	for obj, st := range vars {
 		if st.skip || len(st.assigns) == 0 {
 			continue
@@ -269,27 +232,17 @@ func checkErrFlow(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 						}
 					}
 					if !usedBetween(st, ev, next) && !inLoop {
-						reports = append(reports, reportItem{ev.pos, "error assigned to " + obj.Name() +
-							" is overwritten before any check; handle or return the first error"})
+						pass.Reportf(ev.pos, "error assigned to %s is overwritten before any check; handle or return the first error",
+							obj.Name())
 						overwritten = true
 					}
 					break
 				}
 			}
 			if !overwritten && !usedAfter(st, ev) {
-				reports = append(reports, reportItem{ev.pos, "error assigned to " + obj.Name() +
-					" is never checked (dead store); handle it or assign to _ with a comment"})
+				pass.Reportf(ev.pos, "error assigned to %s is never checked (dead store); handle it or assign to _ with a comment",
+					obj.Name())
 			}
 		}
-	}
-	for i := 0; i < len(reports); i++ {
-		for j := i + 1; j < len(reports); j++ {
-			if reports[j].pos < reports[i].pos {
-				reports[i], reports[j] = reports[j], reports[i]
-			}
-		}
-	}
-	for _, r := range reports {
-		pass.Reportf(r.pos, "%s", r.msg)
 	}
 }

@@ -13,8 +13,10 @@ func TestCtxFlowAnalyzer(t *testing.T) {
 	checkFixture(t, CtxFlowAnalyzer(), "ctxflow.go", "mobicol/internal/fixture")
 }
 
+// TestErrFlowAnalyzer drives errcheck's dead rule (the former errflow
+// analyzer) over its own fixture.
 func TestErrFlowAnalyzer(t *testing.T) {
-	checkFixture(t, ErrFlowAnalyzer(), "errflow.go", "mobicol/internal/fixture")
+	checkFixture(t, ErrCheckAnalyzer(), "errflow.go", "mobicol/internal/fixture")
 }
 
 // TestMalformedAllowMutIsReported pins the PR 6 idiom for the new
@@ -39,7 +41,7 @@ func f(xs []int) { xs[0] = 1 }
 	}
 }
 
-// TestErrFlowSkipsTestFiles pins the test-file exemption.
+// TestErrFlowSkipsTestFiles pins the dead rule's test-file exemption.
 func TestErrFlowSkipsTestFiles(t *testing.T) {
 	const src = `package p
 
@@ -52,8 +54,8 @@ func f() error {
 }
 `
 	pkg := loadSource(t, "p_test.go", src)
-	if fs := Run([]*Package{pkg}, []*Analyzer{ErrFlowAnalyzer()}); len(fs) != 0 {
-		t.Errorf("errflow fired in a test file: %v", fs)
+	if fs := Run([]*Package{pkg}, []*Analyzer{ErrCheckAnalyzer()}); len(fs) != 0 {
+		t.Errorf("errcheck fired in a test file: %v", fs)
 	}
 }
 
@@ -84,8 +86,8 @@ func walkAll(root *node) error {
 }
 `
 	pkg := loadSource(t, "p.go", src)
-	if fs := Run([]*Package{pkg}, []*Analyzer{ErrFlowAnalyzer()}); len(fs) != 0 {
-		t.Errorf("errflow flagged a recursive closure's free variable: %v", fs)
+	if fs := Run([]*Package{pkg}, []*Analyzer{ErrCheckAnalyzer()}); len(fs) != 0 {
+		t.Errorf("errcheck flagged a recursive closure's free variable: %v", fs)
 	}
 }
 

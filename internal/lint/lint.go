@@ -66,8 +66,8 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 }
 
 // Analyzers returns fresh instances of the full suite, in reporting order.
-// The first five are syntactic; unitcheck, loopcapture, convcheck, and
-// errflow need the go/types information the loader attaches to each
+// The first five are syntactic; unitcheck, convcheck, and errcheck's
+// dead rule need the go/types information the loader attaches to each
 // Package; alloccheck and parpure additionally use the whole-module call
 // graph Run builds into each Pass; purecheck and ctxflow use the
 // dataflow summaries computed over that graph.
@@ -79,13 +79,11 @@ func Analyzers() []*Analyzer {
 		ErrCheckAnalyzer(),
 		GlobalVarAnalyzer(),
 		UnitCheckAnalyzer(),
-		LoopCaptureAnalyzer(),
 		ConvCheckAnalyzer(),
 		AllocCheckAnalyzer(),
 		ParPureAnalyzer(),
 		PureCheckAnalyzer(),
 		CtxFlowAnalyzer(),
-		ErrFlowAnalyzer(),
 	}
 }
 

@@ -1,16 +1,14 @@
-// Fixture tripping all thirteen analyzers in one file. The test loads
-// it under import path mobicol/internal/sim, which puts the determinism
+// Fixture tripping all eleven analyzers in one file. The test loads it
+// under import path mobicol/internal/sim, which puts the determinism
 // map-iteration rule, the nopanic internal/ scope, and the convcheck hot
-// planning-path scope all in force, and asserts exact finding counts and
-// ordering: one finding per analyzer, positions strictly increasing. The
+// planning-path scope all in force, and asserts the exact (line,
+// analyzer) sequence: one finding per analyzer rule (errcheck has two),
+// positions strictly increasing. The
 // Planner/Scenario pair at the bottom activates the seam analyzers
 // (purecheck, ctxflow) the same way the real engine package does.
 package fixture
 
-import (
-	"context"
-	"sync"
-)
+import "context"
 
 // Meters mirrors geom.Meters for the unitcheck dimension rules.
 type Meters float64
@@ -42,23 +40,11 @@ func mustPositive(x float64) float64 {
 func fallible() error { return nil }
 
 func dropError() {
-	fallible() // errcheck
+	fallible() // errcheck (discarded)
 }
 
 func mixUnits(tour Meters) Joules {
 	return Joules(tour) // unitcheck
-}
-
-func captureLoop(items []int) {
-	var wg sync.WaitGroup
-	for i := range items {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			hits += i // loopcapture
-		}()
-	}
-	wg.Wait()
 }
 
 func redundant(x float64) float64 {
@@ -91,7 +77,7 @@ func bump(i int) {
 }
 
 func overwriteErr() error {
-	err := fallible() // errflow
+	err := fallible() // errcheck (dead)
 	err = fallible()
 	return err
 }

@@ -1,4 +1,4 @@
-// Fixture for the errflow analyzer: error values that are overwritten
+// Fixture for errcheck's dead rule: error values that are overwritten
 // or dead before any check, including multi-assignment and named-return
 // paths, plus the negative shapes the linear model must stay silent on.
 package fixture

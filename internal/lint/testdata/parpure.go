@@ -1,8 +1,9 @@
 // Fixture for the parpure analyzer: callees reached from callbacks
 // handed to the deterministic-parallelism layer (stand-in Pool type)
-// that write shared state loopcapture cannot see — package-level
-// variables behind any call depth, and closures nested inside the
-// callback that write captured state.
+// that write shared state outside the callback literal itself (its direct
+// writes are the cases in loopcapture.go) — package-level variables behind
+// any call depth, and closures nested inside the callback that write
+// captured state.
 package fixture
 
 // Pool mirrors par.Pool for the callback-contract rule.

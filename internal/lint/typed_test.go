@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -52,8 +53,17 @@ func launder(m Meters) float64 { return float64(m) }
 	}
 }
 
+// TestLoopCaptureAnalyzer pins the capture cases of loopcapture.go: the
+// par-callback writes are parpure's findings, and the go/defer literals
+// reading loop variables draw nothing from the whole suite.
 func TestLoopCaptureAnalyzer(t *testing.T) {
-	checkFixture(t, LoopCaptureAnalyzer(), "loopcapture.go", "mobicol/internal/fixture")
+	checkFixture(t, ParPureAnalyzer(), "loopcapture.go", "mobicol/internal/fixture")
+	pkg := loadFixture(t, "loopcapture.go", "mobicol/internal/fixture")
+	for _, f := range Run([]*Package{pkg}, Analyzers()) {
+		if f.Analyzer != "parpure" {
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
 }
 
 func TestConvCheckAnalyzer(t *testing.T) {
@@ -83,30 +93,35 @@ func TestConvCheckFloat32RuleScopedToHotPaths(t *testing.T) {
 }
 
 // TestCrossAnalyzerFixture runs the full suite over one file that trips
-// every analyzer exactly once and asserts the exact count and ordering:
-// findings come back sorted by position, so the analyzer sequence is
-// pinned by the fixture's layout.
+// every analyzer rule exactly once and pins the exact (line, analyzer)
+// sequence: findings come back sorted by position, so the sequence is
+// fixed by the fixture's layout.
 func TestCrossAnalyzerFixture(t *testing.T) {
 	pkg := loadFixture(t, "crossanalyzer.go", "mobicol/internal/sim")
 	findings := Run([]*Package{pkg}, Analyzers())
 
-	wantOrder := []string{
-		"globalvar", "determinism", "floateq", "nopanic",
-		"errcheck", "unitcheck", "loopcapture", "convcheck",
-		"alloccheck", "parpure", "errflow", "purecheck", "ctxflow",
+	type at struct {
+		line     int
+		analyzer string
 	}
-	if len(findings) != len(wantOrder) {
-		t.Fatalf("got %d findings, want %d:\n%v", len(findings), len(wantOrder), findings)
+	want := []at{
+		{19, "globalvar"}, {23, "determinism"}, {30, "floateq"}, {35, "nopanic"},
+		{43, "errcheck"}, {47, "unitcheck"}, {51, "convcheck"}, {66, "alloccheck"},
+		{76, "parpure"}, {80, "errcheck"}, {97, "purecheck"}, {98, "ctxflow"},
 	}
-	lastLine := 0
+	got := make([]at, len(findings))
 	for i, f := range findings {
-		if f.Analyzer != wantOrder[i] {
-			t.Errorf("finding %d is from %s, want %s: %s", i, f.Analyzer, wantOrder[i], f)
-		}
-		if f.Pos.Line <= lastLine {
-			t.Errorf("finding %d at line %d is not after line %d: ordering broken", i, f.Pos.Line, lastLine)
-		}
-		lastLine = f.Pos.Line
+		got[i] = at{f.Pos.Line, f.Analyzer}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("(line, analyzer) sequence\n got %v\nwant %v\nfindings: %v", got, want, findings)
+	}
+	seen := map[string]bool{}
+	for _, w := range want {
+		seen[w.analyzer] = true
+	}
+	if len(seen) != len(Analyzers()) {
+		t.Errorf("fixture trips %d analyzers, suite has %d", len(seen), len(Analyzers()))
 	}
 }
 
