@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json lint-dataflow lint-fix-hints vet fmt bench check conformance cover cover-update fuzz-smoke escape escape-update alloc-bench perf perf-update trace
+.PHONY: all build test race lint lint-json lint-dataflow lint-fix-hints vet fmt bench check conformance cover cover-update fuzz-smoke escape escape-update alloc-bench perf perf-update results trace
 
 all: check
 
@@ -103,6 +103,14 @@ perf:
 perf-update:
 	$(GO) run ./cmd/mdgratchet perf -update
 
+# results regenerates RESULTS.txt, the committed snapshot of all sixteen
+# experiment tables at 20 trials/point, in place and fails on any
+# difference from the committed file, with no tolerance. After a
+# deliberate change, commit the regenerated file.
+results:
+	$(GO) run ./cmd/mdgbench -trials 20 > RESULTS.txt
+	git diff --exit-code RESULTS.txt
+
 # trace records a seeded planner trace and prints its per-phase summary
 # (deterministic: byte-identical across runs of the same seed).
 trace:
@@ -117,4 +125,4 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzNetworkRead -fuzztime=$(FUZZTIME) ./internal/wsn/
 
 # check mirrors the CI pipeline end to end.
-check: build vet lint test race cover escape
+check: build vet lint test race cover escape results

@@ -34,7 +34,7 @@ func E8Ablations(cfg Config) (*Table, error) {
 	def := shdgp.DefaultPlannerOptions()
 	noRefine := def
 	noRefine.Refine = false
-	nnOnly := shdgp.PlannerOptions{TSP: tsp.Options{Construction: tsp.ConstructNN}, Refine: true, RefinePasses: 3}
+	nnOnly := shdgp.PlannerOptions{TSP: tsp.Options{Construction: tsp.ConstructNN}, Refine: true}
 	noOrOpt := def
 	noOrOpt.TSP.OrOpt = false
 	christo := def

@@ -21,7 +21,7 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 			}
 		}
 		gotI, gotD2 := NearestBatch(xs, ys, q)
-		wantI := bruteNearest(pts, q)
+		wantI := bruteNearest(pts, q, nil)
 		if gotI != wantI || gotD2 != pts[wantI].Dist2(q) {
 			t.Fatalf("NearestBatch = (%d, %v), brute = (%d, %v)", gotI, gotD2, wantI, pts[wantI].Dist2(q))
 		}

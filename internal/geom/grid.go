@@ -197,8 +197,10 @@ func (g *GridIndex) Within(q Point, r float64, dst []int) []int {
 }
 
 // Nearest returns the index of the indexed point closest to q, or -1 for an
-// empty index. Ties break toward the lower index.
-func (g *GridIndex) Nearest(q Point) int {
+// empty index. Ties break toward the lower index. The skip function, when
+// non-nil, excludes points (e.g. fragment endpoints already linked); -1
+// means every point was skipped.
+func (g *GridIndex) Nearest(q Point, skip func(i int) bool) int {
 	if len(g.pts) == 0 {
 		return -1
 	}
@@ -216,10 +218,13 @@ func (g *GridIndex) Nearest(q Point) int {
 			if y < 0 || y >= g.rows {
 				continue
 			}
-			for dx := -span; dx <= span; dx++ {
-				if abs(dx) != span && abs(dy) != span {
-					continue // interior already scanned in earlier rings
-				}
+			// Interior rows of the ring hold only its two edge columns;
+			// the cells between were scanned in earlier rings.
+			step := 1
+			if abs(dy) != span {
+				step = 2 * span
+			}
+			for dx := -span; dx <= span; dx += step {
 				x := cx + dx
 				if x < 0 || x >= g.cols {
 					continue
@@ -232,7 +237,7 @@ func (g *GridIndex) Nearest(q Point) int {
 					ddy := ys[i] - q.Y
 					d2 := ddx*ddx + ddy*ddy
 					idx := int(g.order[s+int32(i)])
-					if d2 < bestD2 || (d2 == bestD2 && idx < best) {
+					if (d2 < bestD2 || (d2 == bestD2 && idx < best)) && (skip == nil || !skip(idx)) {
 						best, bestD2 = idx, d2
 						found = true
 					}

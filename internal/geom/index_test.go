@@ -27,10 +27,12 @@ func bruteWithin(pts []Point, q Point, r float64) []int {
 	return out
 }
 
-func bruteNearest(pts []Point, q Point) int {
+// bruteNearest is the reference nearest-point scan: the lowest index
+// among the closest points that skip (when non-nil) does not exclude.
+func bruteNearest(pts []Point, q Point, skip func(i int) bool) int {
 	best, bestD2 := -1, math.Inf(1)
 	for i, p := range pts {
-		if d2 := p.Dist2(q); d2 < bestD2 {
+		if d2 := p.Dist2(q); d2 < bestD2 && (skip == nil || !skip(i)) {
 			best, bestD2 = i, d2
 		}
 	}
@@ -69,8 +71,8 @@ func TestGridIndexNearestMatchesBrute(t *testing.T) {
 	g := NewGridIndex(pts, 25)
 	for trial := 0; trial < 100; trial++ {
 		q := Pt(s.Uniform(-30, 180), s.Uniform(-30, 180))
-		got := g.Nearest(q)
-		want := bruteNearest(pts, q)
+		got := g.Nearest(q, nil)
+		want := bruteNearest(pts, q, nil)
 		if pts[got].Dist(q) > pts[want].Dist(q)+1e-9 {
 			t.Fatalf("Nearest returned %d (d=%v), brute %d (d=%v)",
 				got, pts[got].Dist(q), want, pts[want].Dist(q))
@@ -78,9 +80,40 @@ func TestGridIndexNearestMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestGridIndexNearestWithSkip checks the skip predicate against brute
+// force under random skip sets, exact index included (ties toward the
+// lower index), and -1 once every point is skipped.
+func TestGridIndexNearestWithSkip(t *testing.T) {
+	s := rng.New(12)
+	pts := randPoints(s, 400, 300)
+	pts = append(pts, pts[:40]...) // coincident pairs exercise the tie-break
+	for _, cell := range []float64{7, 40} {
+		g := NewGridIndex(pts, cell)
+		for trial := 0; trial < 100; trial++ {
+			skipped := make([]bool, len(pts))
+			frac := s.Uniform(0, 1)
+			for i := range skipped {
+				skipped[i] = s.Uniform(0, 1) < frac
+			}
+			skip := func(i int) bool { return skipped[i] }
+			q := Pt(s.Uniform(-50, 350), s.Uniform(-50, 350))
+			if got, want := g.Nearest(q, skip), bruteNearest(pts, q, skip); got != want {
+				t.Fatalf("cell %v trial %d: Nearest = %d, brute %d", cell, trial, got, want)
+			}
+		}
+	}
+	g := NewGridIndex([]Point{Pt(0, 0), Pt(1, 0), Pt(5, 0)}, 1)
+	if got := g.Nearest(Pt(0.1, 0), func(i int) bool { return i == 0 }); got != 1 {
+		t.Fatalf("skip: got %d, want 1", got)
+	}
+	if got := g.Nearest(Pt(0, 0), func(int) bool { return true }); got != -1 {
+		t.Fatalf("all-skipped query = %d, want -1", got)
+	}
+}
+
 func TestGridIndexEmpty(t *testing.T) {
 	g := NewGridIndex(nil, 10)
-	if g.Nearest(Pt(0, 0)) != -1 {
+	if g.Nearest(Pt(0, 0), nil) != -1 {
 		t.Fatal("Nearest on empty index should be -1")
 	}
 	if got := g.Within(Pt(0, 0), 5, nil); len(got) != 0 {
@@ -88,9 +121,29 @@ func TestGridIndexEmpty(t *testing.T) {
 	}
 }
 
+// TestGridIndexEmptyWithSkip checks every constructor on an empty point
+// set: Len 0, -1 from Nearest with and without a skip predicate, and no
+// Within hits.
+func TestGridIndexEmptyWithSkip(t *testing.T) {
+	for _, g := range []*GridIndex{NewGridIndex(nil, 10), NewGridIndexFor(nil, 30), NewGridIndexAuto(nil, 0)} {
+		if g.Len() != 0 {
+			t.Fatalf("empty index Len = %d", g.Len())
+		}
+		if g.Nearest(Pt(0, 0), nil) != -1 {
+			t.Fatal("Nearest on empty index should be -1")
+		}
+		if g.Nearest(Pt(0, 0), func(int) bool { return false }) != -1 {
+			t.Fatal("Nearest with skip on empty index should be -1")
+		}
+		if got := g.Within(Pt(0, 0), 5, nil); len(got) != 0 {
+			t.Fatal("Within on empty index should be empty")
+		}
+	}
+}
+
 func TestGridIndexSinglePoint(t *testing.T) {
 	g := NewGridIndex([]Point{Pt(7, 7)}, 10)
-	if g.Nearest(Pt(100, 100)) != 0 {
+	if g.Nearest(Pt(100, 100), nil) != 0 {
 		t.Fatal("Nearest should find the only point")
 	}
 	if got := g.Within(Pt(7, 8), 2, nil); len(got) != 1 {
@@ -129,8 +182,8 @@ func TestGridIndexAuto10k(t *testing.T) {
 		q := Pt(s.Uniform(-40, side+40), s.Uniform(-40, side+40))
 		r := s.Uniform(5, 60)
 		sameIndexSet(t, g.Within(q, r, nil), bruteWithin(pts, q, r), "auto GridIndex.Within")
-		got := g.Nearest(q)
-		want := bruteNearest(pts, q)
+		got := g.Nearest(q, nil)
+		want := bruteNearest(pts, q, nil)
 		if pts[got].Dist(q) > pts[want].Dist(q)+1e-9 {
 			t.Fatalf("auto Nearest returned %d (d=%v), brute %d (d=%v)",
 				got, pts[got].Dist(q), want, pts[want].Dist(q))
@@ -160,10 +213,10 @@ func TestGridIndexAutoDegenerate(t *testing.T) {
 	collinear := []Point{Pt(0, 5), Pt(10, 5), Pt(20, 5), Pt(30, 5)}
 	g = NewGridIndexAuto(collinear, 2)
 	sameIndexSet(t, g.Within(Pt(15, 5), 6, nil), bruteWithin(collinear, Pt(15, 5), 6), "collinear Within")
-	if g.Nearest(Pt(8, 5)) != 1 {
-		t.Fatalf("collinear Nearest = %d, want 1", g.Nearest(Pt(8, 5)))
+	if g.Nearest(Pt(8, 5), nil) != 1 {
+		t.Fatalf("collinear Nearest = %d, want 1", g.Nearest(Pt(8, 5), nil))
 	}
-	if NewGridIndexAuto(nil, 0).Nearest(Pt(0, 0)) != -1 {
+	if NewGridIndexAuto(nil, 0).Nearest(Pt(0, 0), nil) != -1 {
 		t.Fatal("empty auto index Nearest should be -1")
 	}
 }
@@ -188,61 +241,14 @@ func TestGridIndexForDense(t *testing.T) {
 	}
 }
 
-func TestKDTreeNearestMatchesBrute(t *testing.T) {
-	s := rng.New(12)
-	pts := randPoints(s, 400, 300)
-	kt := NewKDTree(pts)
-	for trial := 0; trial < 200; trial++ {
-		q := Pt(s.Uniform(-50, 350), s.Uniform(-50, 350))
-		got, gd := kt.Nearest(q, nil)
-		want := bruteNearest(pts, q)
-		if math.Abs(gd-pts[want].Dist(q)) > 1e-9 {
-			t.Fatalf("KDTree.Nearest dist %v, brute %v (idx %d vs %d)", gd, pts[want].Dist(q), got, want)
-		}
-	}
-}
-
-func TestKDTreeNearestWithSkip(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(1, 0), Pt(5, 0)}
-	kt := NewKDTree(pts)
-	got, _ := kt.Nearest(Pt(0.1, 0), func(i int) bool { return i == 0 })
-	if got != 1 {
-		t.Fatalf("skip: got %d, want 1", got)
-	}
-	got, d := kt.Nearest(Pt(0, 0), func(i int) bool { return true })
-	if got != -1 || !math.IsInf(d, 1) {
-		t.Fatal("all-skipped query should return -1, +Inf")
-	}
-}
-
-func TestKDTreeWithinMatchesBrute(t *testing.T) {
-	s := rng.New(13)
-	pts := randPoints(s, 300, 200)
-	kt := NewKDTree(pts)
-	for trial := 0; trial < 50; trial++ {
-		q := Pt(s.Uniform(0, 200), s.Uniform(0, 200))
-		r := s.Uniform(5, 80)
-		got := kt.Within(q, r, nil)
-		sameIndexSet(t, got, bruteWithin(pts, q, r), "KDTree.Within")
-	}
-}
-
-func TestKDTreeEmpty(t *testing.T) {
-	kt := NewKDTree(nil)
-	if i, d := kt.Nearest(Pt(0, 0), nil); i != -1 || !math.IsInf(d, 1) {
-		t.Fatal("empty KDTree Nearest should be (-1, +Inf)")
-	}
-	if got := kt.Within(Pt(0, 0), 10, nil); len(got) != 0 {
-		t.Fatal("empty KDTree Within should be empty")
-	}
-}
-
-func TestKDTreeDuplicatePoints(t *testing.T) {
-	pts := []Point{Pt(1, 1), Pt(1, 1), Pt(1, 1), Pt(2, 2)}
-	kt := NewKDTree(pts)
-	got := kt.Within(Pt(1, 1), 0.5, nil)
-	if len(got) != 3 {
+func TestGridIndexDuplicatePoints(t *testing.T) {
+	pts := []Point{Pt(2, 2), Pt(1, 1), Pt(1, 1), Pt(1, 1)}
+	g := NewGridIndexAuto(pts, 0)
+	if got := g.Within(Pt(1, 1), 0.5, nil); len(got) != 3 {
 		t.Fatalf("duplicates: got %v", got)
+	}
+	if got := g.Nearest(Pt(1, 1), nil); got != 1 {
+		t.Fatalf("duplicates: Nearest = %d, want the lowest index 1", got)
 	}
 }
 
@@ -265,11 +271,11 @@ func BenchmarkGridIndexWithin(b *testing.B) {
 	}
 }
 
-func BenchmarkKDTreeNearest(b *testing.B) {
+func BenchmarkGridIndexNearest(b *testing.B) {
 	pts := randPoints(rng.New(1), 1000, 500)
-	kt := NewKDTree(pts)
+	g := NewGridIndexAuto(pts, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kt.Nearest(pts[i%len(pts)], nil)
+		g.Nearest(pts[i%len(pts)], nil)
 	}
 }

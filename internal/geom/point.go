@@ -1,7 +1,7 @@
 // Package geom implements the 2-D computational-geometry substrate used by
 // the data-gathering planners: points, segments, circles, convex hulls,
-// axis-aligned rectangles, and two spatial indexes (a uniform hash grid and
-// a k-d tree) for range and nearest-neighbour queries over sensor fields.
+// axis-aligned rectangles, and one spatial index (a uniform hash grid) for
+// range and nearest-neighbour queries over sensor fields.
 //
 // All coordinates are in metres, matching the paper's simulation setup.
 package geom

@@ -13,13 +13,9 @@ import (
 type PlannerOptions struct {
 	// TSP configures tour construction and improvement.
 	TSP tsp.Options
-	// Refine enables the drop-redundant-stop and relocate-stop passes.
+	// Refine enables the drop-redundant-stop and relocate-stop passes,
+	// at most refinePasses rounds of them.
 	Refine bool
-	// RefinePasses bounds refinement iterations (default 3).
-	RefinePasses int
-	// ExactCover uses the exact minimum-cardinality cover instead of
-	// greedy (small instances only; greedy is the default at scale).
-	ExactCover bool
 	// Obs, when non-nil, receives per-phase spans (candidates, cover,
 	// refine, tsp) and planner metrics. Nil disables tracing.
 	Obs *obs.Trace
@@ -32,6 +28,10 @@ type PlannerOptions struct {
 	Step func() error
 }
 
+// refinePasses bounds the drop-redundant/relocate rounds of a plan; the
+// loop also stops at the first round that changes nothing.
+const refinePasses = 3
+
 // step consults the phase-boundary hook, if any.
 func (o PlannerOptions) step() error {
 	if o.Step == nil {
@@ -43,7 +43,7 @@ func (o PlannerOptions) step() error {
 // DefaultPlannerOptions is the configuration the experiments label
 // "SHDG": greedy covering, greedy-edge + 2-opt + Or-opt tour, refinement.
 func DefaultPlannerOptions() PlannerOptions {
-	return PlannerOptions{TSP: tsp.DefaultOptions(), Refine: true, RefinePasses: 3}
+	return PlannerOptions{TSP: tsp.DefaultOptions(), Refine: true}
 }
 
 // Plan runs the heuristic single-collector planner:
@@ -79,13 +79,7 @@ func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
 		return nil, err
 	}
 	spCover := root.Child("cover")
-	var chosen []int
-	if opts.ExactCover {
-		chosen, _, err = inst.ExactMin(2_000_000)
-		spCover.SetInt("chosen", int64(len(chosen)))
-	} else {
-		chosen, err = inst.GreedyObs(p.Net.Sink, spCover)
-	}
+	chosen, err := inst.GreedyObs(p.Net.Sink, spCover)
 	spCover.End()
 	if err != nil {
 		return nil, err
@@ -96,14 +90,10 @@ func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
 	coverStops := len(chosen)
 
 	if opts.Refine {
-		passes := opts.RefinePasses
-		if passes <= 0 {
-			passes = 3
-		}
 		spRefine := root.Child("refine")
 		rs := newRefineScratch(inst)
 		ran := 0
-		for pass := 0; pass < passes; pass++ {
+		for pass := 0; pass < refinePasses; pass++ {
 			ran++
 			changed := dropRedundant(inst, &chosen, rs)
 			changed = relocateStops(p, inst, chosen, rs) || changed
@@ -122,7 +112,11 @@ func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
 	spTSP := root.Child("tsp")
 	tspOpts := opts.TSP
 	tspOpts.Obs = spTSP
-	sol := buildSolution(p, inst, chosen, tspOpts, algorithmName(opts))
+	name := "shdg-greedy"
+	if opts.Refine {
+		name = "shdg-greedy+refine"
+	}
+	sol := buildSolution(p, inst, chosen, tspOpts, name)
 	spTSP.SetInt("stops", int64(len(chosen)))
 	//mdglint:ignore unitcheck obs boundary: trace fields carry raw numbers
 	spTSP.SetFloat("tour_m", float64(sol.Length))
@@ -135,17 +129,6 @@ func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
 	//mdglint:ignore unitcheck obs boundary: metric gauges carry raw numbers
 	root.Gauge("planner.tour_m", float64(sol.Length))
 	return sol, nil
-}
-
-func algorithmName(opts PlannerOptions) string {
-	name := "shdg-greedy"
-	if opts.ExactCover {
-		name = "shdg-exactcover"
-	}
-	if opts.Refine {
-		name += "+refine"
-	}
-	return name
 }
 
 // refineScratch holds the buffers the refinement passes share: coverage

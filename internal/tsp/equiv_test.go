@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"mobicol/internal/par"
 	"mobicol/internal/rng"
 )
 
@@ -16,7 +15,7 @@ func TestNeighborListsMatchFullSort(t *testing.T) {
 		for seed := uint64(5); seed < 8; seed++ {
 			pts := randPts(rng.New(seed), n, 300)
 			k := min(neighborK, n-1)
-			got := neighborLists(pts, neighborK)
+			got, _ := neighborLists(pts, neighborK)
 			for i := range pts {
 				want := sortedNeighbors(pts, i, k)
 				if len(got[i]) != len(want) {
@@ -38,7 +37,7 @@ func TestNeighborListsMatchFullSort(t *testing.T) {
 // fallback: every point at the same location still yields full lists.
 func TestNeighborListsCoincidentPoints(t *testing.T) {
 	pts := randPts(rng.New(1), 6, 0) // Uniform(0,0) puts every point at the origin
-	lists := neighborLists(pts, neighborK)
+	lists, _ := neighborLists(pts, neighborK)
 	for i, l := range lists {
 		if len(l) != 5 {
 			t.Fatalf("point %d: %d neighbours, want 5", i, len(l))
@@ -51,41 +50,17 @@ func TestNeighborListsCoincidentPoints(t *testing.T) {
 	}
 }
 
-// TestSolveBestPoolEquivalence pins the tentpole contract for the
-// multistart layer: any pool size returns the identical tour.
-func TestSolveBestPoolEquivalence(t *testing.T) {
-	opts := DefaultOptions()
-	for _, n := range []int{40, 120} {
-		for seed := uint64(51); seed < 54; seed++ {
-			pts := randPts(rng.New(seed), n, 250)
-			seqTour := SolveBestPool(pts, opts, 8, seed, par.Seq())
-			parTour := SolveBestPool(pts, opts, 8, seed, par.Workers(8))
-			wrapped := SolveBest(pts, opts, 8, seed)
-			if len(seqTour) != len(parTour) || len(seqTour) != len(wrapped) {
-				t.Fatalf("n=%d seed=%d: tour lengths differ", n, seed)
-			}
-			for i := range seqTour {
-				if seqTour[i] != parTour[i] {
-					t.Fatalf("n=%d seed=%d: position %d: %d vs %d",
-						n, seed, i, parTour[i], seqTour[i])
-				}
-				if seqTour[i] != wrapped[i] {
-					t.Fatalf("n=%d seed=%d: SolveBest wrapper diverged at %d", n, seed, i)
-				}
-			}
-		}
-	}
-}
-
-// TestOrOptNeighborsNeverLengthens guards the new neighbour-restricted
-// pass: it must only ever shorten the tour and leave it a permutation.
+// TestOrOptNeighborsNeverLengthens guards the neighbour-restricted
+// Or-opt pass: it must only ever shorten the tour and leave it a
+// permutation.
 func TestOrOptNeighborsNeverLengthens(t *testing.T) {
 	for seed := uint64(60); seed < 66; seed++ {
 		pts := randPts(rng.New(seed), 90, 200)
 		tour := NearestNeighbor(pts, 0)
-		neigh := neighborLists(pts, neighborK)
+		neigh, _ := neighborLists(pts, neighborK)
 		before := tour.Length(pts)
-		moves := OrOptNeighbors(pts, tour, neigh)
+		var s Scratch
+		moves := s.OrOpt(pts, tour, neigh)
 		after := tour.Length(pts)
 		if err := tour.Validate(len(pts)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

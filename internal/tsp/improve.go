@@ -14,25 +14,28 @@ const neighborK = 12
 
 // neighborLists returns, for every point, the indices of its k nearest
 // other points, sorted by ascending distance (ties toward the lower
-// index, so the lists are independent of construction path). Local search
-// restricted to near neighbours finds almost all the improving moves of
-// the full quadratic scan at a fraction of the cost.
+// index, so the lists are independent of construction path), and the
+// grid index it built them from. Greedy-edge takes its candidate edges
+// from the lists and links leftover fragments through the grid; local
+// search restricted to near neighbours finds almost all the improving
+// moves of the full quadratic scan at a fraction of the cost.
 //
 // The lists are built from an occupancy-auto-sized geom.GridIndex disk
 // query with radius doubling — expected O(k) work per point at any n —
 // with candidate distances computed through the flat-slice batch kernels,
 // and fall back to a full sort only for degenerate geometry (all points
-// coincident) where a grid cannot be built. The result is the exact
+// coincident, where the grid is a single cell). The result is the exact
 // k-nearest set however the grid is sized, so the auto sizing never
 // changes a tour.
-func neighborLists(pts []geom.Point, k int) [][]int {
+func neighborLists(pts []geom.Point, k int) ([][]int, *geom.GridIndex) {
 	n := len(pts)
 	if k >= n {
 		k = n - 1
 	}
 	lists := make([][]int, n)
+	idx := geom.NewGridIndexAuto(pts, 1)
 	if k <= 0 {
-		return lists
+		return lists, idx
 	}
 	b := geom.Bound(pts)
 	w, h := b.Max.X-b.Min.X, b.Max.Y-b.Min.Y
@@ -42,9 +45,8 @@ func neighborLists(pts []geom.Point, k int) [][]int {
 		for i := range lists {
 			lists[i] = sortedNeighbors(pts, i, k)
 		}
-		return lists
+		return lists, idx
 	}
-	idx := geom.NewGridIndexAuto(pts, 1)
 	cell := idx.CellSize()
 	diag := math.Hypot(w, h)
 	xs, ys := geom.SplitXY(pts, nil, nil)
@@ -92,7 +94,7 @@ func neighborLists(pts []geom.Point, k int) [][]int {
 		}
 		lists[i] = list
 	}
-	return lists
+	return lists, idx
 }
 
 // distSorter orders candidate indices by ascending precomputed squared
@@ -187,7 +189,9 @@ func TwoOpt(pts []geom.Point, tour Tour) int {
 	if len(tour) < 4 {
 		return 0
 	}
-	return TwoOptNeighbors(pts, tour, neighborLists(pts, neighborK))
+	neigh, _ := neighborLists(pts, neighborK)
+	var s Scratch
+	return s.TwoOpt(pts, tour, neigh)
 }
 
 // NeighborLists builds the k-nearest candidate lists the improvement
@@ -195,21 +199,13 @@ func TwoOpt(pts []geom.Point, tour Tour) int {
 // point set, so callers holding a Scratch across passes build them once
 // and share them between TwoOpt and OrOpt.
 func NeighborLists(pts []geom.Point, k int) [][]int {
-	return neighborLists(pts, k)
+	neigh, _ := neighborLists(pts, k)
+	return neigh
 }
 
-// TwoOptNeighbors is TwoOpt over a caller-supplied neighbour list, so a
-// solver running several improvement passes builds the lists once and
-// shares them between TwoOpt and OrOptNeighbors. It builds fresh scratch
-// state per call; hot loops should hold a Scratch and call its TwoOpt.
-func TwoOptNeighbors(pts []geom.Point, tour Tour, neigh [][]int) int {
-	var s Scratch
-	return s.TwoOpt(pts, tour, neigh)
-}
-
-// TwoOpt is TwoOptNeighbors over caller-owned scratch state: the
-// steady-state pass allocates nothing once the buffers have grown to the
-// instance size. The move sequence is identical to TwoOptNeighbors.
+// TwoOpt is 2-opt over caller-supplied neighbour lists and caller-owned
+// scratch state: the steady-state pass allocates nothing once the
+// buffers have grown to the instance size.
 //
 //mdglint:hotpath
 func (s *Scratch) TwoOpt(pts []geom.Point, tour Tour, neigh [][]int) int {
@@ -421,22 +417,15 @@ func OrOpt(pts []geom.Point, tour Tour) int {
 	return moves
 }
 
-// OrOptNeighbors is Or-opt restricted to candidate insertion points near
-// the segment endpoints, with don't-look bits: each point anchors segment
+// OrOpt is Or-opt restricted to candidate insertion points near the
+// segment endpoints, with don't-look bits: each point anchors segment
 // relocations, and points are re-examined only when a move touches them.
 // A good insertion splices the segment between stops a and b where a is
 // near the new head or b is near the new tail, so trying the tour edges on
 // both sides of each near neighbour of s0 and s1 covers (for either
 // orientation) the insertions the full scan would find. It returns the
-// number of improving moves applied.
-func OrOptNeighbors(pts []geom.Point, tour Tour, neigh [][]int) int {
-	var s Scratch
-	return s.OrOpt(pts, tour, neigh)
-}
-
-// OrOpt is OrOptNeighbors over caller-owned scratch state: the
-// steady-state pass allocates nothing once the buffers have grown to the
-// instance size. The move sequence is identical to OrOptNeighbors.
+// number of improving moves applied, and allocates nothing in steady
+// state once the caller-owned buffers have grown to the instance size.
 //
 //mdglint:hotpath
 func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, neigh [][]int) int {

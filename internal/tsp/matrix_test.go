@@ -150,9 +150,7 @@ func TestConstructionString(t *testing.T) {
 	}{
 		{ConstructNN, "nearest-neighbor"},
 		{ConstructGreedy, "greedy-edge"},
-		{ConstructCheapest, "cheapest-insertion"},
-		{ConstructHull, "hull-insertion"},
-		{ConstructDoubleTree, "double-tree"},
+		{ConstructChristofides, "christofides"},
 		{Construction(99), "Construction(99)"},
 	}
 	for _, tc := range names {

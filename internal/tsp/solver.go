@@ -15,34 +15,31 @@ const (
 	ConstructNN Construction = iota
 	// ConstructGreedy is greedy-edge matching.
 	ConstructGreedy
-	// ConstructCheapest is cheapest insertion.
-	ConstructCheapest
-	// ConstructHull is convex-hull + cheapest insertion.
-	ConstructHull
-	// ConstructDoubleTree is the MST 2-approximation.
-	ConstructDoubleTree
 	// ConstructChristofides is MST + odd-vertex matching + Euler walk.
 	ConstructChristofides
 )
 
-// String names the construction.
-func (c Construction) String() string {
+// name is the construction's String and trace name, "" when unknown.
+// Solve traces through it rather than String: String's formatted
+// fallback, once inlined, would add a heap escape to Solve.
+func (c Construction) name() string {
 	switch c {
 	case ConstructNN:
 		return "nearest-neighbor"
 	case ConstructGreedy:
 		return "greedy-edge"
-	case ConstructCheapest:
-		return "cheapest-insertion"
-	case ConstructHull:
-		return "hull-insertion"
-	case ConstructDoubleTree:
-		return "double-tree"
 	case ConstructChristofides:
 		return "christofides"
-	default:
-		return fmt.Sprintf("Construction(%d)", int(c))
 	}
+	return ""
+}
+
+// String names the construction.
+func (c Construction) String() string {
+	if name := c.name(); name != "" {
+		return name
+	}
+	return fmt.Sprintf("Construction(%d)", int(c))
 }
 
 // Options configures Solve.
@@ -83,18 +80,19 @@ func Solve(pts []geom.Point, opts Options) Tour {
 		}
 	}
 	sp := opts.Obs.Child("construct")
+	// Greedy-edge and both local searches work off the same k-nearest
+	// candidate lists; build them once and share them across every stage.
+	var neigh [][]int
+	var idx *geom.GridIndex
+	if opts.Construction == ConstructGreedy || opts.TwoOpt || opts.OrOpt {
+		neigh, idx = neighborLists(pts, neighborK)
+	}
 	var t Tour
 	switch opts.Construction {
 	case ConstructNN:
 		t = NearestNeighbor(pts, 0)
 	case ConstructGreedy:
-		t = GreedyEdge(pts)
-	case ConstructCheapest:
-		t = CheapestInsertion(pts)
-	case ConstructHull:
-		t = HullInsertion(pts)
-	case ConstructDoubleTree:
-		t = DoubleTree(pts)
+		t = greedyEdge(pts, neigh, idx)
 	case ConstructChristofides:
 		t = Christofides(pts)
 	default:
@@ -103,18 +101,12 @@ func Solve(pts []geom.Point, opts Options) Tour {
 	}
 	// Length recomputation is O(n); only pay for it when traced.
 	if opts.Obs != nil {
-		sp.SetStr("method", opts.Construction.String())
+		sp.SetStr("method", opts.Construction.name())
 		sp.SetInt("n", int64(n))
 		//mdglint:ignore unitcheck obs boundary: trace fields carry raw numbers
 		sp.SetFloat("len", float64(t.Length(pts)))
 	}
 	sp.End()
-	// Both local searches work off the same k-nearest candidate lists;
-	// build them once and share across every pass.
-	var neigh [][]int
-	if opts.TwoOpt || opts.OrOpt {
-		neigh = neighborLists(pts, neighborK)
-	}
 	// One scratch serves every pass: the second 2-opt pass reuses the
 	// buffers the first one grew.
 	var s Scratch

@@ -79,8 +79,6 @@ func constructions() []namedConstruction {
 	return []namedConstruction{
 		{"nn", func(p []geom.Point) Tour { return NearestNeighbor(p, 0) }},
 		{"greedy", GreedyEdge},
-		{"cheapest", CheapestInsertion},
-		{"hull", HullInsertion},
 		{"dtree", DoubleTree},
 	}
 }
@@ -318,7 +316,7 @@ func TestSolveQualityOrdering(t *testing.T) {
 
 func TestSolveAllConstructions(t *testing.T) {
 	pts := randPts(rng.New(60), 50, 150)
-	for _, c := range []Construction{ConstructNN, ConstructGreedy, ConstructCheapest, ConstructHull, ConstructDoubleTree} {
+	for _, c := range []Construction{ConstructNN, ConstructGreedy, ConstructChristofides} {
 		tour := Solve(pts, Options{Construction: c, TwoOpt: true, OrOpt: true})
 		if err := tour.Validate(len(pts)); err != nil {
 			t.Fatalf("%v: %v", c, err)
