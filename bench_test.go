@@ -24,7 +24,7 @@ func runExperiment(b *testing.B, id string, metricRow, metricCol int, unit strin
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
-	cfg := bench.QuickConfig()
+	cfg := bench.Config{Trials: 3, Seed: 1, Quick: true}
 	var last float64
 	for i := 0; i < b.N; i++ {
 		tbl, err := run(cfg)

@@ -9,6 +9,25 @@ import (
 
 func quick() Config { return Config{Trials: 2, Seed: 1, Quick: true} }
 
+// All runs every experiment and returns the tables in order.
+func All(cfg Config) ([]*Table, error) {
+	runs := []func(Config) (*Table, error){
+		E1OptimalGap, E2TourVsN, E3TourVsRange, E4TourVsField,
+		E5MultiCollector, E6Lifetime, E7Latency, E8Ablations,
+		E9BufferCapacity, E10DESLatency,
+		E11Obstacles, E12LossyLinks, E13Scheduling, E14Hetero, E15Adaptive, E16Rotation,
+	}
+	var out []*Table
+	for _, run := range runs {
+		tbl, err := run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, tbl)
+	}
+	return out, nil
+}
+
 func cell(t *testing.T, tbl *Table, row, col int) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSuffix(tbl.Rows[row][col], "x"), "%"), 64)

@@ -49,12 +49,6 @@ type Config struct {
 	Algos []string
 }
 
-// DefaultConfig runs 30 trials per point.
-func DefaultConfig() Config { return Config{Trials: 30, Seed: 1} }
-
-// QuickConfig is the configuration the root benchmarks use.
-func QuickConfig() Config { return Config{Trials: 3, Seed: 1, Quick: true} }
-
 func (c Config) trials() int {
 	if c.Trials <= 0 {
 		return 30

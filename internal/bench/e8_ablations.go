@@ -89,25 +89,6 @@ func E8Ablations(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment and returns the tables in order.
-func All(cfg Config) ([]*Table, error) {
-	runs := []func(Config) (*Table, error){
-		E1OptimalGap, E2TourVsN, E3TourVsRange, E4TourVsField,
-		E5MultiCollector, E6Lifetime, E7Latency, E8Ablations,
-		E9BufferCapacity, E10DESLatency,
-		E11Obstacles, E12LossyLinks, E13Scheduling, E14Hetero, E15Adaptive, E16Rotation,
-	}
-	var out []*Table
-	for _, run := range runs {
-		tbl, err := run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
-}
-
 // ByID returns the experiment runner for an ID like "E3".
 func ByID(id string) (func(Config) (*Table, error), bool) {
 	m := map[string]func(Config) (*Table, error){

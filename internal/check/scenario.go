@@ -12,7 +12,7 @@ import (
 // scenario. The four layouts deliberately stress different planner code
 // paths: uniform fields are the paper's deployment model, clusters produce
 // disconnected topologies, collinear deployments hit the degenerate
-// geometry predicates (orientation tests, zero-area hulls), and coincident
+// geometry predicates (orientation tests, zero-length segments), and coincident
 // deployments hit zero-length tour edges and duplicate candidate stops.
 type Layout int
 

@@ -28,9 +28,6 @@ type Simulator struct {
 // New returns a simulator at time zero.
 func New() *Simulator { return &Simulator{} }
 
-// Now returns the current simulation time.
-func (s *Simulator) Now() float64 { return s.now }
-
 // Steps returns the number of events executed so far.
 func (s *Simulator) Steps() int { return s.steps }
 
@@ -69,9 +66,6 @@ func (s *Simulator) Run(maxEvents int) (end float64, drained bool) {
 	}
 	return s.now, true
 }
-
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return s.queue.Len() }
 
 // eventQueue is a min-heap on (Time, seq).
 type eventQueue []*Event

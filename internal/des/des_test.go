@@ -7,6 +7,9 @@ import (
 	"mobicol/internal/rng"
 )
 
+// Pending returns the number of queued events.
+func (s *Simulator) Pending() int { return s.queue.Len() }
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	s := New()
 	var order []float64

@@ -1,20 +1,16 @@
 package geom
 
-// Batched distance kernels over flat coordinate slices. The planners at
-// n=10k-100k spend most of their time asking "how far is every point in
-// this set from q?"; answering over []Point forces a 16-byte strided
-// load per point, while answering over parallel xs/ys []float64 slices
-// keeps the inner loop in registers and lets the compiler vectorise it.
-// The kernels below are the shared primitives: the grid index, candidate
-// generation, TSP neighbour-list construction, and warm-start repair all
-// thread through them.
+// Batched distance kernels over flat coordinate slices. Answering "how
+// far is each of these points from q?" over []Point forces a 16-byte
+// strided load per point, while answering over parallel xs/ys []float64
+// slices keeps the inner loop in registers. TSP neighbour-list
+// construction splits its points once with SplitXY and ranks each
+// point's grid candidates with Dist2Gather.
 //
-// All kernels work on squared distances (the comparison-safe form that
-// avoids the square root) and perform no allocation; callers own every
+// Dist2Gather works on squared distances (the comparison-safe form that
+// avoids the square root) and performs no allocation; callers own every
 // buffer. Arithmetic is dx*dx + dy*dy, bit-identical to Point.Dist2, so
-// swapping a scalar loop for a kernel never changes a plan.
-
-import "math"
+// swapping a scalar loop for the kernel never changes a plan.
 
 // SplitXY appends the coordinates of pts to xs and ys and returns the
 // extended slices. Pass reused buffers (xs[:0], ys[:0]) to avoid
@@ -27,21 +23,6 @@ func SplitXY(pts []Point, xs, ys []float64) ([]float64, []float64) {
 		ys = append(ys, p.Y)
 	}
 	return xs, ys
-}
-
-// Dist2Batch writes out[i] = squared distance from (xs[i], ys[i]) to q
-// for every i < len(out). xs and ys must have at least len(out) entries.
-//
-//mdglint:hotpath
-func Dist2Batch(xs, ys []float64, q Point, out []float64) {
-	n := len(out)
-	xs = xs[:n]
-	ys = ys[:n]
-	for i := 0; i < n; i++ {
-		dx := xs[i] - q.X
-		dy := ys[i] - q.Y
-		out[i] = dx*dx + dy*dy
-	}
 }
 
 // Dist2Gather writes out[k] = squared distance from point idx[k] to q,
@@ -58,66 +39,4 @@ func Dist2Gather(xs, ys []float64, idx []int32, q Point, out []float64) {
 		dy := ys[i] - q.Y
 		out[k] = dx*dx + dy*dy
 	}
-}
-
-// NearestBatch returns the index of the point closest to q and its
-// squared distance, ties toward the lower index. It returns (-1, +inf)
-// for empty input. This is the linear-scan nearest kernel the grid index
-// runs per candidate cell.
-//
-//mdglint:hotpath
-func NearestBatch(xs, ys []float64, q Point) (int, float64) {
-	best := -1
-	bestD2 := math.Inf(1)
-	n := len(xs)
-	ys = ys[:n]
-	for i := 0; i < n; i++ {
-		dx := xs[i] - q.X
-		dy := ys[i] - q.Y
-		if d2 := dx*dx + dy*dy; d2 < bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	return best, bestD2
-}
-
-// CountWithinBatch returns how many of the first len(xs) points lie
-// within squared distance r2 (inclusive, plus Eps) of q — the coverage
-// counting kernel.
-//
-//mdglint:hotpath
-func CountWithinBatch(xs, ys []float64, q Point, r2 float64) int {
-	c := 0
-	bound := r2 + Eps
-	n := len(xs)
-	ys = ys[:n]
-	for i := 0; i < n; i++ {
-		dx := xs[i] - q.X
-		dy := ys[i] - q.Y
-		if dx*dx+dy*dy <= bound {
-			c++
-		}
-	}
-	return c
-}
-
-// SelectWithinBatch appends to dst the index (offset by base) of every
-// point within squared distance r2 (inclusive, plus Eps) of q and
-// returns the extended slice. base lets a caller scanning a sub-range
-// emit absolute indices; pass a reused buffer to avoid allocation.
-//
-//mdglint:hotpath
-func SelectWithinBatch(xs, ys []float64, q Point, r2 float64, base int32, dst []int32) []int32 {
-	bound := r2 + Eps
-	n := len(xs)
-	ys = ys[:n]
-	for i := 0; i < n; i++ {
-		dx := xs[i] - q.X
-		dy := ys[i] - q.Y
-		if dx*dx+dy*dy <= bound {
-			//mdglint:allow-alloc(amortized growth of the caller's hit buffer)
-			dst = append(dst, base+int32(i))
-		}
-	}
-	return dst
 }

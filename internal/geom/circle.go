@@ -11,21 +11,6 @@ type Circle struct {
 	R float64
 }
 
-// Contains reports whether p lies inside or on the circle (within Eps).
-func (c Circle) Contains(p Point) bool {
-	return c.C.Dist2(p) <= (c.R+Eps)*(c.R+Eps)
-}
-
-// ContainsStrict reports whether p lies strictly inside the circle.
-func (c Circle) ContainsStrict(p Point) bool {
-	return c.C.Dist2(p) < c.R*c.R-Eps
-}
-
-// OnBoundary reports whether p lies on the circle boundary within Eps.
-func (c Circle) OnBoundary(p Point) bool {
-	return math.Abs(c.C.Dist(p)-c.R) <= 1e-6*(1+c.R)
-}
-
 // Intersect returns the 0, 1 or 2 intersection points of circles c and d.
 // Coincident circles return no points (infinitely many exist; callers that
 // generate candidate polling points do not need them — the shared centre
@@ -55,12 +40,6 @@ func (c Circle) Intersect(d Circle) []Point {
 	}
 	perp := Point{-dir.Y, dir.X}
 	return []Point{mid.Add(perp.Scale(h)), mid.Sub(perp.Scale(h))}
-}
-
-// Overlaps reports whether the two disks share interior points.
-func (c Circle) Overlaps(d Circle) bool {
-	sum := c.R + d.R
-	return c.C.Dist2(d.C) < sum*sum+Eps
 }
 
 // CoverPointCandidates returns, for the family of disks of radius r

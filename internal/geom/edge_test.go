@@ -42,32 +42,6 @@ func TestDistDegenerate(t *testing.T) {
 	}
 }
 
-func TestPathLengthDegenerate(t *testing.T) {
-	cases := []struct {
-		name       string
-		pts        []Point
-		open, loop float64
-	}{
-		{"empty", nil, 0, 0},
-		{"single", []Point{Pt(4, 5)}, 0, 0},
-		{"two-coincident", []Point{Pt(1, 1), Pt(1, 1)}, 0, 0},
-		{"all-coincident", []Point{Pt(2, 3), Pt(2, 3), Pt(2, 3), Pt(2, 3)}, 0, 0},
-		{"zero-area-loop", []Point{Pt(0, 0), Pt(10, 0)}, 10, 20},
-		{"unit-square", []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)}, 3, 4},
-		{"collinear-backtrack", []Point{Pt(0, 0), Pt(5, 0), Pt(2, 0)}, 8, 10},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := PathLength(tc.pts); got != Meters(tc.open) {
-				t.Fatalf("PathLength = %v, want %v", got, tc.open)
-			}
-			if got := ClosedPathLength(tc.pts); got != Meters(tc.loop) {
-				t.Fatalf("ClosedPathLength = %v, want %v", got, tc.loop)
-			}
-		})
-	}
-}
-
 func TestOrientationDegenerate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -89,20 +63,6 @@ func TestOrientationDegenerate(t *testing.T) {
 				t.Fatalf("Orientation = %d, want %d", got, tc.want)
 			}
 		})
-	}
-}
-
-func TestConvexHullCoincidentAndCollinear(t *testing.T) {
-	// Coincident and collinear inputs must not panic and must return a
-	// hull whose perimeter PathLength agrees with.
-	all := []Point{Pt(3, 3), Pt(3, 3), Pt(3, 3)}
-	if h := ConvexHull(all); len(h) < 1 {
-		t.Fatalf("hull of coincident points: %v", h)
-	}
-	line := []Point{Pt(0, 0), Pt(2, 2), Pt(4, 4), Pt(1, 1)}
-	h := ConvexHull(line)
-	if area := PolygonArea(h); math.Abs(area) > 1e-9 {
-		t.Fatalf("collinear hull has area %v", area)
 	}
 }
 

@@ -148,9 +148,6 @@ func NewGridIndexFor(pts []Point, r float64) *GridIndex {
 // CellSize returns the index's cell edge length in metres.
 func (g *GridIndex) CellSize() float64 { return g.cell }
 
-// Cells returns the dimensions of the cell table.
-func (g *GridIndex) Cells() (cols, rows int) { return g.cols, g.rows }
-
 func (g *GridIndex) cellOf(p Point) (cx, cy int) {
 	cx = int(math.Floor((p.X - g.minX) / g.cell))
 	cy = int(math.Floor((p.Y - g.minY) / g.cell))

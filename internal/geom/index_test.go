@@ -39,6 +39,9 @@ func bruteNearest(pts []Point, q Point, skip func(i int) bool) int {
 	return best
 }
 
+// Cells returns the dimensions of the cell table, for the sizing tests.
+func (g *GridIndex) Cells() (cols, rows int) { return g.cols, g.rows }
+
 func sameIndexSet(t *testing.T, got, want []int, what string) {
 	t.Helper()
 	sort.Ints(got)

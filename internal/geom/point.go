@@ -1,7 +1,7 @@
 // Package geom implements the 2-D computational-geometry substrate used by
-// the data-gathering planners: points, segments, circles, convex hulls,
-// axis-aligned rectangles, and one spatial index (a uniform hash grid) for
-// range and nearest-neighbour queries over sensor fields.
+// the data-gathering planners: points, segments, circles, axis-aligned
+// rectangles, and one spatial index (a uniform hash grid) for range and
+// nearest-neighbour queries over sensor fields.
 //
 // All coordinates are in metres, matching the paper's simulation setup.
 package geom
@@ -109,22 +109,4 @@ func Orientation(a, b, c Point) int {
 	default:
 		return 0
 	}
-}
-
-// PathLength returns the total length of the open polyline through pts.
-func PathLength(pts []Point) Meters {
-	total := 0.0
-	for i := 1; i < len(pts); i++ {
-		total += pts[i-1].Dist(pts[i])
-	}
-	return Meters(total)
-}
-
-// ClosedPathLength returns the length of the closed polygon through pts
-// (the final edge returns to pts[0]).
-func ClosedPathLength(pts []Point) Meters {
-	if len(pts) < 2 {
-		return 0
-	}
-	return PathLength(pts) + Meters(pts[len(pts)-1].Dist(pts[0]))
 }

@@ -35,9 +35,3 @@ func Components(g *Graph) (comps [][]int, comp []int) {
 	}
 	return comps, comp
 }
-
-// IsConnected reports whether g has at most one connected component.
-func IsConnected(g *Graph) bool {
-	comps, _ := Components(g)
-	return len(comps) <= 1
-}

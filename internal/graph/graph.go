@@ -1,8 +1,8 @@
 // Package graph provides the weighted-graph substrate for the planners:
-// adjacency-list graphs, breadth-first search, Dijkstra shortest paths,
-// minimum spanning trees (Prim and Kruskal), union–find, connected
-// components, and rooted-tree utilities. Vertices are dense integers
-// [0, N), which maps directly onto sensor IDs.
+// adjacency-list graphs, breadth-first search, the dense minimum spanning
+// tree of a complete metric graph, union–find, connected components,
+// rooted-tree preorder walks and Euler circuits. Vertices are dense
+// integers [0, N), which maps directly onto sensor IDs.
 package graph
 
 import "fmt"

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -74,22 +75,9 @@ func TestBFSLine(t *testing.T) {
 	g := line(5)
 	r := BFS(g, 0)
 	for i := 0; i < 5; i++ {
-		if r.Dist[i] != i {
-			t.Fatalf("Dist[%d] = %d", i, r.Dist[i])
+		if r.Dist[i] != i || r.Parent[i] != i-1 {
+			t.Fatalf("vertex %d: Dist %d Parent %d", i, r.Dist[i], r.Parent[i])
 		}
-	}
-	path := r.PathTo(4)
-	want := []int{0, 1, 2, 3, 4}
-	if len(path) != len(want) {
-		t.Fatalf("PathTo(4) = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("PathTo(4) = %v", path)
-		}
-	}
-	if r.MaxDist() != 4 {
-		t.Fatalf("MaxDist = %d", r.MaxDist())
 	}
 }
 
@@ -97,11 +85,10 @@ func TestBFSDisconnected(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1)
 	r := BFS(g, 0)
-	if r.Reached(2) || r.Reached(3) {
-		t.Fatal("unreachable vertices reported reached")
-	}
-	if r.PathTo(2) != nil {
-		t.Fatal("PathTo unreachable should be nil")
+	for _, v := range []int{2, 3} {
+		if r.Dist[v] != -1 || r.Parent[v] != -1 {
+			t.Fatalf("unreachable vertex %d: Dist %d Parent %d", v, r.Dist[v], r.Parent[v])
+		}
 	}
 }
 
@@ -124,76 +111,47 @@ func TestMultiBFSDuplicateSources(t *testing.T) {
 	}
 }
 
-func TestDijkstraVsBFSOnUnitWeights(t *testing.T) {
+// TestBFSShortestHops checks BFS against the definition of hop distance
+// on random graphs: the source is at 0, no edge spans more than one
+// level, every other reached vertex has a neighbour (its parent) one
+// level closer, and exactly the source's component is reached.
+func TestBFSShortestHops(t *testing.T) {
 	s := rng.New(40)
 	for trial := 0; trial < 20; trial++ {
-		g := New(30)
-		for i := 0; i < 30; i++ {
-			for j := i + 1; j < 30; j++ {
-				if s.Bool(0.1) {
-					g.AddEdge(i, j, 1)
+		g := randomGraph(s, 30, 0.1)
+		src := s.Intn(g.N())
+		r := BFS(g, src)
+		_, comp := Components(g)
+		if r.Dist[src] != 0 || r.Parent[src] != -1 {
+			t.Fatalf("source %d: Dist %d Parent %d", src, r.Dist[src], r.Parent[src])
+		}
+		for v := 0; v < g.N(); v++ {
+			if reached := r.Dist[v] >= 0; reached != (comp[v] == comp[src]) {
+				t.Fatalf("vertex %d: reached %v, same component as source %v", v, reached, comp[v] == comp[src])
+			}
+			if r.Dist[v] < 0 {
+				continue
+			}
+			closer := v == src
+			for _, a := range g.adj[v] {
+				if d := r.Dist[a.To] - r.Dist[v]; d > 1 || d < -1 {
+					t.Fatalf("edge %d-%d spans levels %d and %d", v, a.To, r.Dist[v], r.Dist[a.To])
+				}
+				if a.To == r.Parent[v] && r.Dist[a.To] == r.Dist[v]-1 {
+					closer = true
 				}
 			}
-		}
-		bfs := BFS(g, 0)
-		dij := Dijkstra(g, 0)
-		for v := 0; v < 30; v++ {
-			if bfs.Reached(v) != dij.Reached(v) {
-				t.Fatalf("reachability disagrees at %d", v)
-			}
-			if bfs.Reached(v) && float64(bfs.Dist[v]) != dij.Dist[v] {
-				t.Fatalf("unit-weight distance disagrees at %d: %d vs %v", v, bfs.Dist[v], dij.Dist[v])
+			if !closer {
+				t.Fatalf("vertex %d at level %d has no parent neighbour one level closer", v, r.Dist[v])
 			}
 		}
-	}
-}
-
-func TestDijkstraKnownGraph(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 4)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(2, 1, 2)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(2, 3, 5)
-	r := Dijkstra(g, 0)
-	want := []float64{0, 3, 1, 4, math.Inf(1)}
-	for i, w := range want {
-		if r.Dist[i] != w {
-			t.Fatalf("Dist[%d] = %v, want %v", i, r.Dist[i], w)
-		}
-	}
-	path := r.PathTo(3)
-	wantPath := []int{0, 2, 1, 3}
-	for i := range wantPath {
-		if path[i] != wantPath[i] {
-			t.Fatalf("PathTo(3) = %v", path)
-		}
-	}
-}
-
-// Property: Dijkstra distances satisfy the triangle inequality over edges:
-// dist[v] <= dist[u] + w(u,v) for every edge.
-func TestQuickDijkstraRelaxed(t *testing.T) {
-	s := rng.New(41)
-	f := func() bool {
-		g := randomGraph(s, 2+s.Intn(40), 0.15)
-		r := Dijkstra(g, 0)
-		for _, e := range g.Edges() {
-			if r.Dist[e.V] > r.Dist[e.U]+e.W+1e-9 || r.Dist[e.U] > r.Dist[e.V]+e.W+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(func(uint8) bool { return f() }, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind(6)
-	if uf.Sets() != 6 {
-		t.Fatal("initial set count wrong")
+	if uf.Connected(4, 5) {
+		t.Fatal("singletons reported connected")
 	}
 	if !uf.Union(0, 1) || !uf.Union(2, 3) || uf.Union(0, 1) {
 		t.Fatal("Union return values wrong")
@@ -205,9 +163,25 @@ func TestUnionFind(t *testing.T) {
 	if !uf.Connected(0, 2) {
 		t.Fatal("transitive connection missing")
 	}
-	if uf.Sets() != 3 { // {0,1,2,3}, {4}, {5}
-		t.Fatalf("Sets = %d", uf.Sets())
+	if uf.Connected(3, 4) || uf.Find(4) != 4 || uf.Find(5) != 5 { // {0,1,2,3}, {4}, {5}
+		t.Fatal("union leaked into singletons")
 	}
+}
+
+// kruskalMST computes the minimum spanning forest with Kruskal's
+// algorithm: the reference CompleteEuclideanMST and the forest tests
+// check against.
+func kruskalMST(g *Graph) (edges []Edge, total float64) {
+	all := g.Edges()
+	sort.Slice(all, func(i, j int) bool { return all[i].W < all[j].W })
+	uf := NewUnionFind(g.N())
+	for _, e := range all {
+		if uf.Union(e.U, e.V) {
+			edges = append(edges, e)
+			total += e.W
+		}
+	}
+	return edges, total
 }
 
 func TestMSTKnown(t *testing.T) {
@@ -218,21 +192,9 @@ func TestMSTKnown(t *testing.T) {
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(3, 0, 2)
 	g.AddEdge(0, 2, 3)
-	edges, total := MST(g)
+	edges, total := kruskalMST(g)
 	if len(edges) != 3 || total != 3 {
 		t.Fatalf("MST total = %v with %d edges", total, len(edges))
-	}
-}
-
-func TestMSTMatchesKruskal(t *testing.T) {
-	s := rng.New(42)
-	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(s, 3+s.Intn(50), 0.3)
-		_, prim := MST(g)
-		_, kruskal := KruskalMST(g)
-		if math.Abs(prim-kruskal) > 1e-9 {
-			t.Fatalf("Prim %v != Kruskal %v", prim, kruskal)
-		}
 	}
 }
 
@@ -240,7 +202,7 @@ func TestMSTForest(t *testing.T) {
 	g := New(5)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 2) // two components + isolated vertex 4
-	edges, total := MST(g)
+	edges, total := kruskalMST(g)
 	if len(edges) != 2 || total != 3 {
 		t.Fatalf("forest MST = %v edges, total %v", len(edges), total)
 	}
@@ -262,7 +224,7 @@ func TestCompleteEuclideanMSTMatchesSparse(t *testing.T) {
 				g.AddEdge(i, j, dist(i, j))
 			}
 		}
-		_, want := MST(g)
+		_, want := kruskalMST(g)
 		_, got := CompleteEuclideanMST(n, dist)
 		if math.Abs(got-want) > 1e-6 {
 			t.Fatalf("dense MST %v != sparse MST %v", got, want)
@@ -282,11 +244,8 @@ func TestComponents(t *testing.T) {
 	if comp[0] != comp[2] || comp[0] == comp[3] || comp[5] == comp[6] {
 		t.Fatal("component labels wrong")
 	}
-	if IsConnected(g) {
-		t.Fatal("disconnected graph reported connected")
-	}
-	if !IsConnected(line(5)) {
-		t.Fatal("line reported disconnected")
+	if comps, _ := Components(line(5)); len(comps) != 1 {
+		t.Fatalf("line has %d components", len(comps))
 	}
 }
 
@@ -296,7 +255,7 @@ func TestQuickMSTEdgeCount(t *testing.T) {
 	f := func() bool {
 		g := randomGraph(s, 2+s.Intn(40), 0.1)
 		comps, _ := Components(g)
-		edges, _ := MST(g)
+		edges, _ := kruskalMST(g)
 		return len(edges) == g.N()-len(comps)
 	}
 	if err := quick.Check(func(uint8) bool { return f() }, &quick.Config{MaxCount: 200}); err != nil {
@@ -326,71 +285,11 @@ func TestTreePreorderAndDepths(t *testing.T) {
 			t.Fatalf("child %d precedes parent %d in %v", v, p, order)
 		}
 	}
-	d := tr.Depths()
-	wantD := []int{0, 1, 1, 2, 2, 2}
-	for i := range wantD {
-		if d[i] != wantD[i] {
-			t.Fatalf("Depths = %v", d)
+	// Children are visited in index order, depth first.
+	want := []int{0, 1, 3, 2, 4, 5}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("Preorder = %v, want %v", order, want)
 		}
-	}
-	sz := tr.SubtreeSizes()
-	wantSz := []int{6, 2, 3, 1, 1, 1}
-	for i := range wantSz {
-		if sz[i] != wantSz[i] {
-			t.Fatalf("SubtreeSizes = %v", sz)
-		}
-	}
-}
-
-func TestMSTTree(t *testing.T) {
-	edges := []Edge{{0, 1, 1}, {1, 2, 1}, {3, 4, 1}}
-	tr := MSTTree(5, edges, 0)
-	if tr.Parent[1] != 0 || tr.Parent[2] != 1 {
-		t.Fatalf("Parent = %v", tr.Parent)
-	}
-	if tr.Parent[3] != -1 || tr.Parent[4] != -1 {
-		t.Fatal("other component should be absent")
-	}
-	if got := len(tr.Preorder()); got != 3 {
-		t.Fatalf("Preorder covers %d vertices, want 3", got)
-	}
-}
-
-func TestIndexedHeapOrdering(t *testing.T) {
-	h := newIndexedHeap(10)
-	prios := []float64{5, 3, 8, 1, 9, 2}
-	for i, p := range prios {
-		h.push(i, p)
-	}
-	h.push(2, 0.5) // decrease-key
-	h.push(4, 100) // increase ignored
-	var got []float64
-	for h.len() > 0 {
-		_, p := h.pop()
-		got = append(got, p)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("heap pops out of order: %v", got)
-		}
-	}
-	if got[0] != 0.5 {
-		t.Fatalf("decrease-key not honoured: %v", got)
-	}
-}
-
-func BenchmarkDijkstra(b *testing.B) {
-	g := randomGraph(rng.New(1), 500, 0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Dijkstra(g, 0)
-	}
-}
-
-func BenchmarkMST(b *testing.B) {
-	g := randomGraph(rng.New(2), 500, 0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MST(g)
 	}
 }

@@ -1,69 +1,6 @@
 package graph
 
-import (
-	"math"
-	"sort"
-)
-
-// MST computes a minimum spanning forest of g with Prim's algorithm and
-// returns its edges and total weight. For a disconnected graph every
-// component contributes its own tree.
-func MST(g *Graph) (edges []Edge, total float64) {
-	n := g.N()
-	if n == 0 {
-		return nil, 0
-	}
-	inTree := make([]bool, n)
-	best := make([]float64, n)
-	from := make([]int, n)
-	for i := range best {
-		best[i] = math.Inf(1)
-		from[i] = -1
-	}
-	h := newIndexedHeap(n)
-	for start := 0; start < n; start++ {
-		if inTree[start] {
-			continue
-		}
-		best[start] = 0
-		h.push(start, 0)
-		for h.len() > 0 {
-			u, _ := h.pop()
-			if inTree[u] {
-				continue
-			}
-			inTree[u] = true
-			if from[u] >= 0 {
-				edges = append(edges, Edge{from[u], u, best[u]})
-				total += best[u]
-			}
-			for _, a := range g.adj[u] {
-				if !inTree[a.To] && a.W < best[a.To] {
-					best[a.To] = a.W
-					from[a.To] = u
-					h.push(a.To, a.W)
-				}
-			}
-		}
-	}
-	return edges, total
-}
-
-// KruskalMST computes the same minimum spanning forest with Kruskal's
-// algorithm. It exists both as a cross-check in tests and because the
-// multi-collector splitter wants edges in ascending weight order.
-func KruskalMST(g *Graph) (edges []Edge, total float64) {
-	all := g.Edges()
-	sort.Slice(all, func(i, j int) bool { return all[i].W < all[j].W })
-	uf := NewUnionFind(g.N())
-	for _, e := range all {
-		if uf.Union(e.U, e.V) {
-			edges = append(edges, e)
-			total += e.W
-		}
-	}
-	return edges, total
-}
+import "math"
 
 // CompleteEuclideanMST computes the MST of the complete graph whose vertex
 // weights are given by the dist function, in O(n²) time and O(n) memory —

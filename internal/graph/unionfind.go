@@ -5,7 +5,6 @@ package graph
 type UnionFind struct {
 	parent []int
 	rank   []uint8
-	sets   int
 }
 
 // NewUnionFind returns n singleton sets.
@@ -13,7 +12,6 @@ func NewUnionFind(n int) *UnionFind {
 	uf := &UnionFind{
 		parent: make([]int, n),
 		rank:   make([]uint8, n),
-		sets:   n,
 	}
 	for i := range uf.parent {
 		uf.parent[i] = i
@@ -44,12 +42,8 @@ func (uf *UnionFind) Union(x, y int) bool {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.sets--
 	return true
 }
 
 // Connected reports whether x and y are in the same set.
 func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }

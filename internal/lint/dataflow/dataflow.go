@@ -80,8 +80,6 @@ type FlowMask struct {
 	D, R, V uint64
 }
 
-func (f FlowMask) empty() bool { return f.D|f.R|f.V == 0 }
-
 // WriteSite is one store through shared memory: D masks parameters
 // whose direct memory is written, R parameters whose deeper memory is.
 type WriteSite struct {
@@ -151,9 +149,6 @@ type Analysis struct {
 // Summary returns the node's summary, or nil for nodes with no body in
 // the analyzed packages.
 func (a *Analysis) Summary(n *callgraph.Node) *Summary { return a.sums[n] }
-
-// Graph returns the call graph the analysis was built over.
-func (a *Analysis) Graph() *callgraph.Graph { return a.graph }
 
 // New computes summaries for every node of g, bottom-up over SCCs.
 func New(pkgs []Pkg, g *callgraph.Graph) *Analysis {

@@ -12,6 +12,9 @@ import (
 	"mobicol/internal/lint/callgraph"
 )
 
+// Graph returns the call graph the analysis was built over.
+func (a *Analysis) Graph() *callgraph.Graph { return a.graph }
+
 // load typechecks one source file as a package and returns the analysis
 // over it.
 func loadPkg(t *testing.T, src string) *Analysis {

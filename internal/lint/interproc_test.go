@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// HotRootCount returns the number of annotated hot-path roots.
+func (m *Module) HotRootCount() int { return len(m.hotRoots) }
+
 func TestAllocCheckAnalyzer(t *testing.T) {
 	checkFixture(t, AllocCheckAnalyzer(), "alloccheck.go", "mobicol/internal/fixture")
 }

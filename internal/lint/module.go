@@ -107,10 +107,6 @@ func (m *Module) HotFunc(pkg *Package, fn ast.Node) bool {
 	return m.hot[m.nodeFor(pkg, fn)]
 }
 
-// HotRootCount returns the number of annotated hot-path roots (used by
-// tests and the CLI -list output).
-func (m *Module) HotRootCount() int { return len(m.hotRoots) }
-
 // AllowedAt returns the allow-alloc reason covering a finding at pos —
 // a directive on the same line or the line above — or "" when none.
 func (m *Module) AllowedAt(pkg *Package, pos token.Pos) string {

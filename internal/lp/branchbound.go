@@ -111,17 +111,3 @@ func (m *Model) solveFixed(fixed []int) (*Solution, error) {
 	}
 	return sub.Solve()
 }
-
-// RelaxationBound solves the 0/1 relaxation (all variables free in [0,1])
-// and returns its objective — a lower bound for the binary program.
-func (m *Model) RelaxationBound() (float64, Status, error) {
-	fixed := make([]int, m.NumVars)
-	for i := range fixed {
-		fixed[i] = -1
-	}
-	sol, err := m.solveFixed(fixed)
-	if err != nil {
-		return 0, Optimal, err
-	}
-	return sol.Obj, sol.Status, nil
-}

@@ -127,19 +127,6 @@ func TestSimplexDegenerate(t *testing.T) {
 	}
 }
 
-func TestAddUpperBound(t *testing.T) {
-	m := NewModel(1)
-	m.SetObjective(0, -1)
-	m.AddUpperBound(0, 7)
-	sol, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(sol.X[0], 7) {
-		t.Fatalf("X = %v", sol.X)
-	}
-}
-
 func TestConstraintSizeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -235,43 +222,6 @@ func bruteMinCover(universe int, covers []*bitset.Set) (int, bool) {
 		}
 	}
 	return best, best >= 0
-}
-
-func TestRelaxationBoundBelowInteger(t *testing.T) {
-	s := rng.New(81)
-	for trial := 0; trial < 10; trial++ {
-		universe := 5 + s.Intn(5)
-		nc := 4 + s.Intn(5)
-		covers := make([]*bitset.Set, nc)
-		feasible := bitset.New(universe)
-		for c := range covers {
-			covers[c] = bitset.New(universe)
-			for e := 0; e < universe; e++ {
-				if s.Bool(0.5) {
-					covers[c].Add(e)
-				}
-			}
-			feasible.Or(covers[c])
-		}
-		if feasible.Count() != universe {
-			continue
-		}
-		m := SetCoverModel(universe, covers)
-		lb, st, err := m.RelaxationBound()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != Optimal {
-			t.Fatalf("relaxation status %v", st)
-		}
-		sol, err := m.SolveBinary(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lb > sol.Obj+1e-6 {
-			t.Fatalf("LP bound %v exceeds ILP optimum %v", lb, sol.Obj)
-		}
-	}
 }
 
 func TestBinaryNodeCap(t *testing.T) {

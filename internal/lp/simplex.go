@@ -93,13 +93,6 @@ func (m *Model) AddConstraint(coef []float64, sense Sense, rhs float64) {
 	m.Constraints = append(m.Constraints, Constraint{append([]float64(nil), coef...), sense, rhs})
 }
 
-// AddUpperBound adds x_j <= b.
-func (m *Model) AddUpperBound(j int, b float64) {
-	coef := make([]float64, m.NumVars)
-	coef[j] = 1
-	m.AddConstraint(coef, LE, b)
-}
-
 // Solution is an LP solution.
 type Solution struct {
 	Status Status

@@ -231,10 +231,6 @@ func MinMaxSplit(sink geom.Point, stops []geom.Point, k int, opts tsp.Options) (
 	order := masterOrder(sink, stops, opts)
 	lo := worstRoundTrip(sink, stops)
 	hi := closedLength(sink, orderedPts(stops, order))
-	if k == 1 || len(stops) <= k {
-		// One stop per collector is always feasible when k >= len(stops);
-		// k == 1 is the master tour itself.
-	}
 	var bestSegs [][]int
 	for iter := 0; iter < 60; iter++ {
 		mid := (lo + hi) / 2

@@ -1,6 +1,6 @@
 // Package analyze reads JSONL traces written by internal/obs back into
-// structured form: the span tree, per-phase aggregates, the critical
-// path, folded stacks for flamegraphs, and a canonical A/B diff. It is
+// structured form: the span tree, per-phase aggregates, folded stacks
+// for flamegraphs, and a canonical A/B diff. It is
 // the offline half of the observability stack — obs records, analyze
 // answers questions — and it shares the determinism contract: every
 // derived view except the explicitly timing-bearing ones depends only
@@ -190,30 +190,4 @@ func (t *Trace) PhaseStats() []PhaseStat {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// CriticalPath walks from the longest root span down through the
-// longest child at each level and returns the chain. Duration ties
-// break toward the lower span id so the path is reproducible even on a
-// degenerate (all-zero-duration) trace. An empty trace yields nil.
-func (t *Trace) CriticalPath() []*Span {
-	cur := longest(t.Roots)
-	var path []*Span
-	for cur != nil {
-		path = append(path, cur)
-		cur = longest(cur.Children)
-	}
-	return path
-}
-
-// longest picks the span with the greatest duration; spans arrive
-// sorted by id, so strict > keeps the lowest id on ties.
-func longest(spans []*Span) *Span {
-	var best *Span
-	for _, s := range spans {
-		if best == nil || s.DurNs > best.DurNs {
-			best = s
-		}
-	}
-	return best
 }

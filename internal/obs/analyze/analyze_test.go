@@ -124,35 +124,6 @@ func TestSelfTimeFloorsAtZero(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	tr := parseSample(t)
-	path := tr.CriticalPath()
-	var names []string
-	for _, s := range path {
-		names = append(names, s.Name)
-	}
-	if got := strings.Join(names, ";"); got != "root;child;gc" {
-		t.Errorf("critical path = %s, want root;child;gc", got)
-	}
-	if empty := (&Trace{}).CriticalPath(); empty != nil {
-		t.Errorf("empty trace critical path = %+v, want nil", empty)
-	}
-}
-
-func TestCriticalPathTieBreaksTowardLowerID(t *testing.T) {
-	trace := `{"ev":"span","seq":1,"span":"a","id":2,"parent":1,"t_ns":0,"dur_ns":10}
-{"ev":"span","seq":2,"span":"b","id":3,"parent":1,"t_ns":10,"dur_ns":10}
-{"ev":"span","seq":3,"span":"top","id":1,"t_ns":0,"dur_ns":20}`
-	tr, err := Parse(strings.NewReader(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := tr.CriticalPath()
-	if len(path) != 2 || path[1].Name != "a" {
-		t.Fatalf("tie should pick lower id: %+v", path)
-	}
-}
-
 func TestWriteFolded(t *testing.T) {
 	tr := parseSample(t)
 	var buf bytes.Buffer

@@ -18,8 +18,6 @@ func TestPoolOperationsLeakNoGoroutines(t *testing.T) {
 			_ = par.Map(p, 1000, func(i int) int { return i * i })
 			p.ForEach(257, func(int) {})
 			p.ForChunks(99, func(lo, hi int) {})
-			_ = par.Reduce(p, 500, func(i int) float64 { return float64(i) }, 0.0,
-				func(acc, v float64) float64 { return acc + v })
 		})
 	}
 }

@@ -6,17 +6,19 @@
 // determinism gate: a fixed seed must reproduce every output byte. Free-form
 // goroutine fan-out breaks that the moment completion order leaks into the
 // result (append order, first-wins reductions, shared RNG draws). This
-// package confines parallelism to three shapes that cannot leak:
+// package confines parallelism to two shapes that cannot leak:
 //
 //   - Fixed chunking: ForChunks splits [0, n) into at most Size contiguous
 //     chunks. Work item i always receives the same index regardless of how
 //     chunks are scheduled, so per-index outputs are schedule-independent.
-//   - Ordered reduction: Map writes result i into slot i and Reduce folds
-//     the slots in strict index order, so even non-associative reductions
-//     (float sums, first-improvement argmins) match the sequential fold.
-//   - Seed splitting: Streams derives one rng substream per work item from
-//     a single parent before any goroutine starts, so item i sees the same
-//     draws whether it runs on one worker or sixteen.
+//   - Ordered results: Map writes result i into slot i, so a caller that
+//     folds the slots in index order gets the sequential fold even for
+//     non-associative reductions (float sums, first-improvement argmins).
+//
+// Randomness follows the same rule: a work item derives its seed from its
+// index (the experiment harness seeds trial i from the base seed and i)
+// or from an rng substream split before the fan-out, never from a
+// generator shared across goroutines.
 //
 // The contract every caller relies on (and the equivalence tests enforce):
 // for a pure fn, any two pools produce identical results — Workers(1) is
@@ -26,8 +28,6 @@ package par
 import (
 	"runtime"
 	"sync"
-
-	"mobicol/internal/rng"
 )
 
 // Pool is a degree of parallelism. The zero value runs everything
@@ -115,33 +115,5 @@ func Map[T any](p Pool, n int, fn func(i int) T) []T {
 	p.ForEach(n, func(i int) {
 		out[i] = fn(i)
 	})
-	return out
-}
-
-// Reduce computes fn(i) for every i in [0, n) across the pool, then folds
-// the results sequentially in strict index order. The ordered fold makes
-// non-associative reductions — float sums, tie-breaking argmins — match the
-// single-threaded loop exactly.
-func Reduce[T, A any](p Pool, n int, fn func(i int) T, init A, fold func(acc A, v T) A) A {
-	acc := init
-	for _, v := range Map(p, n, fn) {
-		acc = fold(acc, v)
-	}
-	return acc
-}
-
-// Streams derives n independent rng substreams from seed via rng.Split.
-// The split sequence is drawn from a single parent before any parallel work
-// starts, so stream i is the same generator for every pool size — and for
-// every n: growing a fan-out never perturbs the streams of earlier items.
-func Streams(seed uint64, n int) []*rng.Source {
-	if n < 0 {
-		n = 0
-	}
-	parent := rng.New(seed)
-	out := make([]*rng.Source, n)
-	for i := range out {
-		out[i] = parent.Split()
-	}
 	return out
 }

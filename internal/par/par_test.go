@@ -67,57 +67,12 @@ func TestMapOrderedForAnyPoolSize(t *testing.T) {
 	}
 }
 
-// Float sums are not associative; the ordered reduction must still match
-// the sequential fold bit-for-bit on every pool size.
-func TestReduceMatchesSequentialFloatSum(t *testing.T) {
-	fn := func(i int) float64 { return 1.0 / float64(i+1) }
-	fold := func(acc, v float64) float64 { return acc + v }
-	want := Reduce(Seq(), 10_000, fn, 0.0, fold)
-	for _, p := range pools() {
-		got := Reduce(p, 10_000, fn, 0.0, fold)
-		if got != want {
-			t.Fatalf("workers=%d: sum %v != sequential %v", p.Size(), got, want)
-		}
-	}
-}
-
-func TestStreamsPrefixStable(t *testing.T) {
-	// Stream i must not depend on how many streams were requested: adding
-	// trials to an experiment never perturbs earlier trials.
-	a := Streams(42, 4)
-	b := Streams(42, 16)
-	for i := range a {
-		for draw := 0; draw < 8; draw++ {
-			if x, y := a[i].Uint64(), b[i].Uint64(); x != y {
-				t.Fatalf("stream %d draw %d: %d != %d", i, draw, x, y)
-			}
-		}
-	}
-}
-
-func TestStreamsIndependent(t *testing.T) {
-	streams := Streams(7, 3)
-	seen := map[uint64]int{}
-	for i, s := range streams {
-		for draw := 0; draw < 4; draw++ {
-			v := s.Uint64()
-			if prev, dup := seen[v]; dup {
-				t.Fatalf("streams %d and %d collided on %d", prev, i, v)
-			}
-			seen[v] = i
-		}
-	}
-}
-
 func TestZeroAndNegativeSizes(t *testing.T) {
 	if Seq().Size() != 1 || (Pool{}).Size() != 1 {
 		t.Fatal("sequential pools must report size 1")
 	}
 	if Workers(-3).Size() < 1 {
 		t.Fatal("Workers(-3) must clamp to at least one worker")
-	}
-	if got := len(Streams(1, -2)); got != 0 {
-		t.Fatalf("Streams with negative n returned %d streams", got)
 	}
 	ran := false
 	Workers(4).ForEach(0, func(int) { ran = true })

@@ -290,23 +290,6 @@ func Repair(nw *wsn.Network, prev *collector.TourPlan, carried []int, opts Optio
 	return &collector.TourPlan{Sink: nw.Sink, Stops: finalStops, UploadAt: uploadAt}, st, nil
 }
 
-// RepairDelta applies d to the previous scenario and repairs prev for the
-// resulting network: the one-call form the CLI and benchmarks use.
-func RepairDelta(prevNet *wsn.Network, prev *collector.TourPlan, d Delta, opts Options) (*wsn.Network, *collector.TourPlan, Stats, error) {
-	if len(prev.UploadAt) != prevNet.N() {
-		return nil, nil, Stats{}, fmt.Errorf("replan: plan assigns %d sensors, previous network has %d", len(prev.UploadAt), prevNet.N())
-	}
-	nw, carried, err := d.Apply(prevNet, prev.UploadAt)
-	if err != nil {
-		return nil, nil, Stats{}, err
-	}
-	plan, st, err := Repair(nw, prev, carried, opts)
-	if err != nil {
-		return nil, nil, Stats{}, err
-	}
-	return nw, plan, st, nil
-}
-
 // cheapestSlot returns the insertion position (into order) that grows the
 // closed tour sink -> stops[order...] -> sink the least when adding p.
 // Position 0 inserts after the sink; ties break toward the earliest slot.

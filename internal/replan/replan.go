@@ -46,14 +46,6 @@ type Delta struct {
 	Added   []geom.Point
 }
 
-// Empty reports whether the delta changes nothing.
-func (d Delta) Empty() bool {
-	return len(d.Removed) == 0 && len(d.Moved) == 0 && len(d.Added) == 0
-}
-
-// Size returns the number of touched sensors.
-func (d Delta) Size() int { return len(d.Removed) + len(d.Moved) + len(d.Added) }
-
 // Apply builds the post-delta network and carries a previous assignment
 // into its indexing: surviving sensors keep their prevUpload entry
 // (positional identity — a moved sensor keeps its assignment and is

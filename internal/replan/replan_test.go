@@ -1,6 +1,7 @@
 package replan
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -13,6 +14,23 @@ import (
 	"mobicol/internal/shdgp"
 	"mobicol/internal/wsn"
 )
+
+// RepairDelta applies d to the previous scenario and repairs prev for the
+// resulting network: the one-call form the delta tests drive.
+func RepairDelta(prevNet *wsn.Network, prev *collector.TourPlan, d Delta, opts Options) (*wsn.Network, *collector.TourPlan, Stats, error) {
+	if len(prev.UploadAt) != prevNet.N() {
+		return nil, nil, Stats{}, fmt.Errorf("replan: plan assigns %d sensors, previous network has %d", len(prev.UploadAt), prevNet.N())
+	}
+	nw, carried, err := d.Apply(prevNet, prev.UploadAt)
+	if err != nil {
+		return nil, nil, Stats{}, err
+	}
+	plan, st, err := Repair(nw, prev, carried, opts)
+	if err != nil {
+		return nil, nil, Stats{}, err
+	}
+	return nw, plan, st, nil
+}
 
 func deploy(n int, side, r float64, seed uint64) *wsn.Network {
 	return wsn.MustDeploy(wsn.Config{N: n, FieldSide: side, Range: r, Seed: seed})

@@ -100,20 +100,6 @@ func (s *Source) NormMeanStd(mean, std float64) float64 {
 	return mean + std*s.Norm()
 }
 
-// Exp returns an exponential variate with rate lambda (> 0).
-func (s *Source) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		//mdglint:ignore nopanic documented precondition; rates are positive literals or validated config fields
-		panic("rng: Exp with non-positive rate")
-	}
-	u := s.Float64()
-	//mdglint:ignore floateq guards math.Log(0); Float64 returns exact dyadic rationals, so == 0 is well-defined
-	for u == 0 {
-		u = s.Float64()
-	}
-	return -math.Log(u) / lambda
-}
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -129,14 +115,6 @@ func (s *Source) ShuffleInts(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := s.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

@@ -125,20 +125,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := New(17)
-	const n = 200000
-	lambda := 2.0
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.Exp(lambda)
-	}
-	mean := sum / n
-	if math.Abs(mean-1/lambda) > 0.01 {
-		t.Fatalf("Exp(2) mean = %v, want ~0.5", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(21)
 	for _, n := range []int{0, 1, 2, 10, 100} {

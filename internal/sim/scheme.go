@@ -95,11 +95,6 @@ type MultiMobile struct {
 	net   *wsn.Network
 }
 
-// NewMultiMobile adapts a set of concurrent sub-tour plans.
-func NewMultiMobile(label string, nw *wsn.Network, plans []*collector.TourPlan) *MultiMobile {
-	return &MultiMobile{Label: label, Plans: plans, net: nw}
-}
-
 // Name implements Scheme.
 func (m *MultiMobile) Name() string { return m.Label }
 

@@ -160,7 +160,7 @@ func TestMultiMobileLatencyImproves(t *testing.T) {
 			p2.UploadAt[i] = s - half
 		}
 	}
-	multi := NewMultiMobile("shdg-2x", nw, []*collector.TourPlan{p1, p2})
+	multi := &MultiMobile{Label: "shdg-2x", Plans: []*collector.TourPlan{p1, p2}, net: nw}
 	spec := collector.DefaultSpec()
 	if multi.Coverage() != 1 {
 		t.Fatalf("multi coverage %v", multi.Coverage())

@@ -1,100 +1,10 @@
-// Package stats provides the summary statistics the experiment harness
-// reports: means, standard deviations, 95% confidence intervals, and
-// percentiles over repeated trials.
+// Package stats provides the means the experiment harness reports over
+// repeated trials.
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
-// Summary describes a sample.
-type Summary struct {
-	N        int
-	Mean     float64
-	Std      float64 // sample standard deviation (n-1)
-	Min, Max float64
-	CI95     float64 // half-width of the 95% confidence interval
-	Median   float64
-	P10, P90 float64
-}
-
-// Summarize computes a Summary over xs. An empty sample yields the zero
-// Summary. NaN samples are rejected before any statistic is computed —
-// a single NaN would otherwise poison the mean, std, and every
-// percentile — so a sample of only NaNs also yields the zero Summary.
-//
-// The sample type is any float64-underlying type, so dimensioned
-// quantities (geom.Meters, energy.Joules) summarise without laundering
-// the dimension at every call site; the Summary itself reports raw
-// float64 aggregates for tables and JSON.
-func Summarize[F ~float64](sample []F) Summary {
-	xs := dropNaN(sample)
-	n := len(xs)
-	if n == 0 {
-		return Summary{}
-	}
-	s := Summary{N: n, Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean = sum / float64(n)
-	if n > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(n-1))
-		// Normal-approximation CI: 1.96 * s / sqrt(n). The harness runs
-		// enough trials (>= 30) for the CLT to make this honest.
-		s.CI95 = 1.96 * s.Std / math.Sqrt(float64(n))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = Percentile(sorted, 50)
-	s.P10 = Percentile(sorted, 10)
-	s.P90 = Percentile(sorted, 90)
-	return s
-}
-
-// Percentile returns the p-th percentile (0-100) of sorted xs by linear
-// interpolation. xs must be sorted ascending and non-empty.
-func Percentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if n == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// dropNaN converts xs to raw float64, dropping NaN entries.
-func dropNaN[F ~float64](xs []F) []float64 {
-	clean := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if !math.IsNaN(float64(x)) {
-			clean = append(clean, float64(x))
-		}
-	}
-	return clean
-}
-
-// Mean returns the arithmetic mean (0 for empty). Like Summarize it is
-// generic over float64-underlying sample types and preserves the
-// dimension: the mean of metres is metres.
+// Mean returns the arithmetic mean (0 for empty). It is generic over
+// float64-underlying sample types and preserves the dimension: the mean
+// of metres is metres.
 func Mean[F ~float64](xs []F) F {
 	if len(xs) == 0 {
 		return 0

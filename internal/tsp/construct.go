@@ -39,26 +39,17 @@ func NearestNeighbor(pts []geom.Point, start int) Tour {
 	}
 }
 
-// GreedyEdge builds a tour by adding the shortest edges that keep degree
+// greedyEdge builds a tour by adding the shortest edges that keep degree
 // <= 2 and avoid premature subtours (the "greedy matching" construction;
 // typically a few percent shorter than nearest neighbour). The candidate
-// edges are each point's k nearest neighbours: O(nk) edges instead of all
-// O(n²) pairs, and almost every edge the all-pairs rule would pick
-// connects near neighbours; the local searches erase the rest of the gap.
-func GreedyEdge(pts []geom.Point) Tour {
-	if len(pts) <= 3 {
-		return trivialTour(len(pts))
-	}
-	neigh, idx := neighborLists(pts, neighborK)
-	return greedyEdge(pts, neigh, idx)
-}
-
-// greedyEdge is GreedyEdge over prebuilt k-nearest lists and the grid
-// they were built from, so Solve builds both once for the construction
-// and the local searches. The candidate pass generally leaves a forest of
-// path fragments (a point whose k nearest are all full keeps degree < 2),
-// so a second pass links fragment endpoints nearest-first through the
-// grid, then closes the cycle.
+// edges are each point's k nearest neighbours, neigh, built over the
+// grid idx: O(nk) edges instead of all O(n²) pairs, and almost every edge
+// the all-pairs rule would pick connects near neighbours; the local
+// searches erase the rest of the gap. Solve builds neigh and idx once for
+// the construction and the local searches. The candidate pass generally
+// leaves a forest of path fragments (a point whose k nearest are all full
+// keeps degree < 2), so a second pass links fragment endpoints
+// nearest-first through the grid, then closes the cycle.
 func greedyEdge(pts []geom.Point, neigh [][]int, idx *geom.GridIndex) Tour {
 	n := len(pts)
 	type edge struct {

@@ -56,18 +56,6 @@ func SolveMatrix(d [][]float64) (Tour, error) {
 	return tour, nil
 }
 
-// MatrixLength returns the closed tour length under the matrix metric.
-func MatrixLength(d [][]float64, tour Tour) float64 {
-	if len(tour) < 2 {
-		return 0
-	}
-	total := 0.0
-	for i := range tour {
-		total += d[tour[i]][tour[(i+1)%len(tour)]]
-	}
-	return total
-}
-
 // twoOptMatrix is a full-scan 2-opt over the matrix metric.
 func twoOptMatrix(d [][]float64, tour Tour) {
 	n := len(tour)

@@ -1,19 +1,17 @@
 // Package tsp implements the travelling-salesman engine used to turn a set
 // of polling points into a short closed data-gathering tour. It offers
-// five construction heuristics, 2-opt and Or-opt local search, exact
-// solvers for small instances (Held–Karp dynamic programming and an
-// MST-bounded branch & bound), and spanning-tree / one-tree lower bounds.
+// three construction heuristics (nearest neighbour, greedy edge, and
+// Christofides with the MST double tree as its fallback), 2-opt and
+// Or-opt local search, exact solvers for small instances (Held–Karp
+// dynamic programming and an MST-bounded branch & bound), and the
+// spanning-tree lower bound.
 //
 // All tours are closed (the collector returns to the sink). A tour is a
 // permutation of point indices; its length includes the final edge back to
 // the first point.
 package tsp
 
-import (
-	"fmt"
-
-	"mobicol/internal/geom"
-)
+import "mobicol/internal/geom"
 
 // Tour is an ordering of the points [0, n). The tour is closed: after the
 // last index the collector returns to the first.
@@ -30,33 +28,6 @@ func (t Tour) Length(pts []geom.Point) geom.Meters {
 		total += pts[t[i]].Dist(pts[t[j]])
 	}
 	return geom.Meters(total)
-}
-
-// Points materialises the tour as the visited point sequence.
-func (t Tour) Points(pts []geom.Point) []geom.Point {
-	out := make([]geom.Point, len(t))
-	for i, idx := range t {
-		out[i] = pts[idx]
-	}
-	return out
-}
-
-// Validate checks that t is a permutation of [0, n).
-func (t Tour) Validate(n int) error {
-	if len(t) != n {
-		return fmt.Errorf("tsp: tour has %d stops, want %d", len(t), n)
-	}
-	seen := make([]bool, n)
-	for _, v := range t {
-		if v < 0 || v >= n {
-			return fmt.Errorf("tsp: tour index %d out of range [0,%d)", v, n)
-		}
-		if seen[v] {
-			return fmt.Errorf("tsp: tour visits %d twice", v)
-		}
-		seen[v] = true
-	}
-	return nil
 }
 
 // Clone returns an independent copy of t.

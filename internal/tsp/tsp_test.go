@@ -1,13 +1,82 @@
 package tsp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"mobicol/internal/geom"
+	"mobicol/internal/graph"
 	"mobicol/internal/rng"
 )
+
+// Validate checks that t is a permutation of [0, n).
+func (t Tour) Validate(n int) error {
+	if len(t) != n {
+		return fmt.Errorf("tsp: tour has %d stops, want %d", len(t), n)
+	}
+	seen := make([]bool, n)
+	for _, v := range t {
+		if v < 0 || v >= n {
+			return fmt.Errorf("tsp: tour index %d out of range [0,%d)", v, n)
+		}
+		if seen[v] {
+			return fmt.Errorf("tsp: tour visits %d twice", v)
+		}
+		seen[v] = true
+	}
+	return nil
+}
+
+// GreedyEdge is the greedy-edge construction over its own k-nearest
+// lists, the one-call form the construction tests drive.
+func GreedyEdge(pts []geom.Point) Tour {
+	if len(pts) <= 3 {
+		return trivialTour(len(pts))
+	}
+	neigh, idx := neighborLists(pts, neighborK)
+	return greedyEdge(pts, neigh, idx)
+}
+
+// OneTreeLowerBound returns the best 1-tree bound over all choices of the
+// special vertex: MST over the other n-1 points plus that vertex's two
+// cheapest edges. The 1-tree bound dominates the plain MST bound, so the
+// quality tests hold tours against it.
+func OneTreeLowerBound(pts []geom.Point) geom.Meters {
+	n := len(pts)
+	if n < 3 {
+		return MSTLowerBound(pts)
+	}
+	best := 0.0
+	rest := make([]geom.Point, 0, n-1)
+	for special := 0; special < n; special++ {
+		rest = rest[:0]
+		for i, p := range pts {
+			if i != special {
+				rest = append(rest, p)
+			}
+		}
+		_, mst := graph.CompleteEuclideanMST(len(rest), func(i, j int) float64 { return rest[i].Dist(rest[j]) })
+		// Two cheapest edges from the special vertex.
+		e1, e2 := math.Inf(1), math.Inf(1)
+		for i, p := range pts {
+			if i == special {
+				continue
+			}
+			d := pts[special].Dist(p)
+			if d < e1 {
+				e1, e2 = d, e1
+			} else if d < e2 {
+				e2 = d
+			}
+		}
+		if b := mst + e1 + e2; b > best {
+			best = b
+		}
+	}
+	return geom.Meters(best)
+}
 
 func randPts(s *rng.Source, n int, l float64) []geom.Point {
 	pts := make([]geom.Point, n)
