@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json lint-dataflow lint-fix-hints vet fmt bench check conformance cover cover-update fuzz-smoke escape escape-update alloc-bench perf perf-update results trace
+.PHONY: all build test race lint lint-json lint-dataflow lint-fix-hints vet fmt fmt-check bench planbench-test check conformance cover cover-update fuzz-smoke escape escape-update alloc-bench perf perf-update results trace
 
 all: check
 
@@ -54,8 +54,18 @@ vet:
 fmt:
 	gofmt -l -w .
 
+# fmt-check fails, listing the files, when any file needs gofmt (CI's
+# gofmt step).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# planbench-test vets and tests the benchmark module (planbench/go.mod),
+# which the root `go vet ./...` and `go test ./...` do not reach.
+planbench-test:
+	cd planbench && $(GO) vet ./... && $(GO) test ./...
 
 # conformance runs the registry-wide planner contract suite under the
 # race detector — oracle validity, cross-pool determinism, cancellation
@@ -96,7 +106,9 @@ alloc-bench:
 # perf enforces the committed planner perf baseline (PERF_baseline.json):
 # quality fields and span counts bit-identical, allocs_per_op may not
 # grow, bytes/wall-clock within noise-aware tolerances (median of three
-# runs). perf-update regenerates the baseline after a deliberate change.
+# runs), and the n=10k/100k scale rows (tour, stops, warm ratio, warm
+# dirty count) bit-identical, every scale plan oracle-checked. About 4 s.
+# perf-update regenerates the baseline after a deliberate change.
 perf:
 	$(GO) run ./cmd/mdgratchet perf
 
@@ -124,5 +136,10 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTourPlanRoundTrip -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -fuzz=FuzzNetworkRead -fuzztime=$(FUZZTIME) ./internal/wsn/
 
-# check mirrors the CI pipeline end to end.
-check: build vet lint test race cover escape results
+# check runs the CI pipeline's gates locally. It skips the fuzz-smoke
+# job (make fuzz-smoke) and the benchmark smoke step, which runs every
+# benchmark once (go test -run=NONE -bench=. -benchtime=1x ./...). CI's
+# zero-alloc and sample-trace steps mostly print: the test suite
+# enforces the zero-alloc bound (TestHotPathSteadyStateZeroAllocs), and
+# make trace records the same sample trace.
+check: build vet fmt-check lint test race cover escape perf results planbench-test

@@ -1,9 +1,9 @@
 package mobicol
 
 // End-to-end tests for the verification surface of the CLIs: the -check
-// flag on the planning/simulation tools, the mdgreport experiment
-// selector, and wsngen's placement families. Companion to cli_test.go,
-// sharing its buildCLIs/runCLI helpers.
+// flag on the planning/simulation tools, mdgbench's experiment selector
+// and markdown report, and wsngen's placement families. Companion to
+// cli_test.go, sharing its buildCLIs/runCLI helpers.
 
 import (
 	"bytes"
@@ -80,21 +80,35 @@ func TestCLILifetimeCheck(t *testing.T) {
 	}
 }
 
+// TestCLIReportSingleExperiment pins mdgbench's markdown report: the
+// document header, then one "## <id> — <title>" section per table.
 func TestCLIReportSingleExperiment(t *testing.T) {
-	out, _ := runCLI(t, nil, "mdgreport", "-e", "E2", "-trials", "1", "-check")
-	for _, want := range []string{"# mobicol reproduction report", "E2 — tour length vs number of sensors"} {
+	out, _ := runCLI(t, nil, "mdgbench", "-format", "md", "-e", "E2", "-trials", "1", "-check")
+	for _, want := range []string{"# mobicol reproduction report", "## E2 — tour length vs number of sensors", "|---|"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("mdgreport output missing %q:\n%s", want, out)
+			t.Fatalf("mdgbench -format md output missing %q:\n%s", want, out)
 		}
 	}
 }
 
+// TestCLIReportUnknownExperiment pins that an unknown experiment ID is a
+// usage error (exit 2), reported before any table runs.
 func TestCLIReportUnknownExperiment(t *testing.T) {
-	_, stderr, code := runCLIErr(t, nil, "mdgreport", "-e", "E99", "-trials", "1")
+	out, stderr, code := runCLIErr(t, nil, "mdgbench", "-e", "E2,E99", "-trials", "1")
 	if code != 2 {
 		t.Fatalf("exit code = %d, want 2; stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "unknown experiment") {
+	if !strings.Contains(stderr, `unknown experiment "E99"`) || out != "" {
+		t.Fatalf("want the diagnostic and no table; stdout:\n%s\nstderr:\n%s", out, stderr)
+	}
+}
+
+func TestCLIBenchUnknownFormat(t *testing.T) {
+	_, stderr, code := runCLIErr(t, nil, "mdgbench", "-e", "E2", "-trials", "1", "-format", "bogus")
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, `unknown -format "bogus"`) {
 		t.Fatalf("stderr missing diagnostic:\n%s", stderr)
 	}
 }

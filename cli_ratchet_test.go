@@ -196,7 +196,7 @@ func TestCLIRatchetOperationalErrors(t *testing.T) {
 	}
 }
 
-// perfFixture returns a small v2 artifact used as both baseline and
+// perfFixture returns a small artifact used as both baseline and
 // (perturbed) current run.
 func perfFixture() *bench.PlannerBenchResult {
 	return &bench.PlannerBenchResult{
@@ -254,6 +254,39 @@ func TestCLIPerfRatchetGolden(t *testing.T) {
 	_, errOut, code = runRatchet(t, "", nil, "perf", "-baseline", baseline, "-current", allocPath)
 	if code != 1 || !strings.Contains(errOut, "allocs_per_op") {
 		t.Fatalf("alloc regression: code %d, want 1; stderr %q", code, errOut)
+	}
+}
+
+// TestCLIPerfScaleRowsGolden drives the scale-row gate through the CLI:
+// the committed rows hold against themselves, and a change to the
+// n=100k row's tour or dirty count exits 1 naming that row.
+func TestCLIPerfScaleRowsGolden(t *testing.T) {
+	withScale := func() *bench.PlannerBenchResult {
+		res := perfFixture()
+		res.Scale = []bench.ScaleBench{
+			{N: 10_000, Algo: "shdg", TourM: 68895.0038619324, Stops: 1632, WarmRatio: 1.0019733594567222, WarmDirty: 59},
+			{N: 10_000, Algo: "visit-all", TourM: 147933.15509452185, Stops: 10000},
+			{N: 100_000, Algo: "shdg", TourM: 678844.9116999542, Stops: 16271, WarmRatio: 1.0068371470725626, WarmDirty: 534},
+		}
+		return res
+	}
+	dir := t.TempDir()
+	baseline := writePerfArtifact(t, dir, "baseline.json", withScale())
+	out, errOut, code := runRatchet(t, "", nil, "perf", "-baseline", baseline, "-current", baseline)
+	if code != 0 || !strings.Contains(out, "3 scale row(s) hold") {
+		t.Fatalf("clean compare: code %d, out %q, stderr %q", code, out, errOut)
+	}
+
+	tour := withScale()
+	tour.Scale[2].TourM += 1e-9
+	dirty := withScale()
+	dirty.Scale[2].WarmDirty = 535
+	for name, cur := range map[string]*bench.PlannerBenchResult{"tour_m": tour, "warm_dirty": dirty} {
+		path := writePerfArtifact(t, dir, name+".json", cur)
+		_, errOut, code := runRatchet(t, "", nil, "perf", "-baseline", baseline, "-current", path)
+		if code != 1 || !strings.Contains(errOut, "scale shdg@100000: "+name+" changed") {
+			t.Errorf("%s change: code %d, want 1 naming the row; stderr %q", name, code, errOut)
+		}
 	}
 }
 

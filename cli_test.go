@@ -137,7 +137,6 @@ func TestCLIUnknownAlgo(t *testing.T) {
 		args []string
 	}{
 		{"mdgplan", []string{"-algo", "bogus"}},
-		{"mdgbench", []string{"-algo", "bogus", "-e", "none"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -231,47 +230,12 @@ func TestCLITraceDeterminism(t *testing.T) {
 	}
 }
 
-func TestCLIBenchArtifact(t *testing.T) {
-	benchPath := filepath.Join(t.TempDir(), "bench.json")
-	_, stderr := runCLI(t, nil, "mdgbench", "-e", "none", "-trials", "1", "-bench-out", benchPath)
-	if !strings.Contains(stderr, "wrote") {
-		t.Fatalf("mdgbench -bench-out stderr:\n%s", stderr)
-	}
-	raw, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Schema string `json:"schema"`
-		Meta   struct {
-			Workers        int `json:"workers"`
-			TrialsPerPhase int `json:"trials_per_phase"`
-		} `json:"meta"`
-		Algos []struct {
-			Algo    string           `json:"algo"`
-			PhaseNs map[string]int64 `json:"phase_ns"`
-		} `json:"algos"`
-	}
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatalf("bench artifact not JSON: %v", err)
-	}
-	if res.Schema != "mobicol/bench-planner/v3" || len(res.Algos) != 3 {
-		t.Fatalf("bench artifact = %+v", res)
-	}
-	if res.Meta.Workers < 1 || res.Meta.TrialsPerPhase != 1 {
-		t.Fatalf("bench artifact v3 meta = %+v", res.Meta)
-	}
-	if _, ok := res.Algos[0].PhaseNs["plan"]; !ok {
-		t.Fatalf("shdg row missing plan phase: %+v", res.Algos[0])
-	}
-}
-
 func TestCLIBenchSingleExperiment(t *testing.T) {
 	out, _ := runCLI(t, nil, "mdgbench", "-e", "E2", "-trials", "2")
 	if !strings.Contains(out, "E2 — tour length vs number of sensors") {
 		t.Fatalf("mdgbench output:\n%s", out)
 	}
-	csvOut, _ := runCLI(t, nil, "mdgbench", "-e", "E2", "-trials", "2", "-csv")
+	csvOut, _ := runCLI(t, nil, "mdgbench", "-e", "E2", "-trials", "2", "-format", "csv")
 	if !strings.HasPrefix(csvOut, "N,SHDG(m)") {
 		t.Fatalf("mdgbench csv output:\n%s", csvOut)
 	}

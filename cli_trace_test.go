@@ -132,8 +132,8 @@ func assertCanonicalTrace(t *testing.T, path, wantSpan string) {
 	}
 }
 
-// TestCLITraceFlagsNewTools smoke-tests the -trace/-metrics wiring added
-// to wsngen and mdgreport: both must write canonical JSONL traces.
+// TestCLITraceFlagsNewTools smoke-tests the -trace/-metrics wiring of
+// wsngen and mdgbench: both must write canonical JSONL traces.
 func TestCLITraceFlagsNewTools(t *testing.T) {
 	dir := t.TempDir()
 
@@ -145,17 +145,15 @@ func TestCLITraceFlagsNewTools(t *testing.T) {
 		t.Errorf("wsngen -metrics summary missing gauge:\n%s", errOut)
 	}
 
-	repTrace := filepath.Join(dir, "report.jsonl")
-	_, errOut = runCLI(t, nil, "mdgreport", "-e", "E10", "-trials", "1",
-		"-trace", repTrace, "-metrics", "-o", filepath.Join(dir, "report.md"))
-	assertCanonicalTrace(t, repTrace, "experiment")
-	assertCanonicalTrace(t, repTrace, "report")
-	if !strings.Contains(errOut, "report.tables") {
-		t.Errorf("mdgreport -metrics summary missing counter:\n%s", errOut)
+	benchTrace := filepath.Join(dir, "bench.jsonl")
+	out, errOut := runCLI(t, nil, "mdgbench", "-e", "E10", "-trials", "1",
+		"-trace", benchTrace, "-metrics")
+	assertCanonicalTrace(t, benchTrace, "experiment")
+	if !strings.Contains(errOut, "experiment") {
+		t.Errorf("mdgbench -metrics summary missing the experiment span:\n%s", errOut)
 	}
-	md, err := os.ReadFile(filepath.Join(dir, "report.md"))
-	if err != nil || !bytes.Contains(md, []byte("E10")) {
-		t.Fatalf("report artifact bad: %v\n%s", err, md)
+	if !strings.HasPrefix(out, "E10 — ") {
+		t.Fatalf("mdgbench -trace must not change the table output:\n%s", out)
 	}
 }
 

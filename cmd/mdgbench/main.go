@@ -1,147 +1,118 @@
-// mdgbench regenerates the paper-reproduction experiment tables E1–E13
-// documented in DESIGN.md and EXPERIMENTS.md, and maintains the repo's
-// benchmark trajectory files.
+// mdgbench regenerates the paper-reproduction experiment tables E1–E16
+// documented in DESIGN.md and EXPERIMENTS.md, as aligned text, CSV, or
+// one markdown report.
 //
 // Usage:
 //
-//	mdgbench               # every experiment at the default 30 trials
-//	mdgbench -e E2,E6      # selected experiments
-//	mdgbench -trials 500   # paper-scale averaging (slow)
-//	mdgbench -e E2 -csv    # machine-readable output for plotting
-//	mdgbench -e none -bench-out BENCH_planner.json
-//	                       # refresh the planner benchmark artifact only
-//	mdgbench -e none -bench-out BENCH_planner.json -scale default -warm-start
-//	                       # include the n=10k/100k scale rows with
-//	                       # warm-start repair columns
+//	mdgbench                        # every experiment at the default 30 trials
+//	mdgbench -e E2,E6               # selected experiments
+//	mdgbench -trials 500            # paper-scale averaging (slow)
+//	mdgbench -e E2 -format csv      # machine-readable output for plotting
+//	mdgbench -format md > report.md # the full reproduction report in markdown
+//	mdgbench -e E2,E6 -trace run.jsonl -metrics
+//	                                # one "experiment" span per table
+//
+// Usage errors (unknown experiment or format) exit 2; a failed
+// experiment, oracle violation or output error exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"mobicol/internal/bench"
-	"mobicol/internal/engine"
 	"mobicol/internal/obs"
+	"mobicol/internal/obs/report"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "mdgbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// usage reports a bad flag value and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mdgbench: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+func run() (err error) {
 	var (
-		exps     = flag.String("e", "all", "comma-separated experiment IDs (E1..E16), all, or none")
-		algoList = flag.String("algo", "", "comma-separated engine planner names for the -bench-out rows (default shdg,visit-all,cla)")
-		trials   = flag.Int("trials", 30, "random topologies per parameter point (paper: 500)")
-		seed     = flag.Uint64("seed", 1, "base seed")
-		workers  = flag.Int("workers", 0, "worker pool size for per-trial fan-out (0 = one per CPU, 1 = sequential; results are identical either way)")
-		benchN   = flag.Int("bench-n", 0, "deployment size for the -bench-out planner benchmark (0 = default 100; field side scales to hold density)")
-		asCSV    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		benchOut = flag.String("bench-out", "", "write the planner benchmark (per-algo tour + per-phase durations) as JSON to this path")
-		scale    = flag.String("scale", "", "comma-separated large-n sizes for single-trial scale rows in -bench-out (e.g. 10000,100000; default = the standard sizes when the flag is set empty via -scale default)")
-		warm     = flag.Bool("warm-start", false, "add warm-start repair columns (repair time, speedup, quality ratio after a ~1% delta) to the shdg scale rows")
-		doCheck  = flag.Bool("check", false, "verify every harness-produced plan against the invariant oracles; abort on violation")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this path")
+		exps    = flag.String("e", "all", "comma-separated experiment IDs (E1..E16), or all")
+		trials  = flag.Int("trials", 30, "random topologies per parameter point (paper: 500)")
+		seed    = flag.Uint64("seed", 1, "base seed")
+		workers = flag.Int("workers", 0, "worker pool size for per-trial fan-out (0 = one per CPU, 1 = sequential; results are identical either way)")
+		format  = flag.String("format", "text", "output format: text (aligned tables), csv, or md (one markdown report)")
+		doCheck = flag.Bool("check", false, "verify every harness-produced plan against the invariant oracles; abort on violation")
+		trace   = flag.String("trace", "", "write a JSONL span/metric trace to this path")
+		metrics = flag.Bool("metrics", false, "print a span/metric summary table to stderr")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this path")
+		memProf = flag.String("memprofile", "", "write a heap profile to this path")
 	)
 	flag.Parse()
-	cfg := bench.Config{Trials: *trials, Seed: *seed, Workers: *workers, BenchN: *benchN, Check: *doCheck, WarmStart: *warm}
-	if *algoList != "" {
-		for _, name := range strings.Split(*algoList, ",") {
-			name = strings.TrimSpace(name)
-			if _, err := engine.Select(name); err != nil {
-				fmt.Fprintf(os.Stderr, "mdgbench: %v\n", err)
-				os.Exit(2)
-			}
-			cfg.Algos = append(cfg.Algos, name)
-		}
+
+	var render func(*bench.Table, io.Writer) error
+	switch *format {
+	case "text":
+		render = (*bench.Table).Render
+	case "csv":
+		render = (*bench.Table).WriteCSV
+	case "md":
+		render = (*bench.Table).WriteMarkdown
+	default:
+		usage("unknown -format %q (want text, csv or md)", *format)
 	}
-	if *scale != "" {
-		sizes, err := parseSizes(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdgbench: -scale: %v\n", err)
-			os.Exit(2)
+	ids := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"}
+	if *exps != "all" {
+		ids = nil
+		for _, id := range strings.Split(*exps, ",") {
+			id = strings.TrimSpace(strings.ToUpper(id))
+			if _, ok := bench.ByID(id); !ok {
+				usage("unknown experiment %q", id)
+			}
+			ids = append(ids, id)
 		}
-		cfg.ScaleSizes = sizes
 	}
 
 	prof, err := obs.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdgbench: %v\n", err)
-		os.Exit(1)
+		return err
+	}
+	tr, finishTrace, err := obs.CLITrace(*trace, *metrics)
+	if err != nil {
+		return errors.Join(err, prof.Stop())
 	}
 	defer func() {
-		if err := prof.Stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "mdgbench: %v\n", err)
+		err = errors.Join(err, finishTrace(), prof.Stop())
+		if *metrics {
+			err = errors.Join(err, report.Write(os.Stderr, tr))
 		}
 	}()
 
-	if *benchOut != "" {
-		if err := writeBenchArtifact(*benchOut, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "mdgbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mdgbench: wrote %s\n", *benchOut)
+	if *format == "md" {
+		fmt.Printf("# mobicol reproduction report\n\n")
+		fmt.Printf("Generated by `mdgbench -format md -trials %d -seed %d`. ", *trials, *seed)
+		fmt.Printf("Experiment definitions and paper-vs-measured analysis: DESIGN.md, EXPERIMENTS.md.\n\n")
 	}
-
-	var ids []string
-	switch *exps {
-	case "all":
-		ids = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"}
-	case "none":
-		// -bench-out without experiment tables.
-	default:
-		for _, id := range strings.Split(*exps, ",") {
-			ids = append(ids, strings.TrimSpace(strings.ToUpper(id)))
-		}
-	}
+	cfg := bench.Config{Trials: *trials, Seed: *seed, Workers: *workers, Check: *doCheck}
 	for _, id := range ids {
-		run, ok := bench.ByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "mdgbench: unknown experiment %q\n", id)
-			os.Exit(2)
-		}
-		tbl, err := run(cfg)
+		runExp, _ := bench.ByID(id) // ids were validated up front
+		sp := tr.Start("experiment")
+		sp.SetStr("id", id)
+		tbl, err := runExp(cfg)
+		sp.End()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdgbench: %s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", id, err)
 		}
-		render := tbl.Render
-		if *asCSV {
-			render = tbl.WriteCSV
-		}
-		if err := render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mdgbench: %v\n", err)
-			os.Exit(1)
+		if err := render(tbl, os.Stdout); err != nil {
+			return err
 		}
 	}
-}
-
-// parseSizes parses the -scale size list; "default" selects the standard
-// scale sizes (10k and 100k).
-func parseSizes(s string) ([]int, error) {
-	if s == "default" {
-		return bench.ScaleSizes(), nil
-	}
-	var sizes []int
-	for _, part := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad size %q", part)
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes, nil
-}
-
-// writeBenchArtifact writes the planner benchmark JSON to path.
-func writeBenchArtifact(path string, cfg bench.Config) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WritePlannerBench(f, cfg); err != nil {
-		_ = f.Close() // already failing; the bench error is the one to report
-		return err
-	}
-	// Close errors on the output file are real data loss: report them.
-	return f.Close()
+	return nil
 }

@@ -8,11 +8,12 @@
 //     over the planner hot packages (ESCAPE_baseline.txt). alloccheck
 //     flags allocation sites syntactically; this pins what the compiler
 //     actually decided about them;
-//   - perf: the planner benchmark behind `mdgbench -bench-out`, median of
-//     three runs at the baseline's trials, seed and n (PERF_baseline.json).
-//     Quality fields and span counts must be bit-identical and
-//     allocs_per_op may not grow; bytes_per_op and phase wall times get
-//     tolerance bands (bench.ComparePerf).
+//   - perf: the planner benchmark (PERF_baseline.json), median of three
+//     runs at the baseline's trials and seed, plus one run of the n=10k
+//     and n=100k scale rows, whose every plan passes the check.Plan
+//     oracle. Quality fields, span counts and every scale column must be
+//     bit-identical and allocs_per_op may not grow; bytes_per_op and
+//     phase wall times get tolerance bands (bench.ComparePerf).
 //
 // Usage:
 //
@@ -228,8 +229,9 @@ type perf struct {
 
 // measurePerf reads the recorded artifact at current or, without one,
 // takes the median of perfRuns fresh sequential runs at the baseline's
-// trials, seed and n (5 trials at seed 1 and the default n when -update
-// writes a first baseline).
+// trials and seed (5 trials at seed 1 when -update writes a first
+// baseline). The scale rows carry no timing, so they are measured once,
+// after the timed runs.
 func measurePerf(current string, base []byte, pol bench.PerfPolicy) (measurement, error) {
 	if current != "" {
 		raw, err := os.ReadFile(current)
@@ -248,7 +250,7 @@ func measurePerf(current string, base []byte, pol bench.PerfPolicy) (measurement
 		if err != nil {
 			return nil, err
 		}
-		cfg.Trials, cfg.Seed, cfg.BenchN = b.Trials, b.Seed, b.N
+		cfg.Trials, cfg.Seed = b.Trials, b.Seed
 	}
 	runs := make([]*bench.PlannerBenchResult, perfRuns)
 	for i := range runs {
@@ -262,11 +264,14 @@ func measurePerf(current string, base []byte, pol bench.PerfPolicy) (measurement
 	if err != nil {
 		return nil, err
 	}
+	if res.Scale, err = bench.ScaleBenchmarks(cfg, bench.ScaleSizes()); err != nil {
+		return nil, err
+	}
 	return perf{res, pol}, nil
 }
 
 func (p perf) write(w io.Writer) (string, error) {
-	return fmt.Sprintf("baseline for %d algorithm(s)", len(p.res.Algos)), bench.WriteBenchResult(w, p.res)
+	return fmt.Sprintf("baseline for %d algorithm(s) and %d scale row(s)", len(p.res.Algos), len(p.res.Scale)), bench.WriteBenchResult(w, p.res)
 }
 
 func (p perf) compare(base []byte) ([]string, string, error) {
@@ -277,5 +282,5 @@ func (p perf) compare(base []byte) ([]string, string, error) {
 	if bad := bench.ComparePerf(b, p.res, p.pol); len(bad) > 0 {
 		return bad, fmt.Sprintf("%d regression(s) against the baseline", len(bad)), nil
 	}
-	return nil, fmt.Sprintf("%d algorithm(s) hold against the baseline", len(p.res.Algos)), nil
+	return nil, fmt.Sprintf("%d algorithm(s) and %d scale row(s) hold against the baseline", len(p.res.Algos), len(p.res.Scale)), nil
 }

@@ -29,24 +29,12 @@ type Config struct {
 	// per CPU. Every value produces identical tables and quality fields
 	// (trial seeds are fixed per index and reductions are ordered).
 	Workers int
-	// BenchN overrides the planner benchmark's deployment size
-	// (default 100, the paper's evaluation setting); the field side
-	// scales to keep density constant.
-	BenchN int
-	// Check verifies every plan the harness produces against the
-	// internal/check invariant oracles and aborts the experiment on the
-	// first violation. The equivalence tests run with it on; cmd/mdgbench
-	// exposes it as -check.
+	// Check verifies every plan the experiment tables and the planner
+	// benchmark produce against the internal/check invariant oracles and
+	// aborts on the first violation. The equivalence tests run with it
+	// on; cmd/mdgbench exposes it as -check. ScaleBenchmarks checks every
+	// plan whatever its value.
 	Check bool
-	// ScaleSizes adds large-n single-trial rows to the planner benchmark
-	// (cmd/mdgbench -scale); empty skips them.
-	ScaleSizes []int
-	// WarmStart adds warm-start repair columns to the shdg scale rows
-	// (cmd/mdgbench -warm-start).
-	WarmStart bool
-	// Algos selects the engine planners the planner benchmark rows run
-	// (cmd/mdgbench -algo); empty selects the standard committed trio.
-	Algos []string
 }
 
 func (c Config) trials() int {
@@ -57,22 +45,6 @@ func (c Config) trials() int {
 }
 
 func (c Config) pool() par.Pool { return par.Workers(c.Workers) }
-
-func (c Config) benchN() int {
-	if c.BenchN <= 0 {
-		return 100
-	}
-	return c.BenchN
-}
-
-// algos resolves the planner benchmark's algorithm rows. The default is
-// the committed BENCH_planner.json trio, in its pinned order.
-func (c Config) algos() []string {
-	if len(c.Algos) == 0 {
-		return []string{"shdg", "visit-all", "cla"}
-	}
-	return c.Algos
-}
 
 // deploy builds the trial's network. The experiment tables only use
 // known-good parameters, so MustDeploy is safe here.

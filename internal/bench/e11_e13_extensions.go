@@ -119,8 +119,14 @@ func E12LossyLinks(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			mob := sim.NewLossyMobile("mobile", nw, sol.Plan, mc.rm)
-			static := sim.NewLossyStatic(routing.BuildPlan(nw), mc.rm)
+			mob, err := sim.NewLossyMobile("mobile", nw, sol.Plan, mc.rm)
+			if err != nil {
+				return nil, err
+			}
+			static, err := sim.NewLossyStatic(routing.BuildPlan(nw), mc.rm)
+			if err != nil {
+				return nil, err
+			}
 			a, err := sim.RunLifetime(mob, nw.N(), lifetimeModel(), horizon)
 			if err != nil {
 				return nil, err

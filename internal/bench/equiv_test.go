@@ -6,7 +6,7 @@ import (
 )
 
 // TestPlannerBenchmarksWorkerEquivalence pins the tentpole contract for
-// the harness layer: the quality fields of BENCH_planner.json must be
+// the harness layer: the planner benchmark's quality fields must be
 // bit-identical whether trials run sequentially or fanned out.
 func TestPlannerBenchmarksWorkerEquivalence(t *testing.T) {
 	seqRes, err := PlannerBenchmarks(Config{Trials: 4, Seed: 3, Workers: 1, Check: true})

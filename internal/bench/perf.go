@@ -9,14 +9,17 @@ import (
 )
 
 // This file is the comparison half of the performance ratchet
-// (`mdgratchet perf`): read two BENCH_planner.json artifacts — the committed
-// baseline and a fresh run — and decide whether the fresh run regressed.
+// (`mdgratchet perf`): read two planner benchmark artifacts — the
+// committed PERF_baseline.json and a fresh run — and decide whether the
+// fresh run regressed.
 //
 // The policy mirrors how trustworthy each field is:
 //
 //   - mean_tour_m / mean_stops are deterministic outputs of seeded
 //     algorithms, so they must be bit-identical; a change means the
 //     algorithm changed, which is a correctness signal, not noise.
+//   - the scale rows (tour_m, stops, warm_ratio, warm_dirty) are
+//     deterministic too and compared the same way.
 //   - spans counts are deterministic for a fixed trial count: a span
 //     appearing or disappearing means the phase structure changed.
 //   - allocs_per_op is compared exactly in the regression direction:
@@ -48,7 +51,7 @@ func DefaultPerfPolicy() PerfPolicy {
 	return PerfPolicy{PhaseTol: 0.5, BytesTol: 0.2, MinPhaseNs: 5_000_000}
 }
 
-// ReadPlannerBench decodes one BENCH_planner.json artifact and checks
+// ReadPlannerBench decodes one planner benchmark artifact and checks
 // its schema tag.
 func ReadPlannerBench(r io.Reader) (*PlannerBenchResult, error) {
 	var res PlannerBenchResult
@@ -57,7 +60,7 @@ func ReadPlannerBench(r io.Reader) (*PlannerBenchResult, error) {
 		return nil, fmt.Errorf("bench: planner artifact: %w", err)
 	}
 	if res.Schema != PlannerBenchSchema {
-		return nil, fmt.Errorf("bench: planner artifact schema %q, want %q (regenerate with mdgbench -bench-out or mdgratchet perf -update)", res.Schema, PlannerBenchSchema)
+		return nil, fmt.Errorf("bench: planner artifact schema %q, want %q (regenerate with mdgratchet perf -update)", res.Schema, PlannerBenchSchema)
 	}
 	return &res, nil
 }
@@ -89,16 +92,10 @@ func ComparePerf(base, cur *PlannerBenchResult, pol PerfPolicy) []string {
 	return bad
 }
 
-// compareScale gates the deterministic columns of the scale rows: tour
-// quality and the warm/cold ratio are seeded-algorithm outputs, so a
-// change means the algorithm changed. Timing columns are never
-// compared. A baseline without scale rows gates nothing (the CI perf run
-// skips the large-n sweep); a baseline row missing from the current run
-// is a structural regression.
+// compareScale gates the scale rows: every column is a seeded-algorithm
+// output, so any change means the algorithm changed. A baseline row
+// missing from the current run is a structural regression.
 func compareScale(base, cur []ScaleBench) []string {
-	if len(base) == 0 {
-		return nil
-	}
 	var bad []string
 	curBy := map[string]*ScaleBench{}
 	for i := range cur {
@@ -112,20 +109,20 @@ func compareScale(base, cur []ScaleBench) []string {
 			bad = append(bad, fmt.Sprintf("scale %s: row missing from current run", key))
 			continue
 		}
+		changed := func(field string, was, now any) {
+			bad = append(bad, fmt.Sprintf("scale %s: %s changed: %v -> %v (deterministic field)", key, field, was, now))
+		}
 		if math.Float64bits(b.TourM) != math.Float64bits(c.TourM) {
-			bad = append(bad, fmt.Sprintf("scale %s: tour_m changed: %v -> %v (deterministic field)", key, b.TourM, c.TourM))
+			changed("tour_m", b.TourM, c.TourM)
 		}
 		if b.Stops != c.Stops {
-			bad = append(bad, fmt.Sprintf("scale %s: stops changed: %d -> %d (deterministic field)", key, b.Stops, c.Stops))
+			changed("stops", b.Stops, c.Stops)
 		}
-		// Zero is the omitempty sentinel for "warm columns absent", not a
-		// computed quantity, so the exact compare is the intended test.
-		//mdglint:ignore floateq 0 is the absent-column sentinel, not a computed value
-		if (b.WarmRatio != 0) != (c.WarmRatio != 0) {
-			bad = append(bad, fmt.Sprintf("scale %s: warm columns appeared/disappeared (baseline ratio %v, current %v)", key, b.WarmRatio, c.WarmRatio))
-			//mdglint:ignore floateq 0 is the absent-column sentinel; the value compare is bitwise
-		} else if b.WarmRatio != 0 && math.Float64bits(b.WarmRatio) != math.Float64bits(c.WarmRatio) {
-			bad = append(bad, fmt.Sprintf("scale %s: warm_ratio changed: %v -> %v (deterministic field)", key, b.WarmRatio, c.WarmRatio))
+		if math.Float64bits(b.WarmRatio) != math.Float64bits(c.WarmRatio) {
+			changed("warm_ratio", b.WarmRatio, c.WarmRatio)
+		}
+		if b.WarmDirty != c.WarmDirty {
+			changed("warm_dirty", b.WarmDirty, c.WarmDirty)
 		}
 	}
 	return bad

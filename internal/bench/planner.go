@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 
 	"mobicol/internal/engine"
@@ -14,7 +13,8 @@ import (
 	"mobicol/internal/par"
 )
 
-// PlannerAlgoBench is one algorithm's row in BENCH_planner.json.
+// PlannerAlgoBench is one algorithm's row in the planner benchmark
+// (PERF_baseline.json).
 type PlannerAlgoBench struct {
 	Algo      string  `json:"algo"`
 	MeanTourM float64 `json:"mean_tour_m"`
@@ -51,10 +51,11 @@ type PlannerBenchMeta struct {
 	TrialsPerPhase int `json:"trials_per_phase"`
 }
 
-// PlannerBenchResult is the schema of BENCH_planner.json: per-algorithm
-// tour quality plus per-phase planning cost on a fixed instance family.
-// Schema history: v1 had no meta block; v2 added it (PlannerBenchMeta);
-// v3 added the optional large-n scale rows with warm-start columns.
+// PlannerBenchResult is the schema of the planner benchmark artifact
+// that `mdgratchet perf` owns (PERF_baseline.json): per-algorithm tour
+// quality plus per-phase planning cost on a fixed instance family, and
+// the deterministic large-n scale rows. Schema history: v1 had no meta
+// block; v2 added it (PlannerBenchMeta); v3 added the scale rows.
 type PlannerBenchResult struct {
 	Schema string             `json:"schema"`
 	Trials int                `json:"trials"`
@@ -64,24 +65,20 @@ type PlannerBenchResult struct {
 	RangeM float64            `json:"range_m"`
 	Meta   PlannerBenchMeta   `json:"meta"`
 	Algos  []PlannerAlgoBench `json:"algos"`
-	// Scale holds the large-n single-trial rows (n=10k/100k by default),
-	// present when the run was invoked with scale sizes. The perf ratchet
-	// compares only their deterministic quality columns.
+	// Scale holds the large-n single-trial rows (ScaleBenchmarks at
+	// ScaleSizes). Every column is deterministic and gated bit-for-bit.
 	Scale []ScaleBench `json:"scale,omitempty"`
 }
 
-// PlannerBenchSchema is the current BENCH_planner.json schema tag.
+// PlannerBenchSchema is the current planner benchmark schema tag.
 const PlannerBenchSchema = "mobicol/bench-planner/v3"
 
-// PlannerBenchmarks measures the planners cfg.Trials times on the
-// standard deployment family (cfg.BenchN sensors, default 100, with the
-// field side scaled to hold density at the paper's evaluation setting)
-// and returns per-algo tour quality plus per-phase span durations
-// collected through internal/obs.
+// PlannerBenchmarks measures shdg, visit-all and cla cfg.Trials times
+// on the paper's evaluation setting (100 sensors in a 200 m square,
+// 30 m range) and returns per-algo tour quality plus per-phase span
+// durations collected through internal/obs.
 func PlannerBenchmarks(cfg Config) (*PlannerBenchResult, error) {
-	n := cfg.benchN()
-	side := 200.0 * math.Sqrt(float64(n)/100.0)
-	const rng = 30.0
+	const n, side, rng = 100, 200.0, 30.0
 	res := &PlannerBenchResult{
 		Schema: PlannerBenchSchema,
 		Trials: cfg.trials(),
@@ -98,13 +95,12 @@ func PlannerBenchmarks(cfg Config) (*PlannerBenchResult, error) {
 		name string
 		plan func(tr *obs.Trace, seed uint64) (tourM geom.Meters, stops int, err error)
 	}
-	// Each row is a registered engine planner; -algo swaps the set
-	// without touching the harness. Deployment happens outside the
-	// planner's spans (phase_ns bills planning, not generation), and the
-	// zero engine pool keeps each trial sequential — the fan-out lives at
-	// the trial level below.
+	// Each row is a registered engine planner. Deployment happens
+	// outside the planner's spans (phase_ns bills planning, not
+	// generation), and the zero engine pool keeps each trial sequential —
+	// the fan-out lives at the trial level below.
 	var algos []algoRun
-	for _, name := range cfg.algos() {
+	for _, name := range []string{"shdg", "visit-all", "cla"} {
 		p, err := engine.Select(name)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
@@ -149,7 +145,7 @@ func PlannerBenchmarks(cfg Config) (*PlannerBenchResult, error) {
 		}
 		row := PlannerAlgoBench{
 			Algo: a.name,
-			//mdglint:ignore unitcheck JSON boundary: BENCH_planner.json stores tour lengths as raw float64
+			//mdglint:ignore unitcheck JSON boundary: the artifact stores tour lengths as raw float64
 			MeanTourM: float64(sumTour) / float64(cfg.trials()),
 			MeanStops: float64(sumStops) / float64(cfg.trials()),
 			PhaseNs:   make(map[string]int64),
@@ -165,13 +161,6 @@ func PlannerBenchmarks(cfg Config) (*PlannerBenchResult, error) {
 		}
 		row.AllocsPerOp, row.BytesPerOp = allocs, bytesPer
 		res.Algos = append(res.Algos, row)
-	}
-	if len(cfg.ScaleSizes) > 0 {
-		scale, err := ScaleBenchmarks(cfg, cfg.ScaleSizes, cfg.WarmStart)
-		if err != nil {
-			return nil, err
-		}
-		res.Scale = scale
 	}
 	return res, nil
 }
@@ -200,16 +189,6 @@ func measureAllocs(plan func(tr *obs.Trace, seed uint64) (geom.Meters, int, erro
 	}
 	n := uint64(ops)
 	return (m1.Mallocs - m0.Mallocs) / n, (m1.TotalAlloc - m0.TotalAlloc) / n, nil
-}
-
-// WritePlannerBench runs PlannerBenchmarks and writes the result as
-// indented JSON (the BENCH_planner.json artifact).
-func WritePlannerBench(w io.Writer, cfg Config) error {
-	res, err := PlannerBenchmarks(cfg)
-	if err != nil {
-		return err
-	}
-	return WriteBenchResult(w, res)
 }
 
 // WriteBenchResult encodes one planner benchmark result in the artifact

@@ -1,9 +1,11 @@
 // Package bench regenerates the paper's evaluation: every experiment
-// E1–E8 documented in DESIGN.md and EXPERIMENTS.md is a function that
+// E1–E16 documented in DESIGN.md and EXPERIMENTS.md is a function that
 // sweeps the relevant parameter, runs repeated seeded trials, and returns
 // a Table whose rows mirror the corresponding figure's series. cmd/mdgbench
 // prints the tables; root-level testing.B benchmarks wrap the same
-// functions so `go test -bench` regenerates everything.
+// functions so `go test -bench` regenerates everything. The package also
+// holds the planner benchmark and scale rows that cmd/mdgratchet perf
+// measures and gates (planner.go, scale.go, perf.go).
 package bench
 
 import (
@@ -87,8 +89,8 @@ func (t *Table) WriteCSV(w io.Writer) error {
 }
 
 // WriteMarkdown writes the table as a GitHub-flavoured markdown section:
-// a heading, the table, and the notes as a footnote list. cmd/mdgreport
-// stitches these into a full reproduction report.
+// a heading, the table, and the notes as a footnote list. `mdgbench
+// -format md` stitches these into a full reproduction report.
 func (t *Table) WriteMarkdown(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## %s — %s\n\n", t.ID, t.Title)

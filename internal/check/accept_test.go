@@ -97,10 +97,11 @@ func TestLedgerOracleAcceptsSimulations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("plan: %v", err)
 			}
-			schemes := []sim.Scheme{
-				sim.NewMobile("shdg", sc.Net, sol.Plan),
-				sim.NewLossyMobile("shdg-lossy", sc.Net, sol.Plan, radio.Default()),
+			lossy, err := sim.NewLossyMobile("shdg-lossy", sc.Net, sol.Plan, radio.Default())
+			if err != nil {
+				t.Fatal(err)
 			}
+			schemes := []sim.Scheme{sim.NewMobile("shdg", sc.Net, sol.Plan), lossy}
 			for _, s := range schemes {
 				res, err := sim.RunLifetime(s, sc.Net.N(), model, 400)
 				if err != nil {
@@ -150,7 +151,10 @@ func TestLossyMobileUnserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := sim.NewLossyMobile("lossy", sc.Net, sol.Plan, radio.Default())
+	m, err := sim.NewLossyMobile("lossy", sc.Net, sol.Plan, radio.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := m.Unserved(); got != 0 {
 		t.Fatalf("full plan reports %d unserved", got)
 	}
@@ -158,7 +162,10 @@ func TestLossyMobileUnserved(t *testing.T) {
 	mangled := &collector.TourPlan{Sink: sol.Plan.Sink, Stops: sol.Plan.Stops,
 		UploadAt: append([]int(nil), sol.Plan.UploadAt[:sc.Net.N()-1]...)}
 	mangled.UploadAt[0] = -1
-	mm := sim.NewLossyMobile("mangled", sc.Net, mangled, radio.Default())
+	mm, err := sim.NewLossyMobile("mangled", sc.Net, mangled, radio.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := mm.Unserved(); got != 2 {
 		t.Fatalf("mangled plan reports %d unserved, want 2", got)
 	}

@@ -390,8 +390,16 @@ func (e *enclosing) walkBody(body ast.Node) {
 		case *ast.CallExpr:
 			e.call(expr)
 			return true
+		case *ast.SelectorExpr:
+			// A method expression ((*T).M): its X is a type, so the method
+			// identifier is the only operand left to visit.
+			if sel := e.pkg.Info.Selections[expr]; sel != nil && sel.Kind() == types.MethodExpr {
+				e.noteFuncValue(expr.Sel, e.pkg.Info.TypeOf(expr))
+				return false
+			}
+			return true
 		case *ast.Ident:
-			e.noteFuncValue(expr)
+			e.noteFuncValue(expr, nil)
 			return true
 		}
 		return true
@@ -502,8 +510,9 @@ func (e *enclosing) indirectThrough(info *types.Info, call *ast.CallExpr, fun as
 }
 
 // noteFuncValue records a named function used as a value (any mention
-// outside direct call position) as address-taken.
-func (e *enclosing) noteFuncValue(id *ast.Ident) {
+// outside direct call position) as address-taken. exprType is the type
+// of the method expression id is the method of, or nil.
+func (e *enclosing) noteFuncValue(id *ast.Ident, exprType types.Type) {
 	obj, ok := e.pkg.Info.Uses[id].(*types.Func)
 	if !ok {
 		return
@@ -519,7 +528,13 @@ func (e *enclosing) noteFuncValue(id *ast.Ident) {
 	if !ok {
 		return
 	}
-	if sig.Recv() != nil {
+	switch {
+	case exprType != nil:
+		// A method expression takes the receiver as its first parameter.
+		if sig, ok = exprType.(*types.Signature); !ok {
+			return
+		}
+	case sig.Recv() != nil:
 		// A method value binds the receiver: its value type drops it.
 		sig = types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
 	}

@@ -307,6 +307,44 @@ func use(t *T) int { return invoke(t.M) }
 	}
 }
 
+// TestMethodExprEdges pins method-expression resolution: (*T).M used as
+// a value keeps the receiver as its first parameter, so an indirect call
+// through a variable of that signature reaches the method, while a
+// method value's receiver-less signature does not match it.
+func TestMethodExprEdges(t *testing.T) {
+	g, _ := buildFrom(t, `package p
+
+type T struct{ n int }
+
+func (t *T) M(k int) int  { return t.n + k }
+func (t *T) N(k int) int  { return t.n - k }
+func (t *T) unused() bool { return false }
+
+func pick(t *T, add bool) int {
+	f := (*T).N
+	if add {
+		f = (*T).M
+	}
+	return f(t, 1)
+}
+
+func bound(f func(int) int) int { return f(1) }
+`)
+	np := node(t, g, "p.pick")
+	for _, m := range []string{"(*T).M", "(*T).N"} {
+		if !calls(np, m) {
+			t.Errorf("indirect call through a method expression must reach %s; edges: %v", m, np.Calls())
+		}
+	}
+	if calls(node(t, g, "p.bound"), "(*T).M") {
+		t.Error("a method expression matched the receiver-less signature of a method value")
+	}
+	reach := g.Reachable([]*Node{np}, nil)
+	if !reach[node(t, g, "(*T).M")] || reach[node(t, g, "unused")] {
+		t.Error("want M reachable from pick through the method expression, and unused not")
+	}
+}
+
 // TestEmbeddedInterfaceDispatch pins CHA through interface embedding: a
 // call on a method inherited from an embedded interface fans out to the
 // implementers, and an implementation promoted from an embedded struct

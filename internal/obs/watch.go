@@ -3,8 +3,8 @@ package obs
 import "time"
 
 // Watch is a started wall-clock stopwatch. The few places that
-// legitimately measure real time outside a span tree — the mdgbench
-// scale rows, the warm-start speedup test — route through it, so the
+// legitimately measure real time outside a span tree — the planbench
+// timing loop, the warm-start speedup test — route through it, so the
 // determinism lint can keep every other package off the wall clock.
 type Watch struct{ start time.Time }
 

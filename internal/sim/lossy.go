@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"mobicol/internal/collector"
 	"mobicol/internal/energy"
 	"mobicol/internal/geom"
@@ -19,9 +21,14 @@ type LossyMobile struct {
 	net   *wsn.Network
 }
 
-// NewLossyMobile wraps a tour plan with the link model.
-func NewLossyMobile(label string, nw *wsn.Network, plan *collector.TourPlan, rm radio.Model) *LossyMobile {
-	return &LossyMobile{Label: label, Plan: plan, Radio: rm, net: nw}
+// NewLossyMobile wraps a tour plan with the link model. The model must
+// pass radio.Model.Validate: a negative retry budget would make every
+// upload free, and a non-positive width makes the PRR curve NaN.
+func NewLossyMobile(label string, nw *wsn.Network, plan *collector.TourPlan, rm radio.Model) (*LossyMobile, error) {
+	if err := rm.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: lossy scheme %q: %w", label, err)
+	}
+	return &LossyMobile{Label: label, Plan: plan, Radio: rm, net: nw}, nil
 }
 
 // Name implements Scheme.
@@ -115,9 +122,13 @@ type LossyStatic struct {
 	Radio radio.Model
 }
 
-// NewLossyStatic wraps a routing plan with the link model.
-func NewLossyStatic(plan *routing.Plan, rm radio.Model) *LossyStatic {
-	return &LossyStatic{Plan: plan, Radio: rm}
+// NewLossyStatic wraps a routing plan with the link model, which must
+// pass radio.Model.Validate as for NewLossyMobile.
+func NewLossyStatic(plan *routing.Plan, rm radio.Model) (*LossyStatic, error) {
+	if err := rm.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: lossy static scheme: %w", err)
+	}
+	return &LossyStatic{Plan: plan, Radio: rm}, nil
 }
 
 // Name implements Scheme.

@@ -18,8 +18,44 @@ func lossyPair(t *testing.T, seed uint64, rm radio.Model) (*LossyMobile, *LossyS
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLossyMobile("shdg-lossy", nw, sol.Plan, rm),
-		NewLossyStatic(routing.BuildPlan(nw), rm), nw
+	mob, err := NewLossyMobile("shdg-lossy", nw, sol.Plan, rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := NewLossyStatic(routing.BuildPlan(nw), rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mob, static, nw
+}
+
+// TestLossySchemesRejectInvalidRadio pins that both lossy constructors
+// refuse a model radio.Model.Validate rejects. Unchecked, a negative
+// retry budget makes ExpectedTx 0, so lossy uploads would cost nothing,
+// and a zero width makes PRR NaN at d = D50·r.
+func TestLossySchemesRejectInvalidRadio(t *testing.T) {
+	nw := wsn.MustDeploy(wsn.Config{N: 30, FieldSide: 100, Range: 30, Seed: 1})
+	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := routing.BuildPlan(nw)
+	for _, tc := range []struct {
+		name string
+		rm   radio.Model
+	}{
+		{"negative retries", radio.Model{D50: 0.95, Width: 0.08, MaxRetries: -1}},
+		{"zero width", radio.Model{D50: 0.95, Width: 0, MaxRetries: 3}},
+	} {
+		if m, err := NewLossyMobile("lossy", nw, sol.Plan, tc.rm); err == nil {
+			d := tc.rm.D50 * nw.Range
+			t.Errorf("%s: NewLossyMobile accepted the model (ExpectedTx %v, PRR %v at d = D50·r)",
+				tc.name, m.Radio.ExpectedTx(d, nw.Range), m.Radio.PRR(d, nw.Range))
+		}
+		if _, err := NewLossyStatic(routes, tc.rm); err == nil {
+			t.Errorf("%s: NewLossyStatic accepted the model", tc.name)
+		}
+	}
 }
 
 func TestPerfectRadioMatchesLosslessCharging(t *testing.T) {

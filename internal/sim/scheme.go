@@ -87,62 +87,6 @@ func (m *Mobile) Coverage() float64 {
 	return float64(m.Plan.Served()) / float64(m.net.N())
 }
 
-// MultiMobile adapts concurrent collectors: energy is per-plan single-hop
-// uploads, latency is the slowest sub-round.
-type MultiMobile struct {
-	Label string
-	Plans []*collector.TourPlan
-	net   *wsn.Network
-}
-
-// Name implements Scheme.
-func (m *MultiMobile) Name() string { return m.Label }
-
-// ChargeRound implements Scheme.
-func (m *MultiMobile) ChargeRound(led *energy.Ledger) {
-	for _, p := range m.Plans {
-		for i, s := range p.UploadAt {
-			if s >= 0 {
-				led.ChargeTx(i, m.net.Nodes[i].Pos.Dist(p.Stops[s]))
-			}
-		}
-	}
-	led.EndRound()
-}
-
-// RoundTime implements Scheme: collectors run concurrently, so the round
-// lasts as long as the slowest sub-tour.
-func (m *MultiMobile) RoundTime(spec collector.Spec, relayDelay float64) float64 {
-	worst := 0.0
-	for _, p := range m.Plans {
-		if rt := p.RoundTime(spec); rt > worst {
-			worst = rt
-		}
-	}
-	return worst
-}
-
-// TourLength implements Scheme (total driving across collectors).
-func (m *MultiMobile) TourLength() geom.Meters {
-	total := geom.Meters(0)
-	for _, p := range m.Plans {
-		total += p.Length()
-	}
-	return total
-}
-
-// Coverage implements Scheme.
-func (m *MultiMobile) Coverage() float64 {
-	if m.net.N() == 0 {
-		return 1
-	}
-	served := 0
-	for _, p := range m.Plans {
-		served += p.Served()
-	}
-	return float64(served) / float64(m.net.N())
-}
-
 // Static adapts the static-sink multi-hop baseline.
 type Static struct {
 	Plan *routing.Plan

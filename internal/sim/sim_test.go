@@ -135,54 +135,6 @@ func TestCoverageSemantics(t *testing.T) {
 	}
 }
 
-func TestMultiMobileLatencyImproves(t *testing.T) {
-	nw := testNet(7)
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := NewMobile("shdg", nw, sol.Plan)
-	// Split into 3 concurrent sub-tours via mtsp at the harness level is
-	// exercised elsewhere; here simulate concurrency by cloning the plan
-	// split into its first/second half stops.
-	half := len(sol.Plan.Stops) / 2
-	if half == 0 {
-		t.Skip("too few stops")
-	}
-	p1 := &collector.TourPlan{Sink: sol.Plan.Sink, Stops: sol.Plan.Stops[:half], UploadAt: make([]int, nw.N())}
-	p2 := &collector.TourPlan{Sink: sol.Plan.Sink, Stops: sol.Plan.Stops[half:], UploadAt: make([]int, nw.N())}
-	for i, s := range sol.Plan.UploadAt {
-		if s < half {
-			p1.UploadAt[i] = s
-			p2.UploadAt[i] = -1
-		} else {
-			p1.UploadAt[i] = -1
-			p2.UploadAt[i] = s - half
-		}
-	}
-	multi := &MultiMobile{Label: "shdg-2x", Plans: []*collector.TourPlan{p1, p2}, net: nw}
-	spec := collector.DefaultSpec()
-	if multi.Coverage() != 1 {
-		t.Fatalf("multi coverage %v", multi.Coverage())
-	}
-	if MeasureLatency(multi, spec, 0).Seconds >= MeasureLatency(single, spec, 0).Seconds {
-		t.Fatal("two concurrent collectors not faster than one")
-	}
-	// Energy must be identical: same uploads either way.
-	m := smallBattery()
-	a, err := RunLifetime(single, nw.N(), m, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunLifetime(multi, nw.N(), m, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Residual.Mean != b.Residual.Mean {
-		t.Fatalf("energy differs between single (%v) and split (%v)", a.Residual.Mean, b.Residual.Mean)
-	}
-}
-
 func TestRunLifetimeRejectsBadHorizon(t *testing.T) {
 	nw := testNet(8)
 	mobile, _, _, _ := buildSchemes(t, nw)

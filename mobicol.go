@@ -308,12 +308,14 @@ func PerfectRadio() RadioModel { return radio.Perfect() }
 func DefaultRadio() RadioModel { return radio.Default() }
 
 // LossyMobileScheme adapts a tour plan with lossy uploads for simulation.
-func LossyMobileScheme(name string, nw *Network, plan *TourPlan, rm RadioModel) *sim.LossyMobile {
+// It returns an error when rm fails RadioModel.Validate.
+func LossyMobileScheme(name string, nw *Network, plan *TourPlan, rm RadioModel) (*sim.LossyMobile, error) {
 	return sim.NewLossyMobile(name, nw, plan, rm)
 }
 
-// LossyStaticScheme adapts static-sink routing with lossy relays.
-func LossyStaticScheme(plan *RoutingPlan, rm RadioModel) *sim.LossyStatic {
+// LossyStaticScheme adapts static-sink routing with lossy relays. It
+// returns an error when rm fails RadioModel.Validate.
+func LossyStaticScheme(plan *RoutingPlan, rm RadioModel) (*sim.LossyStatic, error) {
 	return sim.NewLossyStatic(plan, rm)
 }
 
