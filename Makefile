@@ -135,6 +135,7 @@ trace:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzTourPlanRoundTrip -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -fuzz=FuzzNetworkRead -fuzztime=$(FUZZTIME) ./internal/wsn/
+	$(GO) test -fuzz=FuzzCourseRead -fuzztime=$(FUZZTIME) ./internal/obstacle/
 
 # check runs the CI pipeline's gates locally. It skips the fuzz-smoke
 # job (make fuzz-smoke) and the benchmark smoke step, which runs every

@@ -206,7 +206,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := viz.RenderTour(f, nw, plan, viz.DefaultStyle()); err != nil {
+		if err := viz.RenderTour(f, nw, plan); err != nil {
 			_ = f.Close() // already failing; the render error is the one to report
 			return err
 		}
@@ -275,7 +275,7 @@ func runObstacles(nw *wsn.Network, obstPath, svgPath string, speed float64) erro
 		if err != nil {
 			return err
 		}
-		if err := viz.RenderObstacleTour(out, nw, course, tour, viz.DefaultStyle()); err != nil {
+		if err := viz.RenderObstacleTour(out, nw, course, tour); err != nil {
 			_ = out.Close() // already failing; the render error is the one to report
 			return err
 		}

@@ -138,39 +138,3 @@ func (p *StraightLinePlan) CoverageFraction() float64 {
 	}
 	return float64(p.Net.N()-len(p.Stranded)) / float64(p.Net.N())
 }
-
-// AvgHops returns the mean relay hop count over served sensors.
-func (p *StraightLinePlan) AvgHops() float64 {
-	sum, cnt := 0, 0
-	for _, h := range p.Hops {
-		if h >= 0 {
-			sum += h
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return float64(sum) / float64(cnt)
-}
-
-// Validate checks forwarding-chain invariants.
-func (p *StraightLinePlan) Validate() error {
-	n := p.Net.N()
-	for i := 0; i < n; i++ {
-		if p.NextHop[i] == -2 {
-			continue
-		}
-		steps := 0
-		for v := i; v != -1; v = p.NextHop[v] {
-			if v == -2 || steps > n {
-				return fmt.Errorf("baselines: bad forwarding chain from sensor %d", i)
-			}
-			steps++
-		}
-		if steps-1 != p.Hops[i] {
-			return fmt.Errorf("baselines: sensor %d chain length %d != hops %d", i, steps-1, p.Hops[i])
-		}
-	}
-	return nil
-}

@@ -1,7 +1,8 @@
-// Package bitset implements dense fixed-capacity bitsets. The covering
-// engine represents "which sensors does candidate stop c cover?" as a
-// bitset, making the greedy and exact set-cover inner loops word-parallel:
-// coverage gain is a popcount of AndNot rather than a per-sensor scan.
+// Package bitset implements dense fixed-capacity bitsets. The exact and
+// capacitated set-cover searches represent "which sensors does candidate
+// stop c cover?" as a bitset, so taking a stop's sensors out of the
+// uncovered set, and putting them back on backtrack, is a word-parallel
+// AndNot or Or rather than a per-sensor loop.
 package bitset
 
 import (
@@ -82,20 +83,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Copy overwrites s with the contents of o. The two sets must have equal
-// capacity.
-func (s *Set) Copy(o *Set) {
-	s.mustMatch(o)
-	copy(s.words, o.words)
-}
-
-// Clear removes every element.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Fill sets every bit in [0, n).
 func (s *Set) Fill() {
 	for i := range s.words {
@@ -142,62 +129,6 @@ func (s *Set) AndNot(o *Set) {
 	}
 }
 
-// CountAndNot returns |s \ o| without modifying either set. This is the
-// greedy set cover "marginal gain" primitive.
-func (s *Set) CountAndNot(o *Set) int {
-	s.mustMatch(o)
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w &^ o.words[i])
-	}
-	return c
-}
-
-// CountAnd returns |s ∩ o| without modifying either set.
-func (s *Set) CountAnd(o *Set) int {
-	s.mustMatch(o)
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w & o.words[i])
-	}
-	return c
-}
-
-// IntersectsWith reports whether s and o share any element.
-func (s *Set) IntersectsWith(o *Set) bool {
-	s.mustMatch(o)
-	for i, w := range s.words {
-		if w&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// SubsetOf reports whether every element of s is in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	s.mustMatch(o)
-	for i, w := range s.words {
-		if w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and o contain exactly the same elements.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // NextSet returns the smallest set bit >= i, or -1 when none exists.
 func (s *Set) NextSet(i int) int {
 	if i < 0 {
@@ -227,13 +158,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Slice returns the set elements in ascending order.
-func (s *Set) Slice() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
 }
 
 // String renders the set as "{1, 5, 9}".

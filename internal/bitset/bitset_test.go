@@ -63,9 +63,9 @@ func TestClearEmpty(t *testing.T) {
 	if s.Empty() {
 		t.Fatal("set with element reports empty")
 	}
-	s.Clear()
+	s.Remove(50)
 	if !s.Empty() || s.Count() != 0 {
-		t.Fatal("Clear failed")
+		t.Fatal("set emptied by Remove reports non-empty")
 	}
 }
 
@@ -90,43 +90,10 @@ func TestSetAlgebra(t *testing.T) {
 	if diff.Count() != a.Count()-inter.Count() {
 		t.Fatal("difference count wrong")
 	}
-	if got := a.CountAnd(b); got != inter.Count() {
-		t.Fatalf("CountAnd = %d, want %d", got, inter.Count())
-	}
-	if got := a.CountAndNot(b); got != diff.Count() {
-		t.Fatalf("CountAndNot = %d, want %d", got, diff.Count())
-	}
 	for i := 0; i < 200; i++ {
 		if inter.Has(i) != (i%6 == 0) {
 			t.Fatalf("intersection wrong at %d", i)
 		}
-	}
-}
-
-func TestSubsetEqualIntersects(t *testing.T) {
-	a, b := New(64), New(64)
-	a.Add(3)
-	a.Add(40)
-	b.Add(3)
-	b.Add(40)
-	b.Add(63)
-	if !a.SubsetOf(b) || b.SubsetOf(a) {
-		t.Fatal("SubsetOf wrong")
-	}
-	if a.Equal(b) {
-		t.Fatal("Equal wrong for proper subset")
-	}
-	a.Add(63)
-	if !a.Equal(b) {
-		t.Fatal("Equal wrong for identical sets")
-	}
-	c := New(64)
-	if c.IntersectsWith(a) {
-		t.Fatal("empty set intersects")
-	}
-	c.Add(40)
-	if !c.IntersectsWith(a) {
-		t.Fatal("IntersectsWith missed shared element")
 	}
 }
 
@@ -154,13 +121,14 @@ func TestForEachAndSliceOrdered(t *testing.T) {
 	for _, i := range want {
 		s.Add(i)
 	}
-	got := s.Slice()
+	var got []int
+	s.ForEach(func(i int) { got = append(got, i) })
 	if len(got) != len(want) {
-		t.Fatalf("Slice = %v", got)
+		t.Fatalf("ForEach visited %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Slice = %v, want %v", got, want)
+			t.Fatalf("ForEach visited %v, want %v", got, want)
 		}
 	}
 }
@@ -185,14 +153,8 @@ func TestCopyAndCloneIndependence(t *testing.T) {
 	if a.Has(20) {
 		t.Fatal("Clone shares storage")
 	}
-	c := New(80)
-	c.Copy(b)
-	if !c.Has(10) || !c.Has(20) {
-		t.Fatal("Copy missed elements")
-	}
-	c.Remove(10)
 	if !b.Has(10) {
-		t.Fatal("Copy shares storage")
+		t.Fatal("Clone missed an element")
 	}
 }
 
@@ -246,26 +208,12 @@ func TestQuickCountSplit(t *testing.T) {
 				b.Add(i)
 			}
 		}
-		return a.Count() == a.CountAnd(b)+a.CountAndNot(b)
+		inter, diff := a.Clone(), a.Clone()
+		inter.And(b)
+		diff.AndNot(b)
+		return a.Count() == inter.Count()+diff.Count()
 	}
 	if err := quick.Check(func(uint8) bool { return f() }, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkCountAndNot(b *testing.B) {
-	src := rng.New(1)
-	x, y := New(4096), New(4096)
-	for i := 0; i < 4096; i++ {
-		if src.Bool(0.5) {
-			x.Add(i)
-		}
-		if src.Bool(0.5) {
-			y.Add(i)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.CountAndNot(y)
 	}
 }

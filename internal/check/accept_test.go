@@ -143,8 +143,9 @@ func TestAdaptiveReplansAreChecked(t *testing.T) {
 	}
 }
 
-// TestLossyMobileUnserved pins the other satellite fix: stranded sensors
-// are counted, not silently skipped, and malformed arity cannot panic.
+// TestLossyMobileUnserved pins that stranded sensors are counted, not
+// silently skipped: a stranded or truncated sensor spends nothing, counts
+// as not gathered in Coverage, and malformed arity cannot panic.
 func TestLossyMobileUnserved(t *testing.T) {
 	sc := check.Scenarios(0x105, 1)[0]
 	sol, err := shdgp.Plan(shdgp.NewProblem(sc.Net), shdgp.DefaultPlannerOptions())
@@ -155,23 +156,29 @@ func TestLossyMobileUnserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Unserved(); got != 0 {
-		t.Fatalf("full plan reports %d unserved", got)
+	if got := m.Coverage(); got != 1 {
+		t.Fatalf("full plan reports coverage %v", got)
 	}
 	// Strand one sensor and truncate the assignment: both must be counted.
+	n := sc.Net.N()
 	mangled := &collector.TourPlan{Sink: sol.Plan.Sink, Stops: sol.Plan.Stops,
-		UploadAt: append([]int(nil), sol.Plan.UploadAt[:sc.Net.N()-1]...)}
+		UploadAt: append([]int(nil), sol.Plan.UploadAt[:n-1]...)}
 	mangled.UploadAt[0] = -1
 	mm, err := sim.NewLossyMobile("mangled", sc.Net, mangled, radio.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mm.Unserved(); got != 2 {
-		t.Fatalf("mangled plan reports %d unserved, want 2", got)
+	if got, want := mm.Coverage(), float64(n-2)/float64(n); got != want {
+		t.Fatalf("mangled plan reports coverage %v, want %v", got, want)
 	}
-	led := energy.NewLedger(sc.Net.N(), energy.DefaultModel())
+	led := energy.NewLedger(n, energy.DefaultModel())
 	mm.ChargeRound(led) // must not panic on short UploadAt
 	if err := check.Ledger(led, 1); err != nil {
 		t.Fatal(err)
+	}
+	for _, i := range []int{0, n - 1} {
+		if led.Residual[i] != led.Model.InitialJ {
+			t.Fatalf("unserved sensor %d spent energy: residual %v", i, led.Residual[i])
+		}
 	}
 }

@@ -42,20 +42,12 @@ const maxReported = 8
 
 // Options tunes the plan oracle.
 type Options struct {
-	// AllowUnserved accepts plans that leave sensors without an upload
-	// stop (UploadAt[i] = -1). The SHDGP contract forbids this; some
-	// baselines legitimately strand sensors, and their harnesses must
-	// count the stranded rather than hide them.
-	AllowUnserved bool
 	// UploadDist overrides the per-sensor single-hop distance used for
 	// the range check. The CLA baseline needs this: its recorded stop is
 	// a line endpoint, but the collector actually passes the sensor's
 	// projection, so the effective upload distance is the perpendicular
 	// distance to the sweep line.
 	UploadDist func(sensor int) float64
-	// Eps widens the range comparison (default geom.Eps). Plans built
-	// from squared-distance comparisons carry that much slack.
-	Eps float64
 }
 
 // violations accumulates invariant failures, keeping the first
@@ -95,7 +87,7 @@ func finite(p geom.Point) bool {
 //     the closed tour length is finite and non-negative;
 //   - sink-anchor: the tour starts and ends at the network's sink;
 //   - stop-index: every assignment points at a real stop (or -1);
-//   - coverage: every sensor has an upload stop (unless AllowUnserved);
+//   - coverage: every sensor has an upload stop;
 //   - single-hop: every served sensor is within transmission range of its
 //     assigned stop (or of its UploadDist override).
 //
@@ -107,10 +99,6 @@ func Plan(nw *wsn.Network, tp *collector.TourPlan, opts Options) error {
 	}
 	if tp == nil {
 		return fmt.Errorf("check: nil plan")
-	}
-	eps := opts.Eps
-	if eps <= 0 {
-		eps = geom.Eps
 	}
 	var v violations
 
@@ -138,15 +126,13 @@ func Plan(nw *wsn.Network, tp *collector.TourPlan, opts Options) error {
 		case stop < -1 || stop >= len(tp.Stops):
 			v.addf("stop-index: sensor %d assigned to stop %d of %d", i, stop, len(tp.Stops))
 		case stop == -1:
-			if !opts.AllowUnserved {
-				v.addf("coverage: sensor %d has no upload stop", i)
-			}
+			v.addf("coverage: sensor %d has no upload stop", i)
 		default:
 			d := nw.Nodes[i].Pos.Dist(tp.Stops[stop])
 			if opts.UploadDist != nil {
 				d = opts.UploadDist(i)
 			}
-			if math.IsNaN(d) || d > nw.Range+eps {
+			if math.IsNaN(d) || d > nw.Range+geom.Eps {
 				v.addf("single-hop: sensor %d is %.4fm from its stop, range %.4fm", i, d, nw.Range)
 			}
 		}

@@ -104,15 +104,6 @@ func TestPlanNilInputs(t *testing.T) {
 	}
 }
 
-func TestPlanAllowUnserved(t *testing.T) {
-	nw := testNet()
-	tp := validPlan(nw)
-	tp.UploadAt[2] = -1
-	if err := Plan(nw, tp, Options{AllowUnserved: true}); err != nil {
-		t.Fatalf("stranded sensor rejected despite AllowUnserved: %v", err)
-	}
-}
-
 func TestPlanUploadDistOverride(t *testing.T) {
 	nw := testNet()
 	tp := validPlan(nw)
@@ -260,7 +251,7 @@ func TestScenariosDeterministic(t *testing.T) {
 			t.Fatalf("scenario %d: layout %v, want %v", i, a[i].Layout, want)
 		}
 		for j := 0; j < a[i].Net.N(); j++ {
-			if !a[i].Net.Field.Contains(a[i].Net.Nodes[j].Pos) {
+			if pos := a[i].Net.Nodes[j].Pos; !a[i].Net.Field.Clamp(pos).Eq(pos) {
 				t.Fatalf("scenario %d sensor %d outside field", i, j)
 			}
 		}

@@ -2,15 +2,11 @@
 // vehicle with a powerful transceiver that departs from the static data
 // sink, pauses at planned stop positions ("polling points") to receive
 // single-hop uploads from nearby sensors, and returns to the sink. The
-// package turns a planned tour into time and energy figures.
+// package turns a planned tour into time figures and reads and writes
+// plans as JSON.
 package collector
 
-import (
-	"fmt"
-
-	"mobicol/internal/energy"
-	"mobicol/internal/geom"
-)
+import "mobicol/internal/geom"
 
 // Spec is the kinematic and radio profile of one M-collector. The paper
 // cites practical mobile systems moving at 0.1–2 m/s.
@@ -69,31 +65,6 @@ func (tp *TourPlan) Served() int {
 	return c
 }
 
-// Unserved returns the number of sensors the plan leaves without an
-// upload stop. Valid single-hop plans have none; baselines and degraded
-// adaptive plans must count them instead of silently skipping them.
-func (tp *TourPlan) Unserved() int { return len(tp.UploadAt) - tp.Served() }
-
-// Validate checks structural invariants: every assignment points at a real
-// stop, and (when positions are supplied) every sensor is within range of
-// its stop — the single-hop guarantee.
-func (tp *TourPlan) Validate(sensors []geom.Point, maxRange float64) error {
-	if len(tp.UploadAt) != len(sensors) {
-		return fmt.Errorf("collector: %d assignments for %d sensors", len(tp.UploadAt), len(sensors))
-	}
-	for i, s := range tp.UploadAt {
-		if s < -1 || s >= len(tp.Stops) {
-			return fmt.Errorf("collector: sensor %d assigned to stop %d of %d", i, s, len(tp.Stops))
-		}
-		if s >= 0 && maxRange > 0 {
-			if d := sensors[i].Dist(tp.Stops[s]); d > maxRange+geom.Eps {
-				return fmt.Errorf("collector: sensor %d is %.2fm from its stop, range %.2fm", i, d, maxRange)
-			}
-		}
-	}
-	return nil
-}
-
 // RoundTime returns the duration of one full gathering round: drive the
 // tour and pause UploadTime per served sensor. This is the paper's data
 // collection latency for mobile schemes.
@@ -103,16 +74,4 @@ func (tp *TourPlan) RoundTime(spec Spec) float64 {
 		panic("collector: non-positive speed")
 	}
 	return tp.Length().TravelTime(spec.Speed) + float64(tp.Served())*spec.UploadTime
-}
-
-// ChargeRound debits each sensor's single-hop upload to its stop in the
-// ledger. The collector itself is externally powered (a vehicle), so only
-// sensor-side costs are tracked — exactly the paper's accounting.
-func (tp *TourPlan) ChargeRound(sensors []geom.Point, led *energy.Ledger) {
-	for i, s := range tp.UploadAt {
-		if s >= 0 {
-			led.ChargeTx(i, sensors[i].Dist(tp.Stops[s]))
-		}
-	}
-	led.EndRound()
 }

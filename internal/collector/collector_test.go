@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"mobicol/internal/energy"
 	"mobicol/internal/geom"
 )
 
@@ -52,29 +51,6 @@ func TestSensorsAtAndServed(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	sensors := []geom.Point{geom.Pt(12, 0), geom.Pt(10, 12), geom.Pt(0, 12), geom.Pt(8, 10)}
-	tp := squarePlan()
-	if err := tp.Validate(sensors, 5); err != nil {
-		t.Fatal(err)
-	}
-	// Out-of-range sensor.
-	far := []geom.Point{geom.Pt(50, 50), sensors[1], sensors[2], sensors[3]}
-	if err := tp.Validate(far, 5); err == nil {
-		t.Fatal("out-of-range assignment accepted")
-	}
-	// Bad stop index.
-	bad := squarePlan()
-	bad.UploadAt[2] = 9
-	if err := bad.Validate(sensors, 5); err == nil {
-		t.Fatal("bad stop index accepted")
-	}
-	// Mismatched lengths.
-	if err := squarePlan().Validate(sensors[:2], 5); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestRoundTime(t *testing.T) {
 	tp := squarePlan()
 	spec := Spec{Speed: 2, UploadTime: 0.5}
@@ -91,27 +67,6 @@ func TestRoundTimePanicsOnZeroSpeed(t *testing.T) {
 		}
 	}()
 	squarePlan().RoundTime(Spec{})
-}
-
-func TestChargeRoundDebitsOnlyAssigned(t *testing.T) {
-	sensors := []geom.Point{geom.Pt(12, 0), geom.Pt(10, 12), geom.Pt(0, 12), geom.Pt(8, 10)}
-	tp := squarePlan()
-	tp.UploadAt[3] = -1
-	m := energy.DefaultModel()
-	led := energy.NewLedger(4, m)
-	tp.ChargeRound(sensors, led)
-	if led.Round() != 1 {
-		t.Fatalf("Round = %d", led.Round())
-	}
-	for i := 0; i < 3; i++ {
-		want := m.InitialJ - m.TxCost(sensors[i].Dist(tp.Stops[tp.UploadAt[i]]))
-		if math.Abs(float64(led.Residual[i]-want)) > 1e-15 {
-			t.Fatalf("sensor %d residual %v, want %v", i, led.Residual[i], want)
-		}
-	}
-	if led.Residual[3] != m.InitialJ {
-		t.Fatal("unassigned sensor was charged")
-	}
 }
 
 func TestDefaultSpec(t *testing.T) {

@@ -180,11 +180,7 @@ func NewInstanceRadiiPool(sensors []geom.Point, radii []float64, candidates []ge
 	return inst
 }
 
-// Feasible reports whether the union of all candidate covers is the whole
-// universe. When false, some sensor is unreachable from every candidate
-// and no cover exists (Err describes the first such sensor).
-func (in *Instance) Feasible() bool { return in.uncoverable() < 0 }
-
+// uncoverable returns the first sensor that no candidate covers, or -1.
 func (in *Instance) uncoverable() int {
 	if !in.uncovOnce {
 		in.uncovIdx = in.computeUncoverable()
@@ -356,22 +352,6 @@ func (in *Instance) GreedyInto(tieBreak geom.Point, sp *obs.Span, s *GreedyScrat
 	sp.Count("cover.celf_reevals", reevals)
 	sp.SetInt("chosen", int64(len(s.chosen)))
 	return s.chosen, nil
-}
-
-// Covered returns the union of the covers of the chosen candidates.
-func (in *Instance) Covered(chosen []int) *bitset.Set {
-	u := bitset.New(in.Universe)
-	for _, c := range chosen {
-		for _, s := range in.Cover(c) {
-			u.Add(int(s))
-		}
-	}
-	return u
-}
-
-// IsCover reports whether the chosen candidates cover every sensor.
-func (in *Instance) IsCover(chosen []int) bool {
-	return in.Covered(chosen).Count() == in.Universe
 }
 
 // Assign maps every sensor to its nearest chosen candidate, returning

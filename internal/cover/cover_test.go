@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mobicol/internal/bitset"
 	"mobicol/internal/geom"
 	"mobicol/internal/rng"
 )
@@ -60,16 +61,24 @@ func TestNewInstanceDropsUselessCandidates(t *testing.T) {
 func TestFeasibility(t *testing.T) {
 	sensors := []geom.Point{geom.Pt(0, 0), geom.Pt(100, 100)}
 	in := NewInstance(sensors, []geom.Point{geom.Pt(0, 0)}, 5)
-	if in.Feasible() {
-		t.Fatal("infeasible instance reported feasible")
-	}
 	if in.Err() == nil {
 		t.Fatal("Err nil on infeasible instance")
 	}
 	in2 := NewInstance(sensors, sensors, 5)
-	if !in2.Feasible() || in2.Err() != nil {
+	if in2.Err() != nil {
 		t.Fatal("feasible instance rejected")
 	}
+}
+
+// isCover reports whether the chosen candidates cover every sensor.
+func isCover(in *Instance, chosen []int) bool {
+	u := bitset.New(in.Universe)
+	for _, c := range chosen {
+		for _, s := range in.Cover(c) {
+			u.Add(int(s))
+		}
+	}
+	return u.Count() == in.Universe
 }
 
 func TestGreedyCoversEverything(t *testing.T) {
@@ -81,7 +90,7 @@ func TestGreedyCoversEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !in.IsCover(chosen) {
+		if !isCover(in, chosen) {
 			t.Fatal("greedy result is not a cover")
 		}
 		// No chosen candidate should be fully redundant at selection time:
@@ -187,7 +196,7 @@ func TestExactMinOptimality(t *testing.T) {
 	if len(chosen) != 3 {
 		t.Fatalf("exact cover size %d, want 3", len(chosen))
 	}
-	if !in.IsCover(chosen) {
+	if !isCover(in, chosen) {
 		t.Fatal("exact result is not a cover")
 	}
 }
@@ -212,7 +221,7 @@ func TestExactNeverWorseThanGreedy(t *testing.T) {
 		if len(exactSet) > len(greedy) {
 			t.Fatalf("exact (%d) worse than greedy (%d)", len(exactSet), len(greedy))
 		}
-		if !in.IsCover(exactSet) {
+		if !isCover(in, exactSet) {
 			t.Fatal("exact result is not a cover")
 		}
 	}
@@ -226,7 +235,7 @@ func TestExactMinNodeCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !in.IsCover(chosen) {
+	if !isCover(in, chosen) {
 		t.Fatal("capped search returned a non-cover")
 	}
 }
@@ -258,7 +267,7 @@ func TestGenerateCandidatesStrategies(t *testing.T) {
 	// All strategies must yield feasible instances (sensor sites are
 	// always included or are the base set).
 	for _, cands := range [][]geom.Point{sites, grid, inter} {
-		if !NewInstance(sensors, cands, 20).Feasible() {
+		if NewInstance(sensors, cands, 20).Err() != nil {
 			t.Fatal("candidate strategy produced infeasible instance")
 		}
 	}
@@ -275,7 +284,7 @@ func TestQuickGreedyCoverValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !in.IsCover(chosen) {
+		if !isCover(in, chosen) {
 			return false
 		}
 		a := in.Assign(sensors, chosen)

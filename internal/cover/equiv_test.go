@@ -12,8 +12,8 @@ import (
 	"mobicol/internal/rng"
 )
 
-// naiveGreedy is the pre-CELF full-scan selection, kept verbatim as the
-// oracle the lazy heap must match pick for pick.
+// naiveGreedy is the pre-CELF full-scan selection, kept as the oracle the
+// lazy heap must match pick for pick.
 func naiveGreedy(in *Instance, tieBreak geom.Point) ([]int, error) {
 	if err := in.Err(); err != nil {
 		return nil, err
@@ -25,7 +25,9 @@ func naiveGreedy(in *Instance, tieBreak geom.Point) ([]int, error) {
 		best, bestGain := -1, 0
 		var bestDist float64
 		for c, set := range in.CoverSets() {
-			gain := set.CountAnd(uncovered)
+			newly := set.Clone()
+			newly.And(uncovered)
+			gain := newly.Count()
 			if gain == 0 {
 				continue
 			}

@@ -67,12 +67,6 @@ func (p Point) Eq(q Point) bool {
 	return math.Abs(p.X-q.X) <= Eps && math.Abs(p.Y-q.Y) <= Eps
 }
 
-// Rotate returns p rotated by theta radians about the origin.
-func (p Point) Rotate(theta float64) Point {
-	s, c := math.Sincos(theta)
-	return Point{p.X*c - p.Y*s, p.X*s + p.Y*c}
-}
-
 // Polar returns the point at distance r and angle theta from p.
 func (p Point) Polar(r, theta float64) Point {
 	s, c := math.Sincos(theta)
@@ -94,19 +88,4 @@ func Centroid(pts []Point) Point {
 		c.Y += p.Y
 	}
 	return c.Scale(1 / float64(len(pts)))
-}
-
-// Orientation classifies the turn a->b->c: +1 for counter-clockwise,
-// -1 for clockwise, 0 for collinear (within Eps scaled by magnitude).
-func Orientation(a, b, c Point) int {
-	v := b.Sub(a).Cross(c.Sub(a))
-	scale := math.Max(1, b.Sub(a).Norm()*c.Sub(a).Norm())
-	switch {
-	case v > Eps*scale:
-		return 1
-	case v < -Eps*scale:
-		return -1
-	default:
-		return 0
-	}
 }

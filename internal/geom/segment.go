@@ -10,12 +10,6 @@ type Segment struct {
 // Seg is a shorthand constructor.
 func Seg(a, b Point) Segment { return Segment{a, b} }
 
-// Length returns the segment length.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Mid returns the segment midpoint.
-func (s Segment) Mid() Point { return Mid(s.A, s.B) }
-
 // ClosestPoint returns the point on s closest to p.
 func (s Segment) ClosestPoint(p Point) Point {
 	d := s.B.Sub(s.A)
@@ -33,29 +27,6 @@ func (s Segment) Dist(p Point) float64 { return p.Dist(s.ClosestPoint(p)) }
 
 // PointAt returns the point a fraction t in [0,1] along the segment.
 func (s Segment) PointAt(t float64) Point { return s.A.Lerp(s.B, t) }
-
-// Intersects reports whether segments s and u share at least one point.
-// Collinear overlaps count as intersections.
-func (s Segment) Intersects(u Segment) bool {
-	o1 := Orientation(s.A, s.B, u.A)
-	o2 := Orientation(s.A, s.B, u.B)
-	o3 := Orientation(u.A, u.B, s.A)
-	o4 := Orientation(u.A, u.B, s.B)
-	if o1 != o2 && o3 != o4 {
-		return true
-	}
-	// Collinear special cases: an endpoint lies on the other segment.
-	return (o1 == 0 && onSegment(s, u.A)) ||
-		(o2 == 0 && onSegment(s, u.B)) ||
-		(o3 == 0 && onSegment(u, s.A)) ||
-		(o4 == 0 && onSegment(u, s.B))
-}
-
-// onSegment reports whether collinear point p lies within s's bounding box.
-func onSegment(s Segment, p Point) bool {
-	return math.Min(s.A.X, s.B.X)-Eps <= p.X && p.X <= math.Max(s.A.X, s.B.X)+Eps &&
-		math.Min(s.A.Y, s.B.Y)-Eps <= p.Y && p.Y <= math.Max(s.A.Y, s.B.Y)+Eps
-}
 
 // Intersection returns the intersection point of the lines through s and u
 // and whether the two segments properly intersect at that point. For

@@ -35,9 +35,3 @@ func (m Meters) TravelTime(v MetersPerSecond) float64 {
 // MetersPerSecond is a collector speed. The paper cites practical mobile
 // systems moving at 0.1-2 m/s.
 type MetersPerSecond float64
-
-// Distance returns the length covered in the given number of seconds.
-func (v MetersPerSecond) Distance(seconds float64) Meters {
-	//mdglint:ignore unitcheck dimensional product boundary: speed times seconds yields metres
-	return Meters(float64(v) * seconds)
-}

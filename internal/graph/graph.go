@@ -61,58 +61,3 @@ func (g *Graph) checkVertex(v int) {
 		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, g.n))
 	}
 }
-
-// Neighbors returns the adjacency list of v. Callers must not mutate it.
-func (g *Graph) Neighbors(v int) []Arc {
-	g.checkVertex(v)
-	return g.adj[v]
-}
-
-// Degree returns the number of incident edge endpoints at v.
-func (g *Graph) Degree(v int) int {
-	g.checkVertex(v)
-	return len(g.adj[v])
-}
-
-// Edges returns every undirected edge once (u < v for parallel-free
-// graphs; parallel edges appear with multiplicity).
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.m)
-	for u := 0; u < g.n; u++ {
-		for _, a := range g.adj[u] {
-			if u < a.To {
-				out = append(out, Edge{u, a.To, a.W})
-			}
-		}
-	}
-	return out
-}
-
-// HasEdge reports whether at least one edge joins u and v.
-func (g *Graph) HasEdge(u, v int) bool {
-	g.checkVertex(u)
-	g.checkVertex(v)
-	// Scan the shorter list.
-	if len(g.adj[u]) > len(g.adj[v]) {
-		u, v = v, u
-	}
-	for _, a := range g.adj[u] {
-		if a.To == v {
-			return true
-		}
-	}
-	return false
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	sum := 0.0
-	for u := 0; u < g.n; u++ {
-		for _, a := range g.adj[u] {
-			if u < a.To {
-				sum += a.W
-			}
-		}
-	}
-	return sum
-}

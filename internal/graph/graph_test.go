@@ -39,17 +39,11 @@ func TestGraphBasics(t *testing.T) {
 	if g.N() != 4 || g.M() != 2 {
 		t.Fatalf("N=%d M=%d", g.N(), g.M())
 	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) || g.HasEdge(0, 2) {
-		t.Fatal("HasEdge wrong")
+	if len(g.adj[0]) != 1 || len(g.adj[1]) != 2 || len(g.adj[3]) != 0 {
+		t.Fatal("adjacency lists wrong")
 	}
-	if g.Degree(1) != 2 || g.Degree(3) != 0 {
-		t.Fatal("Degree wrong")
-	}
-	if got := g.TotalWeight(); got != 4 {
-		t.Fatalf("TotalWeight = %v", got)
-	}
-	if len(g.Edges()) != 2 {
-		t.Fatal("Edges wrong")
+	if got := edgeList(g); len(got) != 2 || got[0] != (Edge{0, 1, 2.5}) || got[1] != (Edge{1, 2, 1.5}) {
+		t.Fatalf("edges = %v", got)
 	}
 }
 
@@ -168,11 +162,24 @@ func TestUnionFind(t *testing.T) {
 	}
 }
 
+// edgeList returns every undirected edge of g once, as (u, v, w) with u < v.
+func edgeList(g *Graph) []Edge {
+	var out []Edge
+	for u := 0; u < g.n; u++ {
+		for _, a := range g.adj[u] {
+			if u < a.To {
+				out = append(out, Edge{u, a.To, a.W})
+			}
+		}
+	}
+	return out
+}
+
 // kruskalMST computes the minimum spanning forest with Kruskal's
 // algorithm: the reference CompleteEuclideanMST and the forest tests
 // check against.
 func kruskalMST(g *Graph) (edges []Edge, total float64) {
-	all := g.Edges()
+	all := edgeList(g)
 	sort.Slice(all, func(i, j int) bool { return all[i].W < all[j].W })
 	uf := NewUnionFind(g.N())
 	for _, e := range all {

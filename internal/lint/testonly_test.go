@@ -19,8 +19,9 @@ const rootPkg = "mobicol"
 // but that tests in several packages share, so no single _test.go file
 // can own them. Keys are call-graph display names.
 var testOnlyAllowlist = map[string]string{
-	"mobicol/internal/cover.NewInstance": "the uniform-range instance the cover tests and the root package's benchmarks build",
-	"mobicol/internal/engine.Unregister": "removes fixture planners in the engine, conformance and planbench tests",
+	"mobicol/internal/cover.NewInstance":          "the uniform-range instance the cover tests and the root package's benchmarks build",
+	"mobicol/internal/cover.(*Instance).ExactMin": "the exact minimum cover the cover tests check and shdgp's MinStopsILP test compares against",
+	"mobicol/internal/engine.Unregister":          "removes fixture planners in the engine, conformance and planbench tests",
 }
 
 // stdlibDispatched are method names the standard library calls through
@@ -42,11 +43,13 @@ var testSupportPkgs = map[string]bool{
 // TestNoTestOnlyCode fails on any non-test function that no binary and
 // no user of the root mobicol package can reach: code that only its own
 // tests call. The roots are every main and init, the root package's
-// exported functions, every exported method of a module type that its
-// API exposes, the methods the standard library dispatches through an
-// interface, and the test-support packages. The call graph walks
-// function bodies only, so a call from a package-level variable
-// initializer does not count. Fix a finding by deleting the function,
+// exported functions, the methods the standard library dispatches
+// through an interface, and the test-support packages; calls through a
+// module interface reach every implementation. An exported method
+// counts as used only when one of these reaches it, even when its type
+// is aliased in the root package. The call graph walks function bodies
+// only, so a call from a package-level variable initializer does not
+// count. Fix a finding by deleting the function,
 // moving it into a _test.go file, or, for a helper tests in several
 // packages share, adding it to testOnlyAllowlist with a reason. Skipped
 // under -short because type-checking the module takes a few seconds.
@@ -114,7 +117,6 @@ func declNode(pkg *Package, g *callgraph.Graph, fd *ast.FuncDecl) *callgraph.Nod
 // testOnlyRoots collects the reachability roots TestNoTestOnlyCode
 // documents.
 func testOnlyRoots(pkgs []*Package, g *callgraph.Graph) []*callgraph.Node {
-	exposed := exposedMethods(pkgs)
 	var roots []*callgraph.Node
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -135,99 +137,13 @@ func testOnlyRoots(pkgs []*Package, g *callgraph.Graph) []*callgraph.Node {
 				case testSupportPkgs[pkg.ImportPath],
 					fd.Recv == nil && (name == "init" || name == "main" && pkg.Types.Name() == "main"),
 					fd.Recv == nil && pkg.ImportPath == rootPkg && ast.IsExported(name),
-					fd.Recv != nil && stdlibDispatched[name],
-					exposed[n.Obj]:
+					fd.Recv != nil && stdlibDispatched[name]:
 					roots = append(roots, n)
 				}
 			}
 		}
 	}
 	return roots
-}
-
-// exposedMethods returns the exported methods of every module type the
-// root package's API exposes: a type is exposed when a type alias, an
-// exported function's parameter or result, an exported field, or an
-// exposed method's parameter or result reaches it, transitively.
-func exposedMethods(pkgs []*Package) map[*types.Func]bool {
-	inModule := func(p *types.Package) bool {
-		return p != nil && (p.Path() == rootPkg || strings.HasPrefix(p.Path(), rootPkg+"/"))
-	}
-	var root *types.Package
-	for _, pkg := range pkgs {
-		if pkg.ImportPath == rootPkg {
-			root = pkg.Types
-		}
-	}
-	out := map[*types.Func]bool{}
-	if root == nil {
-		return out
-	}
-	seen := map[types.Type]bool{}
-	var visit func(t types.Type)
-	visitSig := func(sig *types.Signature) {
-		for i := 0; i < sig.Params().Len(); i++ {
-			visit(sig.Params().At(i).Type())
-		}
-		for i := 0; i < sig.Results().Len(); i++ {
-			visit(sig.Results().At(i).Type())
-		}
-	}
-	exposeMethod := func(fn *types.Func) {
-		if !fn.Exported() || out[fn.Origin()] {
-			return
-		}
-		out[fn.Origin()] = true
-		visitSig(fn.Type().(*types.Signature))
-	}
-	visit = func(t types.Type) {
-		if t == nil || seen[t] {
-			return
-		}
-		seen[t] = true
-		switch t := t.(type) {
-		case *types.Alias:
-			visit(types.Unalias(t))
-		case *types.Named:
-			if !inModule(t.Obj().Pkg()) {
-				return
-			}
-			ms := types.NewMethodSet(types.NewPointer(t))
-			if types.IsInterface(t) {
-				ms = types.NewMethodSet(t)
-			}
-			for i := 0; i < ms.Len(); i++ {
-				exposeMethod(ms.At(i).Obj().(*types.Func))
-			}
-			visit(t.Underlying())
-		case *types.Pointer:
-			visit(t.Elem())
-		case *types.Slice:
-			visit(t.Elem())
-		case *types.Array:
-			visit(t.Elem())
-		case *types.Chan:
-			visit(t.Elem())
-		case *types.Map:
-			visit(t.Key())
-			visit(t.Elem())
-		case *types.Signature:
-			visitSig(t)
-		case *types.Struct:
-			for i := 0; i < t.NumFields(); i++ {
-				if f := t.Field(i); f.Exported() {
-					visit(f.Type())
-				}
-			}
-		}
-	}
-	scope := root.Scope()
-	for _, name := range scope.Names() {
-		if obj := scope.Lookup(name); obj.Exported() {
-			visit(obj.Type())
-		}
-	}
-	return out
 }
 
 // codeRE matches a blank or comment-only line.

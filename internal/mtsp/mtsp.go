@@ -68,26 +68,6 @@ func (mp *MultiPlan) TotalLength() float64 {
 	return t
 }
 
-// Validate checks that every stop is served exactly once.
-func (mp *MultiPlan) Validate(stops []geom.Point) error {
-	if len(mp.StopTour) != len(stops) {
-		return fmt.Errorf("mtsp: %d stop assignments for %d stops", len(mp.StopTour), len(stops))
-	}
-	count := 0
-	for _, tour := range mp.Tours {
-		count += len(tour)
-	}
-	if count != len(stops) {
-		return fmt.Errorf("mtsp: sub-tours visit %d stops, want %d", count, len(stops))
-	}
-	for i, t := range mp.StopTour {
-		if t < 0 || t >= len(mp.Tours) {
-			return fmt.Errorf("mtsp: stop %d assigned to tour %d of %d", i, t, len(mp.Tours))
-		}
-	}
-	return nil
-}
-
 func closedLength(sink geom.Point, stops []geom.Point) float64 {
 	if len(stops) == 0 {
 		return 0

@@ -1,6 +1,7 @@
 package mtsp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,6 +11,26 @@ import (
 )
 
 var sink = geom.Pt(100, 100)
+
+// validateSplit checks that every stop is served exactly once.
+func validateSplit(mp *MultiPlan, stops []geom.Point) error {
+	if len(mp.StopTour) != len(stops) {
+		return fmt.Errorf("mtsp: %d stop assignments for %d stops", len(mp.StopTour), len(stops))
+	}
+	count := 0
+	for _, tour := range mp.Tours {
+		count += len(tour)
+	}
+	if count != len(stops) {
+		return fmt.Errorf("mtsp: sub-tours visit %d stops, want %d", count, len(stops))
+	}
+	for i, t := range mp.StopTour {
+		if t < 0 || t >= len(mp.Tours) {
+			return fmt.Errorf("mtsp: stop %d assigned to tour %d of %d", i, t, len(mp.Tours))
+		}
+	}
+	return nil
+}
 
 func randStops(s *rng.Source, n int) []geom.Point {
 	pts := make([]geom.Point, n)
@@ -30,7 +51,7 @@ func TestMinCollectorsRespectsBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := mp.Validate(stops); err != nil {
+		if err := validateSplit(mp, stops); err != nil {
 			t.Fatal(err)
 		}
 		for i, l := range mp.Lengths() {
@@ -102,7 +123,7 @@ func TestMinMaxSplitKOne(t *testing.T) {
 	if mp.K() != 1 {
 		t.Fatalf("k=1 produced %d tours", mp.K())
 	}
-	if err := mp.Validate(stops); err != nil {
+	if err := validateSplit(mp, stops); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -116,7 +137,7 @@ func TestMinMaxSplitImprovesWithK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mp.Validate(stops); err != nil {
+		if err := validateSplit(mp, stops); err != nil {
 			t.Fatal(err)
 		}
 		if mp.K() > k {
@@ -195,8 +216,13 @@ func TestTourPlansPartitionSensors(t *testing.T) {
 	served := 0
 	for _, tp := range plans {
 		served += tp.Served()
-		if err := tp.Validate(sensors, 0); err != nil {
-			t.Fatal(err)
+		if len(tp.UploadAt) != len(sensors) {
+			t.Fatalf("%d assignments for %d sensors", len(tp.UploadAt), len(sensors))
+		}
+		for i, s := range tp.UploadAt {
+			if s < -1 || s >= len(tp.Stops) {
+				t.Fatalf("sensor %d assigned to stop %d of %d", i, s, len(tp.Stops))
+			}
 		}
 	}
 	if served != len(sensors) {

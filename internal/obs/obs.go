@@ -183,16 +183,6 @@ func (t *Trace) Summary() []SpanStat {
 	return out
 }
 
-// Err returns the first write error the trace encountered (nil-safe).
-func (t *Trace) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // Close emits one "metric" event per registry entry (sorted by name, so
 // the tail of the trace is deterministic) and returns the first error
 // seen on the stream. Closing a nil or already-closed trace is a no-op.

@@ -126,16 +126,6 @@ func (c *Counter) Add(delta int64) {
 	c.mu.Unlock()
 }
 
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
-
 // Gauge is a last-value-wins float metric.
 type Gauge struct {
 	mu   sync.Mutex
@@ -151,16 +141,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Lock()
 	g.v = v
 	g.mu.Unlock()
-}
-
-// Value returns the last value set (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
 }
 
 // Histogram buckets observations by ascending upper bounds: an
@@ -250,16 +230,6 @@ func bucketQuantile(bounds []float64, counts []int64, count int64, min, max floa
 		return math.Max(min, math.Min(max, v))
 	}
 	return max // counts summed below count would be a corrupt histogram; max is the safe answer
-}
-
-// Count returns the number of accepted observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 // Snapshot is a deterministic point-in-time copy of a registry, every

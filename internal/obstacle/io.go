@@ -14,22 +14,7 @@ type fileFormat struct {
 	Obstacles [][][2]float64 `json:"obstacles"`
 }
 
-// WriteJSON encodes the course to w.
-func (c *Course) WriteJSON(w io.Writer) error {
-	ff := fileFormat{Obstacles: make([][][2]float64, len(c.Obstacles))}
-	for i, o := range c.Obstacles {
-		ff.Obstacles[i] = make([][2]float64, len(o.V))
-		for j, v := range o.V {
-			ff.Obstacles[i][j] = [2]float64{v.X, v.Y}
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(ff)
-}
-
-// ReadJSON decodes a course previously written by WriteJSON (or hand
-// authored) and validates every polygon.
+// ReadJSON decodes a course and validates every polygon.
 func ReadJSON(r io.Reader) (*Course, error) {
 	var ff fileFormat
 	if err := json.NewDecoder(r).Decode(&ff); err != nil {

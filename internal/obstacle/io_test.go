@@ -2,10 +2,12 @@ package obstacle
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"mobicol/internal/geom"
+	"mobicol/internal/wsn"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -16,11 +18,19 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := course.WriteJSON(&buf); err != nil {
+	var ff fileFormat
+	for _, o := range course.Obstacles {
+		var vs [][2]float64
+		for _, v := range o.V {
+			vs = append(vs, [2]float64{v.X, v.Y})
+		}
+		ff.Obstacles = append(ff.Obstacles, vs)
+	}
+	data, err := json.Marshal(ff)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
+	got, err := ReadJSON(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,5 +59,22 @@ func TestReadJSONRejectsBadPolygons(t *testing.T) {
 	deg := `{"obstacles":[[[0,0],[1,1]]]}`
 	if _, err := ReadJSON(strings.NewReader(deg)); err == nil {
 		t.Fatal("degenerate polygon accepted")
+	}
+}
+
+// TestReadJSONRejectsNaNArea pins a course whose vertices are finite but
+// whose signed area overflows to NaN. NaN compares false against every
+// bound, so before the area check this course loaded, and PlanTour on
+// a 30-sensor field then failed late with "no path between" two points.
+func TestReadJSONRejectsNaNArea(t *testing.T) {
+	const nanArea = `{"obstacles":[[[1e308,0],[0,1e308],[1e308,1e308],[0,-1e308]]]}`
+	course, err := ReadJSON(strings.NewReader(nanArea))
+	if err == nil {
+		nw := wsn.MustDeploy(wsn.Config{N: 30, FieldSide: 100, Range: 25, Seed: 1})
+		_, perr := PlanTour(nw, course)
+		t.Fatalf("NaN-area course accepted (PlanTour then says: %v)", perr)
+	}
+	if !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("error %q does not name the non-finite area", err)
 	}
 }

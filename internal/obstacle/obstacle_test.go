@@ -24,6 +24,13 @@ func TestPolygonValidate(t *testing.T) {
 	if err := (Polygon{V: []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}}).Validate(); err == nil {
 		t.Fatal("degenerate polygon accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := square(0, 0, 10, 10)
+		p.V[2].X = bad
+		if err := p.Validate(); err == nil {
+			t.Fatalf("polygon with a %v vertex accepted", bad)
+		}
+	}
 }
 
 func TestPolygonContains(t *testing.T) {
@@ -173,7 +180,7 @@ func TestDeployAroundAvoidsObstacles(t *testing.T) {
 		if course.Inside(node.Pos) {
 			t.Fatalf("sensor %d inside an obstacle", i)
 		}
-		if !nw.Field.Contains(node.Pos) {
+		if !nw.Field.Clamp(node.Pos).Eq(node.Pos) {
 			t.Fatalf("sensor %d left the field", i)
 		}
 	}

@@ -34,13 +34,25 @@ func Rectangle(r geom.Rect) Polygon {
 	}}
 }
 
-// Validate checks the polygon is usable: at least 3 vertices and
-// counter-clockwise orientation.
+// Validate checks the polygon is usable: at least 3 finite vertices in
+// counter-clockwise order, enclosing a finite positive area. Finite
+// vertices far apart can overflow the area to Inf or NaN, and NaN
+// compares false against every bound, so the area is checked for
+// finiteness before its sign.
 func (p Polygon) Validate() error {
 	if len(p.V) < 3 {
 		return fmt.Errorf("obstacle: polygon needs >= 3 vertices, has %d", len(p.V))
 	}
-	if p.signedArea() <= 0 {
+	for i, v := range p.V {
+		if math.IsNaN(v.X) || math.IsInf(v.X, 0) || math.IsNaN(v.Y) || math.IsInf(v.Y, 0) {
+			return fmt.Errorf("obstacle: vertex %d at %v is not finite", i, v)
+		}
+	}
+	a := p.signedArea()
+	if math.IsNaN(a) || math.IsInf(a, 0) {
+		return fmt.Errorf("obstacle: polygon area %v is not finite", a)
+	}
+	if a <= 0 {
 		return fmt.Errorf("obstacle: polygon vertices must be counter-clockwise")
 	}
 	return nil

@@ -6,8 +6,6 @@
 package routing
 
 import (
-	"fmt"
-
 	"mobicol/internal/graph"
 	"mobicol/internal/wsn"
 )
@@ -83,51 +81,4 @@ func (p *Plan) CoverageFraction() float64 {
 		return 1
 	}
 	return float64(p.Net.N()-len(p.Disconnected)) / float64(p.Net.N())
-}
-
-// MaxLoad returns the heaviest per-round transmission load and the sensor
-// carrying it. Sink-adjacent sensors relay everything in a static-sink
-// network — the hot-spot problem mobility removes.
-func (p *Plan) MaxLoad() (load, sensor int) {
-	for i, l := range p.Load {
-		if l > load {
-			load, sensor = l, i
-		}
-	}
-	return load, sensor
-}
-
-// TotalTransmissions returns the network-wide packet transmissions per
-// round (each hop of each packet counts once).
-func (p *Plan) TotalTransmissions() int {
-	total := 0
-	for _, l := range p.Load {
-		total += l
-	}
-	return total
-}
-
-// Validate checks plan invariants: every connected sensor's forwarding
-// chain terminates at the sink without cycles, and loads are consistent.
-func (p *Plan) Validate() error {
-	n := p.Net.N()
-	for i := 0; i < n; i++ {
-		if !p.Connected(i) {
-			continue
-		}
-		steps := 0
-		for v := i; v != DirectUpload; v = p.NextHop[v] {
-			if v == Unreachable {
-				return fmt.Errorf("routing: connected sensor %d routes into unreachable node", i)
-			}
-			steps++
-			if steps > n {
-				return fmt.Errorf("routing: forwarding cycle reachable from sensor %d", i)
-			}
-		}
-		if steps != p.Hops[i] {
-			return fmt.Errorf("routing: sensor %d path length %d != hop count %d", i, steps, p.Hops[i])
-		}
-	}
-	return nil
 }

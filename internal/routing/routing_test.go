@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 
 	"mobicol/internal/geom"
@@ -14,6 +15,32 @@ func chainNet(n int) *wsn.Network {
 		pts[i] = geom.Pt(float64(8*(i+1)), 0)
 	}
 	return wsn.New(pts, geom.Pt(0, 0), 10, geom.Square(500))
+}
+
+// validatePlan checks plan invariants: every connected sensor's
+// forwarding chain terminates at the sink without cycles, in as many
+// steps as its hop count.
+func validatePlan(p *Plan) error {
+	n := p.Net.N()
+	for i := 0; i < n; i++ {
+		if !p.Connected(i) {
+			continue
+		}
+		steps := 0
+		for v := i; v != DirectUpload; v = p.NextHop[v] {
+			if v == Unreachable {
+				return fmt.Errorf("routing: connected sensor %d routes into unreachable node", i)
+			}
+			steps++
+			if steps > n {
+				return fmt.Errorf("routing: forwarding cycle reachable from sensor %d", i)
+			}
+		}
+		if steps != p.Hops[i] {
+			return fmt.Errorf("routing: sensor %d path length %d != hop count %d", i, steps, p.Hops[i])
+		}
+	}
+	return nil
 }
 
 func TestBuildPlanChain(t *testing.T) {
@@ -33,14 +60,8 @@ func TestBuildPlanChain(t *testing.T) {
 			t.Fatalf("Load = %v, want %v", p.Load, want)
 		}
 	}
-	if err := p.Validate(); err != nil {
+	if err := validatePlan(p); err != nil {
 		t.Fatal(err)
-	}
-	if got, sensor := p.MaxLoad(); got != 4 || sensor != 0 {
-		t.Fatalf("MaxLoad = %d at %d", got, sensor)
-	}
-	if p.TotalTransmissions() != 10 {
-		t.Fatalf("TotalTransmissions = %d", p.TotalTransmissions())
 	}
 }
 
@@ -60,7 +81,7 @@ func TestDisconnectedSensors(t *testing.T) {
 	if got := p.CoverageFraction(); got != 0.5 {
 		t.Fatalf("CoverageFraction = %v", got)
 	}
-	if err := p.Validate(); err != nil {
+	if err := validatePlan(p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -69,18 +90,19 @@ func TestPlanOnRandomDeployments(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		nw := wsn.MustDeploy(wsn.Config{N: 150, FieldSide: 200, Range: 30, Seed: seed})
 		p := BuildPlan(nw)
-		if err := p.Validate(); err != nil {
+		if err := validatePlan(p); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// Conservation: total transmissions equals sum over connected
 		// sensors of their hop counts (each packet transmits once per hop).
-		wantTotal := 0
+		got, wantTotal := 0, 0
 		for i := 0; i < nw.N(); i++ {
+			got += p.Load[i]
 			if p.Connected(i) {
 				wantTotal += p.Hops[i]
 			}
 		}
-		if got := p.TotalTransmissions(); got != wantTotal {
+		if got != wantTotal {
 			t.Fatalf("seed %d: total tx %d != sum of hops %d", seed, got, wantTotal)
 		}
 	}
@@ -89,7 +111,12 @@ func TestPlanOnRandomDeployments(t *testing.T) {
 func TestSinkAdjacentCarryTheLoad(t *testing.T) {
 	nw := wsn.MustDeploy(wsn.Config{N: 300, FieldSide: 200, Range: 30, Seed: 5})
 	p := BuildPlan(nw)
-	maxLoad, sensor := p.MaxLoad()
+	maxLoad, sensor := 0, 0
+	for i, l := range p.Load {
+		if l > maxLoad {
+			maxLoad, sensor = l, i
+		}
+	}
 	if maxLoad < 2 {
 		t.Skip("degenerate deployment")
 	}
@@ -104,7 +131,7 @@ func TestEmptyNetwork(t *testing.T) {
 	if p.CoverageFraction() != 1 {
 		t.Fatal("empty network coverage should be 1")
 	}
-	if err := p.Validate(); err != nil {
+	if err := validatePlan(p); err != nil {
 		t.Fatal(err)
 	}
 }

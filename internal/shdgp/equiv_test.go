@@ -15,8 +15,15 @@ import (
 	"mobicol/internal/tsp"
 )
 
-// dropRedundantOracle is the pre-cache fixed-point implementation, kept
-// verbatim: remove the first redundant stop, restart, repeat.
+// subsetOf reports whether every element of a is in b.
+func subsetOf(a, b *bitset.Set) bool {
+	rest := a.Clone()
+	rest.AndNot(b)
+	return rest.Empty()
+}
+
+// dropRedundantOracle is the pre-cache fixed-point implementation:
+// remove the first redundant stop, restart, repeat.
 func dropRedundantOracle(inst *cover.Instance, chosen *[]int) bool {
 	covers := inst.CoverSets()
 	dropped := false
@@ -30,7 +37,7 @@ func dropRedundantOracle(inst *cover.Instance, chosen *[]int) bool {
 					rest.Or(covers[c])
 				}
 			}
-			if covers[cur[i]].SubsetOf(rest) {
+			if subsetOf(covers[cur[i]], rest) {
 				removeAt = i
 				break
 			}
@@ -117,7 +124,7 @@ func relocateStopsOracle(p *Problem, inst *cover.Instance, chosen []int) bool {
 			if c == chosen[i] {
 				continue
 			}
-			if !critical.SubsetOf(covers[c]) {
+			if !subsetOf(critical, covers[c]) {
 				continue
 			}
 			alt := inst.Candidates[c]

@@ -18,8 +18,7 @@
 package shdgp
 
 import (
-	"fmt"
-
+	"mobicol/internal/check"
 	"mobicol/internal/collector"
 	"mobicol/internal/cover"
 	"mobicol/internal/geom"
@@ -99,33 +98,13 @@ type PlanStats struct {
 // Stops returns the number of polling points (excluding the sink).
 func (s *Solution) Stops() int { return len(s.Plan.Stops) }
 
-// Validate checks the single-hop guarantee and tour consistency against
-// the problem's network.
+// Validate checks the solution against the plan oracle (check.Plan) and
+// its recorded length against the tour geometry (check.RecordedLength).
 func (s *Solution) Validate(p *Problem) error {
-	sensors := p.Net.Positions()
-	if err := s.Plan.Validate(sensors, p.Net.Range); err != nil {
+	if err := check.Plan(p.Net, s.Plan, check.Options{}); err != nil {
 		return err
 	}
-	for i, stop := range s.Plan.UploadAt {
-		if stop < 0 {
-			return fmt.Errorf("shdgp: sensor %d has no upload stop", i)
-		}
-	}
-	if got := s.Plan.Length(); !almostEq(got, s.Length) {
-		return fmt.Errorf("shdgp: recorded length %.4f != recomputed %.4f", s.Length, got)
-	}
-	if !s.Plan.Sink.Eq(p.Net.Sink) {
-		return fmt.Errorf("shdgp: tour anchored at %v, sink is %v", s.Plan.Sink, p.Net.Sink)
-	}
-	return nil
-}
-
-func almostEq(a, b geom.Meters) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1e-6*(1+b)
+	return check.RecordedLength(s.Plan, s.Length)
 }
 
 // buildSolution assembles a Solution from chosen candidate indices: order

@@ -38,21 +38,6 @@ func (rt *RoundTrace) MaxQueue() int {
 	return m
 }
 
-// MeanDone returns the mean collection time over arrived packets.
-func (rt *RoundTrace) MeanDone() float64 {
-	sum, n := 0.0, 0
-	for _, t := range rt.Done {
-		if t >= 0 {
-			sum += t
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // DESMobileRound simulates one collector round at packet granularity: the
 // collector drives stop to stop at spec.Speed and polls each assigned
 // sensor sequentially (spec.UploadTime each). Done[i] is the pickup time.

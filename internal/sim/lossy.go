@@ -36,8 +36,8 @@ func (m *LossyMobile) Name() string { return m.Label }
 
 // assigned returns the number of sensors known to both the plan and the
 // network. Clamping every per-sensor loop to it keeps a malformed plan
-// (wrong UploadAt arity) from indexing out of bounds; the shortfall is
-// surfaced through Unserved instead of a panic or a silent skip.
+// (wrong UploadAt arity) from indexing out of bounds; the sensors past
+// the plan's end spend nothing and count as not gathered in Coverage.
 func (m *LossyMobile) assigned() int {
 	n := len(m.Plan.UploadAt)
 	if m.net.N() < n {
@@ -46,25 +46,8 @@ func (m *LossyMobile) assigned() int {
 	return n
 }
 
-// Unserved returns how many sensors get no valid upload this round:
-// sensors the plan strands (UploadAt = -1 or a bogus stop index) plus any
-// sensors the plan does not cover at all.
-func (m *LossyMobile) Unserved() int {
-	u := 0
-	for i := 0; i < m.assigned(); i++ {
-		if s := m.Plan.UploadAt[i]; s < 0 || s >= len(m.Plan.Stops) {
-			u++
-		}
-	}
-	if extra := m.net.N() - len(m.Plan.UploadAt); extra > 0 {
-		u += extra
-	}
-	return u
-}
-
 // ChargeRound implements Scheme: expected attempts × per-attempt cost.
-// Sensors without a valid upload stop spend nothing — they are counted by
-// Unserved, not silently dropped from the energy story.
+// Sensors without a valid upload stop spend nothing.
 func (m *LossyMobile) ChargeRound(led *energy.Ledger) {
 	r := m.net.Range
 	for i := 0; i < m.assigned(); i++ {

@@ -26,7 +26,7 @@ func TestRenderObstacleTour(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := RenderObstacleTour(&buf, nw, course, tour, DefaultStyle()); err != nil {
+	if err := RenderObstacleTour(&buf, nw, course, tour); err != nil {
 		t.Fatal(err)
 	}
 	svg := buf.String()
@@ -48,7 +48,7 @@ func TestRenderObstacleTourNilTour(t *testing.T) {
 	}
 	nw := wsn.MustDeploy(wsn.Config{N: 10, FieldSide: 100, Range: 30, Seed: 1})
 	var buf bytes.Buffer
-	if err := RenderObstacleTour(&buf, nw, course, nil, Style{}); err != nil {
+	if err := RenderObstacleTour(&buf, nw, course, nil); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "<polyline") {

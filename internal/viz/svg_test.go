@@ -16,7 +16,7 @@ func TestRenderTourWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := RenderTour(&buf, nw, sol.Plan, DefaultStyle()); err != nil {
+	if err := RenderTour(&buf, nw, sol.Plan); err != nil {
 		t.Fatal(err)
 	}
 	svg := buf.String()
@@ -37,7 +37,7 @@ func TestRenderTourWellFormed(t *testing.T) {
 func TestRenderTourNilPlan(t *testing.T) {
 	nw := wsn.MustDeploy(wsn.Config{N: 20, FieldSide: 100, Range: 25, Seed: 3})
 	var buf bytes.Buffer
-	if err := RenderTour(&buf, nw, nil, Style{}); err != nil {
+	if err := RenderTour(&buf, nw, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "<circle") {
@@ -45,5 +45,25 @@ func TestRenderTourNilPlan(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "<polyline") {
 		t.Fatal("polyline rendered without a plan")
+	}
+}
+
+func TestRenderTourSkipsUnassignedSpokes(t *testing.T) {
+	nw := wsn.MustDeploy(wsn.Config{N: 20, FieldSide: 100, Range: 25, Seed: 3})
+	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spokes := func() int {
+		var buf bytes.Buffer
+		if err := RenderTour(&buf, nw, sol.Plan); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(buf.String(), "<line")
+	}
+	all := spokes()
+	sol.Plan.UploadAt[0] = -1
+	if got := spokes(); got != all-1 {
+		t.Fatalf("%d spokes with sensor 0 unassigned, want %d", got, all-1)
 	}
 }

@@ -26,7 +26,7 @@ func FuzzNetworkRead(f *testing.F) {
 		}
 		// Exercise the accessors a malformed network would break.
 		_ = nw.N()
-		_ = nw.Field.Contains(nw.Sink)
+		_ = nw.Field.Clamp(nw.Sink)
 		for i := 0; i < nw.N(); i++ {
 			if d := nw.Nodes[i].Pos.Dist(nw.Sink); d < 0 {
 				t.Fatalf("negative distance %v for sensor %d", d, i)

@@ -100,22 +100,6 @@ func (nw *Network) buildGraph() *graph.Graph {
 	return g
 }
 
-// NeighborsOf returns the IDs of sensors within transmission range of p
-// (excluding any sensor exactly at index `exclude`; pass -1 to keep all).
-func (nw *Network) NeighborsOf(p geom.Point, exclude int) []int {
-	buf := nw.ensureIndex().Within(p, nw.Range, nil)
-	if exclude < 0 {
-		return buf
-	}
-	out := buf[:0]
-	for _, i := range buf {
-		if i != exclude {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // CoveredBy returns the sensor IDs within transmission range of point p —
 // the sensors that could upload to a collector parked at p in a single hop.
 func (nw *Network) CoveredBy(p geom.Point) []int {

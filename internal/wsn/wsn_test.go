@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mobicol/internal/geom"
+	"mobicol/internal/graph"
 	"mobicol/internal/rng"
 )
 
@@ -31,7 +32,7 @@ func TestGraphIsUnitDisk(t *testing.T) {
 	// 0-1 within range; 2 isolated.
 	nw := New([]geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(50, 50)}, geom.Pt(0, 0), 12, geom.Square(60))
 	g := nw.Graph()
-	if !g.HasEdge(0, 1) || g.HasEdge(0, 2) || g.HasEdge(1, 2) {
+	if g.M() != 1 || graph.BFS(g, 0).Dist[1] != 1 || graph.BFS(g, 2).Dist[0] != -1 {
 		t.Fatal("unit-disk edges wrong")
 	}
 }
@@ -39,12 +40,17 @@ func TestGraphIsUnitDisk(t *testing.T) {
 func TestGraphMatchesBruteForce(t *testing.T) {
 	nw := MustDeploy(Config{N: 150, FieldSide: 200, Range: 30, Seed: 7})
 	g := nw.Graph()
+	// j is one hop from i exactly when the two are within range.
 	for i := 0; i < nw.N(); i++ {
-		for j := i + 1; j < nw.N(); j++ {
+		hops := graph.BFS(g, i).Dist
+		for j := 0; j < nw.N(); j++ {
+			if j == i {
+				continue
+			}
 			inRange := nw.Nodes[i].Pos.Dist(nw.Nodes[j].Pos) <= nw.Range+geom.Eps
-			if g.HasEdge(i, j) != inRange {
+			if (hops[j] == 1) != inRange {
 				t.Fatalf("edge (%d,%d): graph says %v, geometry says %v",
-					i, j, g.HasEdge(i, j), inRange)
+					i, j, hops[j] == 1, inRange)
 			}
 		}
 	}
@@ -55,16 +61,6 @@ func TestCoveredBy(t *testing.T) {
 	got := nw.CoveredBy(geom.Pt(1, 0))
 	if len(got) != 2 {
 		t.Fatalf("CoveredBy = %v", got)
-	}
-}
-
-func TestNeighborsOfExclude(t *testing.T) {
-	nw := New([]geom.Point{geom.Pt(0, 0), geom.Pt(5, 0)}, geom.Pt(0, 0), 10, geom.Square(40))
-	if got := nw.NeighborsOf(geom.Pt(0, 0), 0); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("NeighborsOf exclude = %v", got)
-	}
-	if got := nw.NeighborsOf(geom.Pt(0, 0), -1); len(got) != 2 {
-		t.Fatalf("NeighborsOf keep-all = %v", got)
 	}
 }
 
@@ -96,7 +92,7 @@ func TestDeployAllPlacementsInField(t *testing.T) {
 			t.Fatalf("%v: N = %d", p, nw.N())
 		}
 		for _, n := range nw.Nodes {
-			if !nw.Field.Contains(n.Pos) {
+			if !nw.Field.Clamp(n.Pos).Eq(n.Pos) {
 				t.Fatalf("%v: node %d at %v outside field", p, n.ID, n.Pos)
 			}
 		}
@@ -233,5 +229,23 @@ func BenchmarkDeployAndGraph(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nw := MustDeploy(Config{N: 500, FieldSide: 300, Range: 30, Seed: uint64(i)})
 		nw.Graph()
+	}
+}
+
+func TestPlacementAndNetworkStrings(t *testing.T) {
+	for i, want := range []string{"uniform", "grid-jitter", "clustered", "ring", "corridor"} {
+		if got := Placement(i).String(); got != want {
+			t.Fatalf("Placement(%d).String() = %q, want %q", i, got, want)
+		}
+	}
+	if got := Placement(99).String(); got != "Placement(99)" {
+		t.Fatalf("unknown placement String() = %q", got)
+	}
+	nw := New([]geom.Point{geom.Pt(1, 1)}, geom.Pt(50, 50), 12.5, geom.Square(100))
+	if got, want := nw.String(), "wsn.Network{N=1, R=12.5m, field=100x100m, sink=(50.00, 50.00)}"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	if got := New(nil, geom.Pt(0, 0), 10, geom.Square(10)).AvgDegree(); got != 0 {
+		t.Fatalf("empty network AvgDegree = %v, want 0", got)
 	}
 }
