@@ -30,7 +30,6 @@ import (
 	"mobicol/internal/obs/report"
 	"mobicol/internal/obstacle"
 	"mobicol/internal/par"
-	"mobicol/internal/tsp"
 	"mobicol/internal/viz"
 	"mobicol/internal/wsn"
 )
@@ -186,9 +185,9 @@ func run() error {
 	if *k > 1 || *bound > 0 {
 		var mp *mtsp.MultiPlan
 		if *bound > 0 {
-			mp, err = mtsp.MinCollectors(nw.Sink, plan.Stops, *bound, tsp.DefaultOptions())
+			mp, err = mtsp.MinCollectors(nw.Sink, plan.Stops, *bound)
 		} else {
-			mp, err = mtsp.MinMaxSplit(nw.Sink, plan.Stops, *k, tsp.DefaultOptions())
+			mp, err = mtsp.MinMaxSplit(nw.Sink, plan.Stops, *k)
 		}
 		if err != nil {
 			return err

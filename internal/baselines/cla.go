@@ -16,7 +16,7 @@ package baselines
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mobicol/internal/collector"
 	"mobicol/internal/geom"
@@ -38,19 +38,30 @@ func PlanCLA(nw *wsn.Network) (*collector.TourPlan, error) {
 	}
 	r := nw.Range
 	field := nw.Field
-	// Place lines every 2R starting R above the field bottom; clamp the
-	// topmost line into the field.
-	var ys []float64
-	for y := field.Min.Y + r; y < field.Max.Y+r; y += 2 * r {
-		ys = append(ys, math.Min(y, field.Max.Y))
+	// Sweep lines sit every 2R starting R above the field bottom, with
+	// the topmost clamped into the field: line k lies at lineY(k) for
+	// 0 <= k < lines. Only the lines some sensor is nearest to are built,
+	// so the plan costs O(n log n) however far the range is below the
+	// field height. Line indices are float64 so that a huge line count
+	// cannot overflow an int.
+	step := 2 * r
+	lines := math.Ceil((field.Max.Y - field.Min.Y) / step)
+	lineY := func(k float64) float64 {
+		return math.Min(field.Min.Y+r+k*step, field.Max.Y)
 	}
-	// Assign each sensor to the nearest line; verify coverage.
-	lineOf := make([]int, n)
+	// Assign each sensor to the nearest line (ties to the lower line);
+	// verify coverage. The nearest line is next to the one below the
+	// sensor, or the clamped top line.
+	lineOf := make([]float64, n)
 	for i, node := range nw.Nodes {
-		best, bd := -1, math.Inf(1)
-		for li, y := range ys {
-			if d := math.Abs(node.Pos.Y - y); d < bd {
-				best, bd = li, d
+		below := math.Floor((node.Pos.Y - field.Min.Y - r) / step)
+		best, bd := -1.0, math.Inf(1)
+		for _, k := range [4]float64{below - 1, below, below + 1, lines - 1} {
+			if k < 0 || !(k < lines) {
+				continue
+			}
+			if d := math.Abs(node.Pos.Y - lineY(k)); d < bd {
+				best, bd = k, d
 			}
 		}
 		if bd > r+geom.Eps {
@@ -58,47 +69,45 @@ func PlanCLA(nw *wsn.Network) (*collector.TourPlan, error) {
 		}
 		lineOf[i] = best
 	}
-	// Trim each occupied line to its sensors' x-extent.
+	// Trim each occupied line to its sensors' x-extent, bottom-up.
 	type segment struct {
 		y, x0, x1 float64
-		any       bool
 	}
-	segs := make([]segment, len(ys))
-	for li, y := range ys {
-		segs[li] = segment{y: y, x0: math.Inf(1), x1: math.Inf(-1)}
+	occupied := slices.Clone(lineOf)
+	slices.Sort(occupied)
+	occupied = slices.Compact(occupied)
+	segs := make([]segment, len(occupied))
+	for li, k := range occupied {
+		segs[li] = segment{y: lineY(k), x0: math.Inf(1), x1: math.Inf(-1)}
 	}
+	// uploadAt holds each sensor's segment until the stops are laid out.
+	uploadAt := make([]int, n)
 	for i, node := range nw.Nodes {
-		s := &segs[lineOf[i]]
-		s.any = true
+		uploadAt[i], _ = slices.BinarySearch(occupied, lineOf[i])
+		s := &segs[uploadAt[i]]
 		s.x0 = math.Min(s.x0, node.Pos.X)
 		s.x1 = math.Max(s.x1, node.Pos.X)
 	}
-	occupied := segs[:0]
-	for _, s := range segs {
-		if s.any {
-			occupied = append(occupied, s)
-		}
-	}
-	sort.Slice(occupied, func(i, j int) bool { return occupied[i].y < occupied[j].y })
 
 	// Serpentine: traverse lines bottom-up, alternating direction, with
-	// each line's endpoints as tour stops. Remember the stop index of
-	// each line's left endpoint so sensors can be anchored later.
+	// each line's endpoints as tour stops. Line li's stops are
+	// stops[first[li]:first[li+1]], one or two of them.
 	var stops []geom.Point
-	lineStart := make(map[float64]int, len(occupied)) // y -> index of first stop of that line
+	first := make([]int, len(segs)+1)
 	leftToRight := true
-	for _, s := range occupied {
+	for li, s := range segs {
 		a, b := geom.Pt(s.x0, s.y), geom.Pt(s.x1, s.y)
 		if !leftToRight {
 			a, b = b, a
 		}
-		lineStart[s.y] = len(stops)
+		first[li] = len(stops)
 		stops = append(stops, a)
 		if !a.Eq(b) {
 			stops = append(stops, b)
 		}
 		leftToRight = !leftToRight
 	}
+	first[len(segs)] = len(stops)
 	// Upload stops: each sensor uploads as the collector passes its
 	// projection onto its line. Executable plans need a discrete stop, so
 	// insert per-sensor projection stops only logically: assign the
@@ -106,16 +115,12 @@ func PlanCLA(nw *wsn.Network) (*collector.TourPlan, error) {
 	// unchanged (the projection lies on the driven segment), and the
 	// single-hop property holds for the vertical component; Validate is
 	// therefore called with the line-distance semantics by the caller.
-	uploadAt := make([]int, n)
 	for i, node := range nw.Nodes {
-		y := ys[lineOf[i]]
-		start := lineStart[y]
-		uploadAt[i] = start
-		//mdglint:ignore floateq stop Y coordinates are copied verbatim from ys, so equality is exact by construction
-		if start+1 < len(stops) && stops[start+1].Y == y {
-			if node.Pos.Dist2(stops[start+1]) < node.Pos.Dist2(stops[start]) {
-				uploadAt[i] = start + 1
-			}
+		li := uploadAt[i]
+		a := first[li]
+		uploadAt[i] = a
+		if first[li+1] == a+2 && node.Pos.Dist2(stops[a+1]) < node.Pos.Dist2(stops[a]) {
+			uploadAt[i] = a + 1
 		}
 	}
 	return &collector.TourPlan{Sink: nw.Sink, Stops: stops, UploadAt: uploadAt}, nil

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"mobicol/internal/baselines"
@@ -9,7 +10,6 @@ import (
 	"mobicol/internal/engine"
 	"mobicol/internal/par"
 	"mobicol/internal/shdgp"
-	"mobicol/internal/tsp"
 	"mobicol/internal/wsn"
 )
 
@@ -54,11 +54,8 @@ func deploy(n int, side, r float64, seed uint64) *wsn.Network {
 
 // planSHDG runs the default heuristic planner.
 func planSHDG(nw *wsn.Network) (*shdgp.Solution, error) {
-	return shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	return shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 }
-
-// tspOpts is the tour configuration shared by the harness.
-func tspOpts() tsp.Options { return tsp.DefaultOptions() }
 
 // checkEnginePlan verifies an engine-produced plan against the invariant
 // oracles when cfg.Check is set; the plan's own UploadDist hook covers

@@ -44,7 +44,7 @@ func E14Hetero(cfg Config) (*Table, error) {
 					radii[i] = 30
 				}
 			}
-			sol, err := shdgp.PlanHetero(nw, radii, tspOpts())
+			sol, err := shdgp.PlanHetero(nw, radii)
 			if err != nil {
 				return nil, fmt.Errorf("E14 frac=%v trial %d: %w", frac, trial, err)
 			}

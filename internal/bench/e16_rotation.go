@@ -41,7 +41,7 @@ func E16Rotation(cfg Config) (*Table, error) {
 		for trial := 0; trial < cfg.trials(); trial++ {
 			seed := cfg.Seed + uint64(trial)*91099
 			nw := deploy(n, 200, 30, seed)
-			sols, err := shdgp.PlanDiverse(shdgp.NewProblem(nw), k, tspOpts())
+			sols, err := shdgp.PlanDiverse(shdgp.NewProblem(nw), k)
 			if err != nil {
 				return nil, err
 			}

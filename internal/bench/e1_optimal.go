@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"mobicol/internal/baselines"
@@ -35,7 +36,7 @@ func E1OptimalGap(cfg Config) (*Table, error) {
 			seed := cfg.Seed + uint64(trial)*1000 + uint64(n)
 			nw := deploy(n, 70, 25, seed)
 			p := shdgp.NewProblem(nw)
-			opt, err := shdgp.PlanExact(p, shdgp.DefaultExactLimits())
+			opt, err := shdgp.PlanExact(context.Background(), p)
 			if err != nil {
 				return nil, fmt.Errorf("E1 N=%d trial %d: %w", n, trial, err)
 			}
@@ -47,7 +48,7 @@ func E1OptimalGap(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ilp, _, err := shdgp.MinStopsILP(p, 200000)
+			ilp, _, err := shdgp.MinStopsILP(p)
 			if err != nil {
 				return nil, err
 			}

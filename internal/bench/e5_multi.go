@@ -42,7 +42,7 @@ func E5MultiCollector(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			mp, err := mtsp.MinCollectors(nw.Sink, sol.Plan.Stops, bound, tspOpts())
+			mp, err := mtsp.MinCollectors(nw.Sink, sol.Plan.Stops, bound)
 			if err != nil {
 				return nil, fmt.Errorf("E5 bound=%v trial %d: %w", bound, trial, err)
 			}
@@ -65,7 +65,7 @@ func E5MultiCollector(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			mp, err := mtsp.MinMaxSplit(nw.Sink, sol.Plan.Stops, k, tspOpts())
+			mp, err := mtsp.MinMaxSplit(nw.Sink, sol.Plan.Stops, k)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -68,7 +69,7 @@ func E8Ablations(cfg Config) (*Table, error) {
 			if sweep {
 				sol, err = shdgp.PlanSweep(p, v.opts.TSP)
 			} else {
-				sol, err = shdgp.Plan(p, v.opts)
+				sol, err = shdgp.Plan(context.Background(), p, v.opts)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("E8 %q trial %d: %w", v.name, trial, err)

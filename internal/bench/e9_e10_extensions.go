@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"mobicol/internal/collector"
@@ -46,9 +47,9 @@ func E9BufferCapacity(cfg Config) (*Table, error) {
 			var sol *shdgp.Solution
 			var err error
 			if cap == 0 {
-				sol, err = shdgp.Plan(p, shdgp.DefaultPlannerOptions())
+				sol, err = shdgp.Plan(context.Background(), p, shdgp.DefaultPlannerOptions())
 			} else {
-				sol, err = shdgp.PlanCapacitated(p, cap, tspOpts())
+				sol, err = shdgp.PlanCapacitated(p, cap)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("E9 cap=%d trial %d: %w", cap, trial, err)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -76,7 +77,7 @@ func scaleDeploy(cfg Config, n int) *wsn.Network {
 func scalePlan(cfg Config, nw *wsn.Network) (*shdgp.Solution, error) {
 	p := shdgp.NewProblem(nw)
 	p.Pool = cfg.pool()
-	sol, err := shdgp.Plan(p, shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), p, shdgp.DefaultPlannerOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +99,7 @@ func scaleSHDG(cfg Config, n int) (ScaleBench, error) {
 	if err != nil {
 		return ScaleBench{}, fmt.Errorf("bench: scale cold replan n=%d: %w", n, err)
 	}
-	warm, st, err := replan.Repair(nw2, sol.Plan, carried, replan.Options{Pool: cfg.pool()})
+	warm, st, err := replan.Repair(context.Background(), nw2, sol.Plan, carried, replan.Options{Pool: cfg.pool()})
 	if err == nil {
 		err = check.Plan(nw2, warm, check.Options{})
 	}

@@ -93,7 +93,7 @@ func TestLedgerOracleAcceptsSimulations(t *testing.T) {
 	for _, sc := range check.Scenarios(0x1ED6E5, 8) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			sol, err := shdgp.Plan(shdgp.NewProblem(sc.Net), shdgp.DefaultPlannerOptions())
+			sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(sc.Net), shdgp.DefaultPlannerOptions())
 			if err != nil {
 				t.Fatalf("plan: %v", err)
 			}
@@ -148,7 +148,7 @@ func TestAdaptiveReplansAreChecked(t *testing.T) {
 // as not gathered in Coverage, and malformed arity cannot panic.
 func TestLossyMobileUnserved(t *testing.T) {
 	sc := check.Scenarios(0x105, 1)[0]
-	sol, err := shdgp.Plan(shdgp.NewProblem(sc.Net), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(sc.Net), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

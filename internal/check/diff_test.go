@@ -4,6 +4,7 @@
 package check_test
 
 import (
+	"context"
 	"testing"
 
 	"mobicol/internal/check"
@@ -42,11 +43,11 @@ func TestHeuristicNeverBeatsExact(t *testing.T) {
 	nets := smallNets(0xD1FF, 40)
 	for i, nw := range nets {
 		p := shdgp.NewProblem(nw)
-		heur, err := shdgp.Plan(p, shdgp.DefaultPlannerOptions())
+		heur, err := shdgp.Plan(context.Background(), p, shdgp.DefaultPlannerOptions())
 		if err != nil {
 			t.Fatalf("net %d: heuristic: %v", i, err)
 		}
-		ex, err := shdgp.PlanExact(p, shdgp.DefaultExactLimits())
+		ex, err := shdgp.PlanExact(context.Background(), p)
 		if err != nil {
 			t.Fatalf("net %d: exact: %v", i, err)
 		}

@@ -43,11 +43,21 @@ func (tp *TourPlan) Length() geom.Meters {
 	return geom.Meters(total + tp.Stops[len(tp.Stops)-1].Dist(tp.Sink))
 }
 
+// StopOf returns the index into Stops of the stop sensor i uploads at,
+// or -1 when it has none. An UploadAt entry outside [0, len(Stops))
+// counts as unserved wherever a plan is read.
+func (tp *TourPlan) StopOf(i int) int {
+	if s := tp.UploadAt[i]; s >= 0 && s < len(tp.Stops) {
+		return s
+	}
+	return -1
+}
+
 // SensorsAt returns how many sensors upload at each stop.
 func (tp *TourPlan) SensorsAt() []int {
 	counts := make([]int, len(tp.Stops))
-	for _, s := range tp.UploadAt {
-		if s >= 0 {
+	for i := range tp.UploadAt {
+		if s := tp.StopOf(i); s >= 0 {
 			counts[s]++
 		}
 	}
@@ -57,8 +67,8 @@ func (tp *TourPlan) SensorsAt() []int {
 // Served returns the number of sensors with an upload stop.
 func (tp *TourPlan) Served() int {
 	c := 0
-	for _, s := range tp.UploadAt {
-		if s >= 0 {
+	for i := range tp.UploadAt {
+		if tp.StopOf(i) >= 0 {
 			c++
 		}
 	}

@@ -176,78 +176,6 @@ func TestPruneKeepsOneOfEquals(t *testing.T) {
 	}
 }
 
-func TestExactMinOptimality(t *testing.T) {
-	// Three sensor clusters; one candidate per cluster centre covers the
-	// whole cluster, so the optimum is 3 while per-sensor covers need 6.
-	sensors := []geom.Point{
-		geom.Pt(0, 0), geom.Pt(4, 0),
-		geom.Pt(100, 0), geom.Pt(104, 0),
-		geom.Pt(0, 100), geom.Pt(4, 100),
-	}
-	cands := append([]geom.Point{geom.Pt(2, 0), geom.Pt(102, 0), geom.Pt(2, 100)}, sensors...)
-	in := NewInstance(sensors, cands, 3)
-	chosen, exact, err := in.ExactMin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exact {
-		t.Fatal("tiny instance not solved exactly")
-	}
-	if len(chosen) != 3 {
-		t.Fatalf("exact cover size %d, want 3", len(chosen))
-	}
-	if !isCover(in, chosen) {
-		t.Fatal("exact result is not a cover")
-	}
-}
-
-func TestExactNeverWorseThanGreedy(t *testing.T) {
-	s := rng.New(71)
-	for trial := 0; trial < 15; trial++ {
-		sensors := randSensors(s, 10+s.Intn(20), 120)
-		cands := mustCandidates(t, sensors, geom.Square(120), 30, Intersections, 0)
-		in := NewInstance(sensors, cands, 30)
-		greedy, err := in.Greedy(geom.Pt(60, 60))
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactSet, exact, err := in.ExactMin(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !exact {
-			t.Fatal("small instance not solved exactly")
-		}
-		if len(exactSet) > len(greedy) {
-			t.Fatalf("exact (%d) worse than greedy (%d)", len(exactSet), len(greedy))
-		}
-		if !isCover(in, exactSet) {
-			t.Fatal("exact result is not a cover")
-		}
-	}
-}
-
-func TestExactMinNodeCap(t *testing.T) {
-	s := rng.New(72)
-	sensors := randSensors(s, 60, 200)
-	in := NewInstance(sensors, sensors, 25)
-	chosen, _, err := in.ExactMin(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !isCover(in, chosen) {
-		t.Fatal("capped search returned a non-cover")
-	}
-}
-
-func TestExactMinInfeasible(t *testing.T) {
-	sensors := []geom.Point{geom.Pt(0, 0), geom.Pt(500, 500)}
-	in := NewInstance(sensors, []geom.Point{geom.Pt(0, 0)}, 5)
-	if _, _, err := in.ExactMin(0); err == nil {
-		t.Fatal("infeasible instance did not error")
-	}
-}
-
 func TestGenerateCandidatesStrategies(t *testing.T) {
 	s := rng.New(73)
 	sensors := randSensors(s, 40, 100)
@@ -309,17 +237,6 @@ func BenchmarkGreedy300(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := in.Greedy(geom.Pt(150, 150)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExactMin20(b *testing.B) {
-	sensors := randSensors(rng.New(2), 20, 100)
-	in := NewInstance(sensors, sensors, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := in.ExactMin(0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // -algo vocabulary:
 //
 //	shdg       internal/shdgp.Plan          (heuristic: cover + TSP + refine)
-//	exact      internal/shdgp.PlanExact     (optimal within DefaultExactLimits)
+//	exact      internal/shdgp.PlanExact     (optimal within its size limits)
 //	visit-all  internal/shdgp.PlanVisitAll  (d=0 baseline: tour every sensor)
 //	sweep      internal/shdgp.PlanSweep     (SPT-preorder covering ablation)
 //	cla        internal/baselines.PlanCLA   (paper's covering-line sweep)
@@ -59,13 +59,13 @@ func solutionResult(sol *shdgp.Solution) (*Plan, Stats) {
 	return &Plan{Tour: sol.Plan, Algorithm: sol.Algorithm}, st
 }
 
-// runSHDG adapts the heuristic planner. Cancellation rides the planner's
-// own phase-boundary Step hook (candidates → cover → refine → tsp).
+// runSHDG adapts the heuristic planner, which checks ctx at its phase
+// boundaries (candidates → cover → refine → tsp) and before each refine
+// pass.
 func runSHDG(ctx context.Context, sc Scenario, opts Options) (*Plan, Stats, error) {
 	po := shdgp.DefaultPlannerOptions()
 	po.Obs = opts.Obs
-	po.Step = ctx.Err
-	sol, err := shdgp.Plan(problem(sc, opts), po)
+	sol, err := shdgp.Plan(ctx, problem(sc, opts), po)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -73,15 +73,15 @@ func runSHDG(ctx context.Context, sc Scenario, opts Options) (*Plan, Stats, erro
 	return pl, st, nil
 }
 
-// runExact adapts the exact solver. The enumeration is one indivisible
-// phase, so cancellation is honored at the phase boundary only.
+// runExact adapts the exact solver, which checks ctx inside its
+// heuristic incumbent's phases and every 4,096 enumeration nodes.
 func runExact(ctx context.Context, sc Scenario, opts Options) (*Plan, Stats, error) {
 	root := opts.Obs.Start("plan")
 	defer root.End()
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	sol, err := shdgp.PlanExact(problem(sc, opts), shdgp.DefaultExactLimits())
+	sol, err := shdgp.PlanExact(ctx, problem(sc, opts))
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -99,9 +99,9 @@ func runVisitAll(ctx context.Context, sc Scenario, opts Options) (*Plan, Stats, 
 		return nil, Stats{}, err
 	}
 	sp := root.Child("tsp")
-	tspOpts := tsp.DefaultOptions()
-	tspOpts.Obs = sp
-	sol, err := shdgp.PlanVisitAll(problem(sc, opts), tspOpts)
+	tourOpts := tsp.DefaultOptions()
+	tourOpts.Obs = sp
+	sol, err := shdgp.PlanVisitAll(problem(sc, opts), tourOpts)
 	sp.End()
 	if err != nil {
 		return nil, Stats{}, err
@@ -118,9 +118,9 @@ func runSweep(ctx context.Context, sc Scenario, opts Options) (*Plan, Stats, err
 		return nil, Stats{}, err
 	}
 	sp := root.Child("tsp")
-	tspOpts := tsp.DefaultOptions()
-	tspOpts.Obs = sp
-	sol, err := shdgp.PlanSweep(problem(sc, opts), tspOpts)
+	tourOpts := tsp.DefaultOptions()
+	tourOpts.Obs = sp
+	sol, err := shdgp.PlanSweep(problem(sc, opts), tourOpts)
 	sp.End()
 	if err != nil {
 		return nil, Stats{}, err
@@ -169,8 +169,8 @@ func runWarm(ctx context.Context, sc Scenario, opts Options) (*Plan, Stats, erro
 	if carried == nil {
 		carried = replan.CarryPositional(sc.Prev, sc.Net.N())
 	}
-	ro := replan.Options{Pool: opts.Pool, Obs: opts.Obs, Step: ctx.Err}
-	tour, rst, err := replan.Repair(sc.Net, sc.Prev, carried, ro)
+	ro := replan.Options{Pool: opts.Pool, Obs: opts.Obs}
+	tour, rst, err := replan.Repair(ctx, sc.Net, sc.Prev, carried, ro)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"mobicol/internal/check"
 	"mobicol/internal/collector"
@@ -126,8 +126,10 @@ func TestSuiteReportsEmptyScenarioFilter(t *testing.T) {
 }
 
 // TestCancelUnderLoad is the cancellation smoke the CI job runs with
-// -race: start a 10k-sensor plan, cancel mid-flight at 50 ms, and demand
-// a clean context.Canceled return with no goroutines left behind.
+// -race: start a 10k-sensor plan, cancel it from the progress hook as
+// the refine phase starts (refine is the largest phase of an shdg plan),
+// and demand a clean context.Canceled return with no goroutines left
+// behind.
 func TestCancelUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-sensor plan; skipped in -short")
@@ -139,24 +141,96 @@ func TestCancelUnderLoad(t *testing.T) {
 	}
 	check.NoLeakedGoroutines(t, func() {
 		ctx, cancel := context.WithCancel(context.Background())
-		timer := time.AfterFunc(50*time.Millisecond, cancel)
-		defer timer.Stop()
 		defer cancel()
-		pl, _, err := p.Plan(ctx, engine.Scenario{Net: nw}, engine.Options{Pool: par.Workers(8)})
-		if err == nil {
-			// The planner beat the timer; a fast machine makes this a
-			// no-op run, not a failure.
-			t.Logf("n=10k plan finished before the 50ms cancel landed")
-			if pl == nil {
-				t.Error("nil plan with nil error")
+		var phases []string
+		opts := engine.Options{Pool: par.Workers(8), Progress: func(ev engine.Event) {
+			if !ev.Done {
+				phases = append(phases, ev.Phase)
 			}
-			return
-		}
+			if ev.Phase == "refine" && !ev.Done {
+				cancel()
+			}
+		}}
+		pl, _, err := p.Plan(ctx, engine.Scenario{Net: nw}, opts)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("want context.Canceled, got %v", err)
 		}
 		if pl != nil {
 			t.Error("non-nil plan alongside cancellation")
 		}
+		if want := []string{"plan", "candidates", "cover", "refine"}; !slices.Equal(phases, want) {
+			t.Errorf("started phases %v, want %v", phases, want)
+		}
 	})
+}
+
+// TestAdversarialNetworks runs every registered planner on networks at
+// the edges of the model: ranges far below the sensor spacing (a grid
+// index sized by the range, or one CLA sweep line per 2R, would need
+// gigabytes), a field whose squared extent overflows, and the empty,
+// one-sensor, coincident, collinear and range-exceeds-field networks.
+// Each run must return an oracle-valid plan or an error, never panic.
+func TestAdversarialNetworks(t *testing.T) {
+	deploy := func(n int, side, r float64) *wsn.Network {
+		nw, err := wsn.Deploy(wsn.Config{N: n, FieldSide: side, Range: r, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	// 14 collinear sensors: at 20 the exact planner spends its whole
+	// 5·10⁶-node budget, seconds of search, because the MST bound prunes
+	// little on a line.
+	line := make([]geom.Point, 14)
+	for i := range line {
+		line[i] = geom.Pt(5*float64(i), 50)
+	}
+	same := make([]geom.Point, 10)
+	for i := range same {
+		same[i] = geom.Pt(30, 30)
+	}
+	field := geom.Square(100)
+	// A 100 m field 1e17 m up, where one 2 m sweep step is below half an
+	// ulp of the coordinates.
+	far := geom.NewRect(geom.Pt(0, 1e17), geom.Pt(100, 1e17+100))
+	farPts := make([]geom.Point, 10)
+	for i := range farPts {
+		farPts[i] = geom.Pt(10*float64(i), 1e17+10*float64(i))
+	}
+	nets := []struct {
+		name string
+		nw   *wsn.Network
+	}{
+		{"range-1mm", deploy(50, 200, 0.001)},
+		{"extent-1e300", wsn.New([]geom.Point{geom.Pt(0, 0), geom.Pt(1e300, 1e300), geom.Pt(5e299, 1)}, geom.Pt(0, 0), 30, geom.Square(1e300))},
+		{"range-1nm", deploy(20, 100, 1e-9)},
+		{"empty", wsn.New(nil, field.Center(), 10, field)},
+		{"one-sensor", wsn.New([]geom.Point{geom.Pt(10, 10)}, field.Center(), 10, field)},
+		{"coincident", wsn.New(same, field.Center(), 10, field)},
+		{"collinear", wsn.New(line, field.Center(), 12, field)},
+		{"range-exceeds-field", deploy(30, 100, 500)},
+		{"offset-field-1e17", wsn.New(farPts, far.Center(), 1, far)},
+	}
+	for _, name := range engine.Names() {
+		p, _ := engine.Lookup(name)
+		for _, tc := range nets {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic: %v", r)
+					}
+				}()
+				pl, st, err := p.Plan(context.Background(), engine.Scenario{Net: tc.nw}, engine.Options{})
+				if err != nil {
+					return
+				}
+				if err := check.Plan(tc.nw, pl.Tour, check.Options{UploadDist: pl.UploadDist}); err != nil {
+					t.Fatalf("oracle: %v", err)
+				}
+				if err := check.RecordedLength(pl.Tour, st.Length); err != nil {
+					t.Fatalf("stats: %v", err)
+				}
+			})
+		}
+	}
 }

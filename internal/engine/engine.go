@@ -168,6 +168,9 @@ func (p *planFunc) Plan(ctx context.Context, sc Scenario, opts Options) (*Plan, 
 	if sc.Net == nil {
 		return nil, Stats{}, fmt.Errorf("engine: %s: scenario has no network", p.name)
 	}
+	if err := sc.Net.Validate(); err != nil {
+		return nil, Stats{}, fmt.Errorf("engine: %s: %w", p.name, err)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}

@@ -30,12 +30,16 @@ type GridIndex struct {
 	ys        []float64
 }
 
-// NewGridIndex indexes pts with the given cell size (> 0). The index keeps
-// a reference to pts; callers must not mutate the slice afterwards.
+// NewGridIndex indexes pts with the given cell size (> 0). The cell table
+// is capped near 4 cells per point (plus slack for tiny n): a cell size
+// far below the points' spacing grows the cell instead, so the table
+// stays O(n) for any cell size and extent. Queries return the same
+// point sets whatever the cell size. The index keeps a reference to
+// pts; callers must not mutate the slice afterwards.
 //
 //mdglint:allow-mut(initializes only the index's freshly allocated CSR arrays; pts is retained read-only by the documented contract above)
 func NewGridIndex(pts []Point, cell float64) *GridIndex {
-	if cell <= 0 {
+	if !(cell > 0) {
 		//mdglint:ignore nopanic documented precondition; cell sizes are positive literals or ranges in all callers
 		panic("geom: NewGridIndex with non-positive cell size")
 	}
@@ -46,9 +50,11 @@ func NewGridIndex(pts []Point, cell float64) *GridIndex {
 		return g
 	}
 	b := Bound(pts)
+	span := math.Max(b.Max.X-b.Min.X, b.Max.Y-b.Min.Y)
+	g.cell = math.Max(cell, span/math.Sqrt(4*float64(len(pts))+64))
 	g.minX, g.minY = b.Min.X, b.Min.Y
-	g.cols = int(math.Floor((b.Max.X-b.Min.X)/cell)) + 1
-	g.rows = int(math.Floor((b.Max.Y-b.Min.Y)/cell)) + 1
+	g.cols = int(math.Floor((b.Max.X-b.Min.X)/g.cell)) + 1
+	g.rows = int(math.Floor((b.Max.Y-b.Min.Y)/g.cell)) + 1
 	// Counting sort by cell key. Appending point indices in input order
 	// keeps each cell's bucket ascending, matching the map-of-slices
 	// construction this replaces bit for bit.
@@ -87,9 +93,9 @@ const DefaultGridOccupancy = 2.0
 // at n=100k a range-sized cell on a dense field holds hundreds of
 // points and every query degenerates toward a linear scan — while
 // occupancy-derived cells keep per-cell work constant at any n. The
-// cell table is capped near 4 cells per point so degenerate aspect
-// ratios cannot balloon memory, and coincident point sets fall back to
-// a single-cell index.
+// cell table is capped by NewGridIndex, so degenerate aspect ratios
+// cannot balloon memory, and coincident point sets fall back to a
+// single-cell index.
 func NewGridIndexAuto(pts []Point, targetOccupancy float64) *GridIndex {
 	if targetOccupancy <= 0 {
 		targetOccupancy = DefaultGridOccupancy
@@ -112,11 +118,6 @@ func NewGridIndexAuto(pts []Point, targetOccupancy float64) *GridIndex {
 		// Collinear points: one axis is degenerate, so size along the
 		// populated axis only.
 		cell = span * targetOccupancy / float64(n)
-	}
-	// Never allow more than ~4 cells per point (plus slack for tiny n):
-	// the table must stay O(n) even for extreme occupancy requests.
-	if minCell := span / math.Sqrt(4*float64(n)+64); cell < minCell {
-		cell = minCell
 	}
 	return NewGridIndex(pts, cell)
 }

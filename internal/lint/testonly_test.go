@@ -19,9 +19,8 @@ const rootPkg = "mobicol"
 // but that tests in several packages share, so no single _test.go file
 // can own them. Keys are call-graph display names.
 var testOnlyAllowlist = map[string]string{
-	"mobicol/internal/cover.NewInstance":          "the uniform-range instance the cover tests and the root package's benchmarks build",
-	"mobicol/internal/cover.(*Instance).ExactMin": "the exact minimum cover the cover tests check and shdgp's MinStopsILP test compares against",
-	"mobicol/internal/engine.Unregister":          "removes fixture planners in the engine, conformance and planbench tests",
+	"mobicol/internal/cover.NewInstance": "the uniform-range instance the cover tests and the root package's benchmarks build",
+	"mobicol/internal/engine.Unregister": "removes fixture planners in the engine, conformance and planbench tests",
 }
 
 // stdlibDispatched are method names the standard library calls through

@@ -81,11 +81,11 @@ func closedLength(sink geom.Point, stops []geom.Point) float64 {
 
 // masterOrder builds the master tour over sink + stops and returns the
 // stop indices in visiting order (sink excluded).
-func masterOrder(sink geom.Point, stops []geom.Point, opts tsp.Options) []int {
+func masterOrder(sink geom.Point, stops []geom.Point) []int {
 	pts := make([]geom.Point, 0, len(stops)+1)
 	pts = append(pts, sink)
 	pts = append(pts, stops...)
-	tour := tsp.Solve(pts, opts)
+	tour := tsp.Solve(pts, tsp.DefaultOptions())
 	tour.RotateTo(0)
 	order := make([]int, 0, len(stops))
 	for _, idx := range tour[1:] {
@@ -130,7 +130,7 @@ func splitByBound(sink geom.Point, stops []geom.Point, order []int, bound float6
 
 // assemble turns index segments into a MultiPlan, re-optimising each
 // sub-tour with the TSP engine (sink anchored).
-func assemble(sink geom.Point, stops []geom.Point, segments [][]int, opts tsp.Options) *MultiPlan {
+func assemble(sink geom.Point, stops []geom.Point, segments [][]int) *MultiPlan {
 	mp := &MultiPlan{Sink: sink, StopTour: make([]int, len(stops))}
 	for i := range mp.StopTour {
 		mp.StopTour[i] = -1
@@ -141,7 +141,7 @@ func assemble(sink geom.Point, stops []geom.Point, segments [][]int, opts tsp.Op
 		for _, s := range seg {
 			segPts = append(segPts, stops[s])
 		}
-		tour := tsp.Solve(segPts, opts)
+		tour := tsp.Solve(segPts, tsp.DefaultOptions())
 		tour.RotateTo(0)
 		ordered := make([]geom.Point, 0, len(seg))
 		for _, idx := range tour[1:] {
@@ -165,20 +165,20 @@ func assemble(sink geom.Point, stops []geom.Point, segments [][]int, opts tsp.Op
 // MinCollectors returns the fewest sub-tours, each of closed length at
 // most bound, covering all stops. It errors when some stop cannot be
 // visited within the bound even by a dedicated collector.
-func MinCollectors(sink geom.Point, stops []geom.Point, bound float64, opts tsp.Options) (*MultiPlan, error) {
+func MinCollectors(sink geom.Point, stops []geom.Point, bound float64) (*MultiPlan, error) {
 	if bound <= 0 {
 		return nil, fmt.Errorf("mtsp: non-positive tour bound %v", bound)
 	}
 	if len(stops) == 0 {
 		return &MultiPlan{Sink: sink}, nil
 	}
-	order := masterOrder(sink, stops, opts)
+	order := masterOrder(sink, stops)
 	segments := splitByBound(sink, stops, order, bound)
 	if segments == nil {
 		return nil, fmt.Errorf("mtsp: a stop needs a %0.1fm round trip, exceeding the %0.1fm bound",
 			worstRoundTrip(sink, stops), bound)
 	}
-	mp := assemble(sink, stops, segments, opts)
+	mp := assemble(sink, stops, segments)
 	// Re-optimisation can only shorten sub-tours, so the bound still holds;
 	// verify defensively.
 	for _, l := range mp.Lengths() {
@@ -201,14 +201,14 @@ func worstRoundTrip(sink geom.Point, stops []geom.Point) float64 {
 // longest sub-tour. It binary-searches the bound over splitByBound: the
 // number of segments needed is non-increasing in the bound, so the search
 // converges to the smallest bound feasible with k segments.
-func MinMaxSplit(sink geom.Point, stops []geom.Point, k int, opts tsp.Options) (*MultiPlan, error) {
+func MinMaxSplit(sink geom.Point, stops []geom.Point, k int) (*MultiPlan, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("mtsp: need at least one collector, got %d", k)
 	}
 	if len(stops) == 0 {
 		return &MultiPlan{Sink: sink}, nil
 	}
-	order := masterOrder(sink, stops, opts)
+	order := masterOrder(sink, stops)
 	lo := worstRoundTrip(sink, stops)
 	hi := closedLength(sink, orderedPts(stops, order))
 	var bestSegs [][]int
@@ -230,7 +230,7 @@ func MinMaxSplit(sink geom.Point, stops []geom.Point, k int, opts tsp.Options) (
 			return nil, fmt.Errorf("mtsp: internal error: no feasible %d-split", k)
 		}
 	}
-	return assemble(sink, stops, bestSegs, opts), nil
+	return assemble(sink, stops, bestSegs), nil
 }
 
 func orderedPts(stops []geom.Point, order []int) []geom.Point {
@@ -268,7 +268,7 @@ func (mp *MultiPlan) TourPlans(sensors []geom.Point, uploadAt []int, masterStops
 		}
 	}
 	for i, a := range uploadAt {
-		if a < 0 {
+		if a < 0 || a >= len(masterStops) {
 			continue
 		}
 		l, ok := locOf[masterStops[a]]

@@ -7,7 +7,6 @@ import (
 
 	"mobicol/internal/geom"
 	"mobicol/internal/rng"
-	"mobicol/internal/tsp"
 )
 
 var sink = geom.Pt(100, 100)
@@ -40,14 +39,12 @@ func randStops(s *rng.Source, n int) []geom.Point {
 	return pts
 }
 
-func opts() tsp.Options { return tsp.DefaultOptions() }
-
 func TestMinCollectorsRespectsBound(t *testing.T) {
 	s := rng.New(90)
 	for trial := 0; trial < 10; trial++ {
 		stops := randStops(s, 10+s.Intn(40))
 		bound := s.Uniform(300, 700)
-		mp, err := MinCollectors(sink, stops, bound, opts())
+		mp, err := MinCollectors(sink, stops, bound)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -65,7 +62,7 @@ func TestMinCollectorsRespectsBound(t *testing.T) {
 func TestMinCollectorsSingleTourWhenBoundLoose(t *testing.T) {
 	s := rng.New(91)
 	stops := randStops(s, 20)
-	mp, err := MinCollectors(sink, stops, 1e9, opts())
+	mp, err := MinCollectors(sink, stops, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +76,7 @@ func TestMinCollectorsMonotoneInBound(t *testing.T) {
 	stops := randStops(s, 40)
 	prev := -1
 	for _, bound := range []float64{400, 600, 800, 1200, 2000} {
-		mp, err := MinCollectors(sink, stops, bound, opts())
+		mp, err := MinCollectors(sink, stops, bound)
 		if err != nil {
 			t.Fatalf("bound %v: %v", bound, err)
 		}
@@ -92,19 +89,19 @@ func TestMinCollectorsMonotoneInBound(t *testing.T) {
 
 func TestMinCollectorsInfeasibleBound(t *testing.T) {
 	stops := []geom.Point{geom.Pt(0, 0)} // 2*dist(sink, stop) ≈ 283 m
-	if _, err := MinCollectors(sink, stops, 100, opts()); err == nil {
+	if _, err := MinCollectors(sink, stops, 100); err == nil {
 		t.Fatal("infeasible bound accepted")
 	}
 }
 
 func TestMinCollectorsRejectsBadBound(t *testing.T) {
-	if _, err := MinCollectors(sink, nil, 0, opts()); err == nil {
+	if _, err := MinCollectors(sink, nil, 0); err == nil {
 		t.Fatal("zero bound accepted")
 	}
 }
 
 func TestMinCollectorsEmptyStops(t *testing.T) {
-	mp, err := MinCollectors(sink, nil, 100, opts())
+	mp, err := MinCollectors(sink, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +113,7 @@ func TestMinCollectorsEmptyStops(t *testing.T) {
 func TestMinMaxSplitKOne(t *testing.T) {
 	s := rng.New(93)
 	stops := randStops(s, 25)
-	mp, err := MinMaxSplit(sink, stops, 1, opts())
+	mp, err := MinMaxSplit(sink, stops, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +130,7 @@ func TestMinMaxSplitImprovesWithK(t *testing.T) {
 	stops := randStops(s, 50)
 	prev := math.Inf(1)
 	for k := 1; k <= 6; k++ {
-		mp, err := MinMaxSplit(sink, stops, k, opts())
+		mp, err := MinMaxSplit(sink, stops, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +157,7 @@ func TestMinMaxSplitBoundedBelowByWorstRoundTrip(t *testing.T) {
 	for _, p := range stops {
 		worst = math.Max(worst, 2*sink.Dist(p))
 	}
-	mp, err := MinMaxSplit(sink, stops, 30, opts())
+	mp, err := MinMaxSplit(sink, stops, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +167,7 @@ func TestMinMaxSplitBoundedBelowByWorstRoundTrip(t *testing.T) {
 }
 
 func TestMinMaxSplitRejectsBadK(t *testing.T) {
-	if _, err := MinMaxSplit(sink, nil, 0, opts()); err == nil {
+	if _, err := MinMaxSplit(sink, nil, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -178,7 +175,7 @@ func TestMinMaxSplitRejectsBadK(t *testing.T) {
 func TestTotalLengthAtLeastMaxLength(t *testing.T) {
 	s := rng.New(96)
 	stops := randStops(s, 35)
-	mp, err := MinMaxSplit(sink, stops, 4, opts())
+	mp, err := MinMaxSplit(sink, stops, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +199,7 @@ func TestTourPlansPartitionSensors(t *testing.T) {
 		}
 		uploadAt[i] = best
 	}
-	mp, err := MinMaxSplit(sink, stops, 3, opts())
+	mp, err := MinMaxSplit(sink, stops, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +225,25 @@ func TestTourPlansPartitionSensors(t *testing.T) {
 	if served != len(sensors) {
 		t.Fatalf("plans serve %d of %d sensors", served, len(sensors))
 	}
+	// A master stop index past the end leaves that sensor unserved.
+	uploadAt[0] = len(stops)
+	plans, err = mp.TourPlans(sensors, uploadAt, stops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served = 0
+	for _, tp := range plans {
+		served += tp.Served()
+	}
+	if served != len(sensors)-1 {
+		t.Fatalf("plans serve %d of %d sensors with sensor 0's stop out of range", served, len(sensors))
+	}
 }
 
 func TestStopTourConsistent(t *testing.T) {
 	s := rng.New(98)
 	stops := randStops(s, 30)
-	mp, err := MinMaxSplit(sink, stops, 3, opts())
+	mp, err := MinMaxSplit(sink, stops, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,10 +263,9 @@ func TestStopTourConsistent(t *testing.T) {
 
 func BenchmarkMinCollectors(b *testing.B) {
 	stops := randStops(rng.New(1), 60)
-	o := opts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinCollectors(sink, stops, 600, o); err != nil {
+		if _, err := MinCollectors(sink, stops, 600); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,10 +273,9 @@ func BenchmarkMinCollectors(b *testing.B) {
 
 func BenchmarkMinMaxSplit(b *testing.B) {
 	stops := randStops(rng.New(2), 60)
-	o := opts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinMaxSplit(sink, stops, 4, o); err != nil {
+		if _, err := MinMaxSplit(sink, stops, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

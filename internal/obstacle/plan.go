@@ -1,6 +1,7 @@
 package obstacle
 
 import (
+	"context"
 	"fmt"
 
 	"mobicol/internal/geom"
@@ -51,7 +52,7 @@ func PlanTour(nw *wsn.Network, course *Course) (*Tour, error) {
 	if course.Inside(nw.Sink) {
 		return nil, fmt.Errorf("obstacle: the sink at %v is inside an obstacle", nw.Sink)
 	}
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		return nil, err
 	}

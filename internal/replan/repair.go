@@ -1,6 +1,7 @@
 package replan
 
 import (
+	"context"
 	"fmt"
 
 	"mobicol/internal/collector"
@@ -24,19 +25,6 @@ type Options struct {
 	// Obs, when non-nil, receives per-phase spans (carry, rehome,
 	// recover, splice, improve). Nil disables tracing.
 	Obs *obs.Trace
-	// Step, when non-nil, is consulted at every phase boundary (carry →
-	// rehome → recover → splice/improve); a non-nil return aborts the
-	// repair with that error. The engine seam wires context cancellation
-	// here. A Step that always returns nil never changes the output.
-	Step func() error
-}
-
-// step consults the phase-boundary hook, if any.
-func (o Options) step() error {
-	if o.Step == nil {
-		return nil
-	}
-	return o.Step()
 }
 
 // Stats summarises what a repair touched; everything it does not mention
@@ -68,9 +56,12 @@ func (s Stats) Dirty() int { return s.Rehomed + s.Recovered }
 // Bounded 2-opt/Or-opt passes run seeded with the spliced and ejected
 // segments; an empty touch set skips them entirely.
 //
+// Repair checks ctx at every phase boundary (carry → rehome → recover →
+// splice/improve) and returns ctx's error there.
+//
 //mdglint:hotpath
 //mdglint:allow-alloc(repair runs once per scenario change and owns the plan it returns)
-func Repair(nw *wsn.Network, prev *collector.TourPlan, carried []int, opts Options) (*collector.TourPlan, Stats, error) {
+func Repair(ctx context.Context, nw *wsn.Network, prev *collector.TourPlan, carried []int, opts Options) (*collector.TourPlan, Stats, error) {
 	root := opts.Obs.Start("replan")
 	defer root.End()
 
@@ -113,7 +104,7 @@ func Repair(nw *wsn.Network, prev *collector.TourPlan, carried []int, opts Optio
 	spCarry.SetInt("kept", int64(st.Kept))
 	spCarry.SetInt("dirty", int64(len(dirty)))
 	spCarry.End()
-	if err := opts.step(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, st, err
 	}
 
@@ -140,7 +131,7 @@ func Repair(nw *wsn.Network, prev *collector.TourPlan, carried []int, opts Optio
 	st.Recovered = len(dirty)
 	spRehome.SetInt("rehomed", int64(st.Rehomed))
 	spRehome.End()
-	if err := opts.step(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, st, err
 	}
 
@@ -170,7 +161,7 @@ func Repair(nw *wsn.Network, prev *collector.TourPlan, carried []int, opts Optio
 	st.NewStops = len(newStops)
 	spRecover.SetInt("new_stops", int64(st.NewStops))
 	spRecover.End()
-	if err := opts.step(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, st, err
 	}
 

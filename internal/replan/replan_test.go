@@ -1,6 +1,7 @@
 package replan
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -25,7 +26,7 @@ func RepairDelta(prevNet *wsn.Network, prev *collector.TourPlan, d Delta, opts O
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}
-	plan, st, err := Repair(nw, prev, carried, opts)
+	plan, st, err := Repair(context.Background(), nw, prev, carried, opts)
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}
@@ -38,7 +39,7 @@ func deploy(n int, side, r float64, seed uint64) *wsn.Network {
 
 func coldPlan(t testing.TB, nw *wsn.Network) *collector.TourPlan {
 	t.Helper()
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestRepairEmptyDeltaIsIdentity(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		nw := deploy(250, 300, 30, seed)
 		prev := coldPlan(t, nw)
-		got, st, err := Repair(nw, prev, CarryPositional(prev, nw.N()), Options{})
+		got, st, err := Repair(context.Background(), nw, prev, CarryPositional(prev, nw.N()), Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -192,16 +193,16 @@ func TestRepairAdditionKeepsOldStops(t *testing.T) {
 func TestRepairErrors(t *testing.T) {
 	nw := deploy(50, 150, 30, 3)
 	prev := coldPlan(t, nw)
-	if _, _, err := Repair(nw, prev, make([]int, nw.N()+1), Options{}); err == nil {
+	if _, _, err := Repair(context.Background(), nw, prev, make([]int, nw.N()+1), Options{}); err == nil {
 		t.Fatal("carried-length mismatch accepted")
 	}
 	bad := CarryPositional(prev, nw.N())
 	bad[0] = len(prev.Stops)
-	if _, _, err := Repair(nw, prev, bad, Options{}); err == nil {
+	if _, _, err := Repair(context.Background(), nw, prev, bad, Options{}); err == nil {
 		t.Fatal("out-of-range carried stop accepted")
 	}
 	shifted := &collector.TourPlan{Sink: geom.Point{X: -1, Y: -1}, Stops: prev.Stops, UploadAt: prev.UploadAt}
-	if _, _, err := Repair(nw, shifted, CarryPositional(shifted, nw.N()), Options{}); err == nil {
+	if _, _, err := Repair(context.Background(), nw, shifted, CarryPositional(shifted, nw.N()), Options{}); err == nil {
 		t.Fatal("sink mismatch accepted")
 	}
 	if _, _, err := (Delta{Removed: []int{nw.N()}}).Apply(nw, CarryPositional(prev, nw.N())); err == nil {
@@ -234,7 +235,7 @@ func TestRepairWarmSpeedup(t *testing.T) {
 	var st Stats
 	for trial := 0; trial < 3; trial++ {
 		w = obs.StartWatch()
-		warm, st, err = Repair(nw2, prev, carried, Options{})
+		warm, st, err = Repair(context.Background(), nw2, prev, carried, Options{})
 		if d := w.ElapsedNs(); d < warmNs {
 			warmNs = d
 		}

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func plannedNet(t *testing.T, seed uint64) (*wsn.Network, *collector.TourPlan) {
 	t.Helper()
 	nw := wsn.MustDeploy(wsn.Config{N: 120, FieldSide: 200, Range: 30, Seed: seed})
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"mobicol/internal/bitset"
 	"mobicol/internal/collector"
-	"mobicol/internal/geom"
 	"mobicol/internal/graph"
 	"mobicol/internal/tsp"
 )
@@ -23,7 +22,7 @@ import (
 // candidate in all strategies and a sensor is its own nearest uncovered
 // sensor at distance zero, the loop always makes progress, so any cap >= 1
 // is feasible.
-func PlanCapacitated(p *Problem, cap int, opts tsp.Options) (*Solution, error) {
+func PlanCapacitated(p *Problem, cap int) (*Solution, error) {
 	if cap <= 0 {
 		return nil, fmt.Errorf("shdgp: capacity must be positive, got %d", cap)
 	}
@@ -92,20 +91,7 @@ func PlanCapacitated(p *Problem, cap int, opts tsp.Options) (*Solution, error) {
 		stopsAssign = append(stopsAssign, eligible)
 	}
 
-	// Order the stops with the TSP engine (sink anchored at index 0).
-	pts := make([]geom.Point, 0, len(stopsCand)+1)
-	pts = append(pts, p.Net.Sink)
-	for _, c := range stopsCand {
-		pts = append(pts, inst.Candidates[c])
-	}
-	tour := tsp.Solve(pts, opts)
-	tour.RotateTo(0)
-	orderedStops := make([]geom.Point, 0, len(stopsCand))
-	orderPos := make([]int, len(stopsCand))
-	for _, idx := range tour[1:] {
-		orderPos[idx-1] = len(orderedStops)
-		orderedStops = append(orderedStops, pts[idx])
-	}
+	orderedStops, orderPos := orderStops(p, inst, stopsCand, tsp.DefaultOptions())
 	uploadAt := make([]int, len(sensors))
 	for i := range uploadAt {
 		uploadAt[i] = -1

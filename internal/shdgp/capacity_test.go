@@ -1,6 +1,7 @@
 package shdgp
 
 import (
+	"context"
 	"testing"
 
 	"mobicol/internal/cover"
@@ -12,7 +13,7 @@ func TestPlanCapacitatedRespectsCap(t *testing.T) {
 	for _, cap := range []int{1, 3, 5, 10, 20} {
 		for seed := uint64(0); seed < 4; seed++ {
 			p := deploy(120, 200, 30, seed)
-			sol, err := PlanCapacitated(p, cap, tsp.DefaultOptions())
+			sol, err := PlanCapacitated(p, cap)
 			if err != nil {
 				t.Fatalf("cap=%d seed=%d: %v", cap, seed, err)
 			}
@@ -28,7 +29,7 @@ func TestPlanCapacitatedRespectsCap(t *testing.T) {
 
 func TestPlanCapacitatedCapOneVisitsEverySensorEquivalent(t *testing.T) {
 	p := deploy(60, 150, 30, 2)
-	sol, err := PlanCapacitated(p, 1, tsp.DefaultOptions())
+	sol, err := PlanCapacitated(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestPlanCapacitatedTourShrinksWithCap(t *testing.T) {
 	p := deploy(150, 200, 30, 5)
 	prev := -1.0
 	for _, cap := range []int{1, 2, 5, 50} {
-		sol, err := PlanCapacitated(p, cap, tsp.DefaultOptions())
+		sol, err := PlanCapacitated(p, cap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,11 +55,11 @@ func TestPlanCapacitatedTourShrinksWithCap(t *testing.T) {
 
 func TestPlanCapacitatedLooseCapMatchesUncapacitatedScale(t *testing.T) {
 	p := deploy(100, 200, 30, 7)
-	loose, err := PlanCapacitated(p, 1000, tsp.DefaultOptions())
+	loose, err := PlanCapacitated(p, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := Plan(p, DefaultPlannerOptions())
+	free, err := Plan(context.Background(), p, DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestPlanCapacitatedLooseCapMatchesUncapacitatedScale(t *testing.T) {
 
 func TestPlanCapacitatedRejectsBadCap(t *testing.T) {
 	p := deploy(10, 100, 30, 1)
-	if _, err := PlanCapacitated(p, 0, tsp.DefaultOptions()); err == nil {
+	if _, err := PlanCapacitated(p, 0); err == nil {
 		t.Fatal("cap=0 accepted")
 	}
 }
@@ -78,7 +79,7 @@ func TestPlanCapacitatedRejectsBadCap(t *testing.T) {
 func TestPlanCapacitatedGridStrategy(t *testing.T) {
 	p := deploy(80, 200, 30, 9)
 	p.Strategy = cover.FieldGrid
-	sol, err := PlanCapacitated(p, 8, tsp.DefaultOptions())
+	sol, err := PlanCapacitated(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestPlanCapacitatedGridStrategy(t *testing.T) {
 
 func TestValidateCapacityDetectsViolation(t *testing.T) {
 	p := deploy(100, 150, 30, 3)
-	sol, err := Plan(p, DefaultPlannerOptions())
+	sol, err := Plan(context.Background(), p, DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestPlanSweepComparableToGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := Plan(p, DefaultPlannerOptions())
+	greedy, err := Plan(context.Background(), p, DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

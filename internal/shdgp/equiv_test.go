@@ -2,6 +2,7 @@ package shdgp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -181,7 +182,7 @@ func TestPlanPoolEquivalence(t *testing.T) {
 		tr := obs.New(&buf)
 		opts := DefaultPlannerOptions()
 		opts.Obs = tr
-		sol, err := Plan(p, opts)
+		sol, err := Plan(context.Background(), p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func BenchmarkPlan(b *testing.B) {
 			p := deploy(n, side, 30, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Plan(p, DefaultPlannerOptions()); err != nil {
+				if _, err := Plan(context.Background(), p, DefaultPlannerOptions()); err != nil {
 					b.Fatal(err)
 				}
 			}

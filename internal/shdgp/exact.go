@@ -1,6 +1,7 @@
 package shdgp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -10,28 +11,43 @@ import (
 	"mobicol/internal/tsp"
 )
 
-// ExactLimits bounds the exact solver. The paper only certifies optima on
-// small networks (CPLEX on ~25-sensor instances); the same restriction
-// applies here.
-type ExactLimits struct {
-	// MaxCandidates rejects instances with more candidates after
-	// dominance pruning (default 64).
-	MaxCandidates int
-	// MaxStops rejects covers larger than this during enumeration
-	// (default 14, keeping the leaf TSPs within Held–Karp range).
-	MaxStops int
-	// MaxNodes caps enumeration nodes; when it trips the best solution
-	// found is returned with Exact=false (default 5e6).
-	MaxNodes int
+// The exact solver's limits. The paper only certifies optima on small
+// networks (CPLEX on ~25-sensor instances); the same restriction applies
+// here.
+const (
+	// exactMaxCandidates rejects instances with more candidates after
+	// dominance pruning.
+	exactMaxCandidates = 64
+	// exactMaxStops bounds the covers the enumeration considers, keeping
+	// every leaf tour within Held–Karp range; a search that had to cut a
+	// branch at this bound reports Exact=false.
+	exactMaxStops = 14
+	// exactMaxNodes caps enumeration nodes; when it trips, the best
+	// solution found is returned with Exact=false.
+	exactMaxNodes = 5_000_000
+	// exactCheckEvery is the enumeration-node stride between
+	// cancellation checks.
+	exactCheckEvery = 4096
+	// ilpMaxNodes caps MinStopsILP's branch and bound.
+	ilpMaxNodes = 200_000
+)
+
+// A leaf tour and the final tour hold the sink plus at most
+// exactMaxStops stops; this constant fails to compile should that ever
+// exceed Held–Karp's range, so exactTSP always solves them exactly.
+const _ = uint(tsp.HeldKarpMax - exactMaxStops - 1)
+
+// exactTSP solves every tour of at most tsp.HeldKarpMax points by
+// Held–Karp.
+func exactTSP() tsp.Options {
+	return tsp.Options{Construction: tsp.ConstructGreedy, TwoOpt: true, OrOpt: true, ExactBelow: tsp.HeldKarpMax}
 }
 
-// DefaultExactLimits returns the documented defaults.
-func DefaultExactLimits() ExactLimits {
-	return ExactLimits{MaxCandidates: 64, MaxStops: 14, MaxNodes: 5_000_000}
-}
-
-// PlanExact solves the SHDGP to optimality (within limits) by enumerating
-// covers and solving each leaf's TSP exactly.
+// PlanExact solves the SHDGP to optimality (within the exact limits
+// above) by enumerating covers and solving each leaf's TSP exactly. It
+// checks ctx inside the heuristic incumbent's phases and every
+// exactCheckEvery enumeration nodes, and returns ctx's error at the
+// first check that finds it done.
 //
 // Enumeration branches on the lowest-index uncovered sensor: any feasible
 // cover must contain some candidate covering it, so the search tree is
@@ -40,25 +56,22 @@ func DefaultExactLimits() ExactLimits {
 // the optimal tour over the subset — so restricting to minimal covers
 // preserves optimality. Partial selections are pruned with the MST lower
 // bound over {sink} ∪ chosen stops for the same monotonicity reason.
-func PlanExact(p *Problem, limits ExactLimits) (*Solution, error) {
-	if limits.MaxCandidates == 0 {
-		limits = DefaultExactLimits()
-	}
+func PlanExact(ctx context.Context, p *Problem) (*Solution, error) {
 	instFull, err := p.Instance()
 	if err != nil {
 		return nil, err
 	}
 	inst, orig := instFull.Prune()
-	if inst.NumCandidates() > limits.MaxCandidates {
+	if inst.NumCandidates() > exactMaxCandidates {
 		return nil, fmt.Errorf("shdgp: exact solver limited to %d candidates, instance has %d after pruning",
-			limits.MaxCandidates, inst.NumCandidates())
+			exactMaxCandidates, inst.NumCandidates())
 	}
-	// Bounded to MaxCandidates candidates: the dense set view is cheap and
-	// keeps the enumeration on bitset algebra.
+	// Bounded to exactMaxCandidates candidates: the dense set view is
+	// cheap and keeps the enumeration on bitset algebra.
 	covers := inst.CoverSets()
 
 	// Incumbent from the heuristic planner: tight pruning from node one.
-	heur, err := Plan(p, DefaultPlannerOptions())
+	heur, err := Plan(ctx, p, DefaultPlannerOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -84,6 +97,7 @@ func PlanExact(p *Problem, limits ExactLimits) (*Solution, error) {
 	uncovered.Fill()
 	var cur []int
 	nodes := 0
+	var canceled error
 
 	tourLB := func() geom.Meters {
 		pts := make([]geom.Point, 0, len(cur)+1)
@@ -99,22 +113,20 @@ func PlanExact(p *Problem, limits ExactLimits) (*Solution, error) {
 		for _, c := range cur {
 			pts = append(pts, inst.Candidates[c])
 		}
-		if len(pts) <= tsp.HeldKarpMax {
-			t, err := tsp.HeldKarp(pts)
-			if err == nil {
-				return t.Length(pts)
-			}
-		}
-		t, _ := tsp.BranchBound(pts, 2_000_000)
-		return t.Length(pts)
+		return tsp.Solve(pts, exactTSP()).Length(pts)
 	}
 
 	var rec func()
 	rec = func() {
 		nodes++
-		if limits.MaxNodes > 0 && nodes > limits.MaxNodes {
+		if nodes > exactMaxNodes {
 			exact = false
 			return
+		}
+		if nodes%exactCheckEvery == 0 {
+			if canceled = ctx.Err(); canceled != nil {
+				return
+			}
 		}
 		if uncovered.Empty() {
 			if l := leafLen(); l < bestLen-1e-9 {
@@ -123,10 +135,13 @@ func PlanExact(p *Problem, limits ExactLimits) (*Solution, error) {
 			}
 			return
 		}
-		if len(cur) >= limits.MaxStops {
+		if tourLB() >= bestLen-1e-9 {
 			return
 		}
-		if tourLB() >= bestLen-1e-9 {
+		if len(cur) >= exactMaxStops {
+			// A cheaper cover may need more stops than the search
+			// considers, so the result is no longer proven optimal.
+			exact = false
 			return
 		}
 		s := uncovered.NextSet(0)
@@ -141,12 +156,15 @@ func PlanExact(p *Problem, limits ExactLimits) (*Solution, error) {
 			rec()
 			cur = cur[:len(cur)-1]
 			uncovered.Or(newly)
-			if limits.MaxNodes > 0 && nodes > limits.MaxNodes {
+			if nodes > exactMaxNodes || canceled != nil {
 				return
 			}
 		}
 	}
 	rec()
+	if canceled != nil {
+		return nil, canceled
+	}
 
 	if bestChosen == nil {
 		// The heuristic was already optimal (or the cap tripped before
@@ -162,25 +180,24 @@ func PlanExact(p *Problem, limits ExactLimits) (*Solution, error) {
 	for i, c := range bestChosen {
 		mapped[i] = orig[c]
 	}
-	// MaxStops <= 14 keeps the final instance within Held–Karp range, so
-	// buildSolution re-solves the winning stop set exactly.
-	sol := buildSolution(p, instFull, mapped, tsp.Options{Construction: tsp.ConstructGreedy, TwoOpt: true, OrOpt: true, ExactBelow: tsp.HeldKarpMax}, "exact")
+	sol := buildSolution(p, instFull, mapped, exactTSP(), "exact")
 	sol.Exact = exact
 	return sol, nil
 }
 
 // MinStopsILP returns the LP-certified minimum number of stops for the
 // instance — the set-cover component of the paper's MIP, solved with the
-// in-repo branch-and-bound ILP. It is used by the E1 experiment to verify
-// the combinatorial exact search against an independent solver.
-func MinStopsILP(p *Problem, maxNodes int) (int, bool, error) {
+// in-repo branch-and-bound ILP, capped at ilpMaxNodes nodes (the bool
+// reports whether the search closed). It is used by the E1 experiment to
+// verify the combinatorial exact search against an independent solver.
+func MinStopsILP(p *Problem) (int, bool, error) {
 	full, err := p.Instance()
 	if err != nil {
 		return 0, false, err
 	}
 	inst, _ := full.Prune()
 	m := lp.SetCoverModel(inst.Universe, inst.CoverSets())
-	sol, err := m.SolveBinary(maxNodes)
+	sol, err := m.SolveBinary(ilpMaxNodes)
 	if err != nil {
 		return 0, false, err
 	}

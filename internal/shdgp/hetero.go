@@ -15,7 +15,7 @@ import (
 // the candidate set is the sensor sites (every sensor reaches a stop at
 // its own position, so the instance is always feasible). The network's
 // nominal Range is ignored for coverage.
-func PlanHetero(nw *wsn.Network, radii []float64, opts tsp.Options) (*Solution, error) {
+func PlanHetero(nw *wsn.Network, radii []float64) (*Solution, error) {
 	if len(radii) != nw.N() {
 		return nil, fmt.Errorf("shdgp: %d radii for %d sensors", len(radii), nw.N())
 	}
@@ -32,7 +32,7 @@ func PlanHetero(nw *wsn.Network, radii []float64, opts tsp.Options) (*Solution, 
 		return nil, err
 	}
 	p := NewProblem(nw)
-	sol := buildSolution(p, inst, chosen, opts, "shdg-hetero")
+	sol := buildSolution(p, inst, chosen, tsp.DefaultOptions(), "shdg-hetero")
 	return sol, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mobicol/internal/rng"
-	"mobicol/internal/tsp"
 )
 
 func TestPlanHeteroUniformMatchesSemantics(t *testing.T) {
@@ -13,7 +12,7 @@ func TestPlanHeteroUniformMatchesSemantics(t *testing.T) {
 	for i := range radii {
 		radii[i] = p.Net.Range
 	}
-	sol, err := PlanHetero(p.Net, radii, tsp.DefaultOptions())
+	sol, err := PlanHetero(p.Net, radii)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestPlanHeteroRespectsWeakSensors(t *testing.T) {
 			radii[i] = 30
 		}
 	}
-	sol, err := PlanHetero(p.Net, radii, tsp.DefaultOptions())
+	sol, err := PlanHetero(p.Net, radii)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +54,11 @@ func TestPlanHeteroWeakSensorsLengthenTour(t *testing.T) {
 		strong[i] = 30
 		weak[i] = 10
 	}
-	a, err := PlanHetero(p.Net, strong, tsp.DefaultOptions())
+	a, err := PlanHetero(p.Net, strong)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PlanHetero(p.Net, weak, tsp.DefaultOptions())
+	b, err := PlanHetero(p.Net, weak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +72,11 @@ func TestPlanHeteroWeakSensorsLengthenTour(t *testing.T) {
 
 func TestPlanHeteroRejectsBadInput(t *testing.T) {
 	p := deploy(10, 100, 30, 1)
-	if _, err := PlanHetero(p.Net, make([]float64, 3), tsp.DefaultOptions()); err == nil {
+	if _, err := PlanHetero(p.Net, make([]float64, 3)); err == nil {
 		t.Fatal("mismatched radii accepted")
 	}
 	bad := make([]float64, p.Net.N())
-	if _, err := PlanHetero(p.Net, bad, tsp.DefaultOptions()); err == nil {
+	if _, err := PlanHetero(p.Net, bad); err == nil {
 		t.Fatal("non-positive radius accepted")
 	}
 }

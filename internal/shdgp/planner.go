@@ -1,6 +1,7 @@
 package shdgp
 
 import (
+	"context"
 	"fmt"
 
 	"mobicol/internal/cover"
@@ -19,26 +20,11 @@ type PlannerOptions struct {
 	// Obs, when non-nil, receives per-phase spans (candidates, cover,
 	// refine, tsp) and planner metrics. Nil disables tracing.
 	Obs *obs.Trace
-	// Step, when non-nil, is consulted at every phase boundary
-	// (candidates → cover → refine → tsp); a non-nil return aborts the
-	// plan with that error. The engine seam wires context cancellation
-	// here (opts.Step = ctx.Err), so a canceled plan stops at the next
-	// boundary instead of running to completion. A Step that always
-	// returns nil never changes the planner's output.
-	Step func() error
 }
 
 // refinePasses bounds the drop-redundant/relocate rounds of a plan; the
 // loop also stops at the first round that changes nothing.
 const refinePasses = 3
-
-// step consults the phase-boundary hook, if any.
-func (o PlannerOptions) step() error {
-	if o.Step == nil {
-		return nil
-	}
-	return o.Step()
-}
 
 // DefaultPlannerOptions is the configuration the experiments label
 // "SHDG": greedy covering, greedy-edge + 2-opt + Or-opt tour, refinement.
@@ -55,12 +41,17 @@ func DefaultPlannerOptions() PlannerOptions {
 //     and relocate each stop to the candidate that covers the same
 //     critical sensors with the smallest tour detour.
 //
+// Plan checks ctx at every phase boundary (candidates → cover → refine →
+// tsp) and before each refine pass, and returns ctx's error at the first
+// check that finds it done; the candidate, cover and tsp phases each run
+// to completion once started.
+//
 //mdglint:hotpath
-func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
+func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, error) {
 	root := opts.Obs.Start("plan")
 	defer root.End()
 
-	if err := opts.step(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	spCand := root.Child("candidates")
@@ -75,7 +66,7 @@ func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
 	spCand.Gauge("cover.candidates", float64(len(inst.Candidates)))
 	spCand.End()
 
-	if err := opts.step(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	spCover := root.Child("cover")
@@ -84,7 +75,7 @@ func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.step(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	coverStops := len(chosen)
@@ -93,7 +84,7 @@ func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
 		spRefine := root.Child("refine")
 		rs := newRefineScratch(inst)
 		ran := 0
-		for pass := 0; pass < refinePasses; pass++ {
+		for pass := 0; pass < refinePasses && ctx.Err() == nil; pass++ {
 			ran++
 			changed := dropRedundant(inst, &chosen, rs)
 			changed = relocateStops(p, inst, chosen, rs) || changed
@@ -106,17 +97,17 @@ func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
 		spRefine.End()
 	}
 
-	if err := opts.step(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	spTSP := root.Child("tsp")
-	tspOpts := opts.TSP
-	tspOpts.Obs = spTSP
+	tourOpts := opts.TSP
+	tourOpts.Obs = spTSP
 	name := "shdg-greedy"
 	if opts.Refine {
 		name = "shdg-greedy+refine"
 	}
-	sol := buildSolution(p, inst, chosen, tspOpts, name)
+	sol := buildSolution(p, inst, chosen, tourOpts, name)
 	spTSP.SetInt("stops", int64(len(chosen)))
 	//mdglint:ignore unitcheck obs boundary: trace fields carry raw numbers
 	spTSP.SetFloat("tour_m", float64(sol.Length))

@@ -107,13 +107,11 @@ func (s *Solution) Validate(p *Problem) error {
 	return check.RecordedLength(s.Plan, s.Length)
 }
 
-// buildSolution assembles a Solution from chosen candidate indices: order
-// the stops with the TSP engine (sink included as an anchor), rotate the
-// sink first, and assign each sensor to its nearest chosen stop.
-//
-//mdglint:allow-alloc(solution assembly runs once per plan and owns the tour plan it returns)
-func buildSolution(p *Problem, inst *cover.Instance, chosen []int, opts tsp.Options, algorithm string) *Solution {
-	sensors := p.Net.Positions()
+// orderStops orders the chosen candidates with the TSP engine (sink
+// included as an anchor) and rotates the sink first. It returns the stops
+// in visiting order and orderPos, where orderPos[i] is the position of
+// chosen[i] in that order.
+func orderStops(p *Problem, inst *cover.Instance, chosen []int, opts tsp.Options) (stops []geom.Point, orderPos []int) {
 	// Tour points: index 0 is the sink, 1..k are the stops.
 	pts := make([]geom.Point, 0, len(chosen)+1)
 	pts = append(pts, p.Net.Sink)
@@ -122,14 +120,23 @@ func buildSolution(p *Problem, inst *cover.Instance, chosen []int, opts tsp.Opti
 	}
 	tour := tsp.Solve(pts, opts)
 	tour.RotateTo(0)
-
-	orderedStops := make([]geom.Point, 0, len(chosen))
-	// orderPos[i] = position of chosen[i] in the ordered stop list.
-	orderPos := make([]int, len(chosen))
+	stops = make([]geom.Point, 0, len(chosen))
+	orderPos = make([]int, len(chosen))
 	for _, idx := range tour[1:] {
-		orderPos[idx-1] = len(orderedStops)
-		orderedStops = append(orderedStops, pts[idx])
+		orderPos[idx-1] = len(stops)
+		stops = append(stops, pts[idx])
 	}
+	return stops, orderPos
+}
+
+// buildSolution assembles a Solution from chosen candidate indices: order
+// the stops (orderStops) and assign each sensor to its nearest chosen
+// stop.
+//
+//mdglint:allow-alloc(solution assembly runs once per plan and owns the tour plan it returns)
+func buildSolution(p *Problem, inst *cover.Instance, chosen []int, opts tsp.Options, algorithm string) *Solution {
+	sensors := p.Net.Positions()
+	orderedStops, orderPos := orderStops(p, inst, chosen, opts)
 	rawAssign := inst.Assign(sensors, chosen)
 	uploadAt := make([]int, len(sensors))
 	for i, a := range rawAssign {

@@ -19,7 +19,7 @@ import (
 // Duplicate plans (identical stop multisets) are filtered; fewer than k
 // plans may come back on fields where the cover is insensitive to the
 // tie-break.
-func PlanDiverse(p *Problem, k int, opts tsp.Options) ([]*Solution, error) {
+func PlanDiverse(p *Problem, k int) ([]*Solution, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shdgp: need at least one plan, got %d", k)
 	}
@@ -40,7 +40,7 @@ func PlanDiverse(p *Problem, k int, opts tsp.Options) ([]*Solution, error) {
 		if err != nil {
 			return nil, err
 		}
-		sol := buildSolution(p, inst, chosen, opts, fmt.Sprintf("shdg-diverse%d", j))
+		sol := buildSolution(p, inst, chosen, tsp.DefaultOptions(), fmt.Sprintf("shdg-diverse%d", j))
 		key := stopKey(sol)
 		if seen[key] {
 			continue

@@ -1,16 +1,16 @@
 package shdgp
 
 import (
+	"context"
 	"testing"
 
 	"mobicol/internal/collector"
 	"mobicol/internal/geom"
-	"mobicol/internal/tsp"
 )
 
 func TestPlanDiverseInPackage(t *testing.T) {
 	p := deploy(150, 200, 30, 41)
-	sols, err := PlanDiverse(p, 5, tsp.DefaultOptions())
+	sols, err := PlanDiverse(p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestPlanDiverseInPackage(t *testing.T) {
 
 func TestPlanDiverseKOne(t *testing.T) {
 	p := deploy(60, 150, 30, 42)
-	sols, err := PlanDiverse(p, 1, tsp.DefaultOptions())
+	sols, err := PlanDiverse(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func planWithStops(stops ...geom.Point) *collector.TourPlan {
 
 func TestSolutionValidateCatchesTampering(t *testing.T) {
 	p := deploy(80, 150, 30, 43)
-	sol, err := Plan(p, DefaultPlannerOptions())
+	sol, err := Plan(context.Background(), p, DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

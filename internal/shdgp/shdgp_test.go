@@ -1,9 +1,11 @@
 package shdgp
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"mobicol/internal/bitset"
 	"mobicol/internal/cover"
 	"mobicol/internal/geom"
 	"mobicol/internal/tsp"
@@ -17,7 +19,7 @@ func deploy(n int, side, r float64, seed uint64) *Problem {
 func TestPlanProducesValidSolution(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		p := deploy(150, 200, 30, seed)
-		sol, err := Plan(p, DefaultPlannerOptions())
+		sol, err := Plan(context.Background(), p, DefaultPlannerOptions())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -32,7 +34,7 @@ func TestPlanProducesValidSolution(t *testing.T) {
 
 func TestPlanCoversEverySensorSingleHop(t *testing.T) {
 	p := deploy(200, 250, 30, 3)
-	sol, err := Plan(p, DefaultPlannerOptions())
+	sol, err := Plan(context.Background(), p, DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestPlanHandlesDisconnectedNetworks(t *testing.T) {
 	// sensors, but the SHDGP plan must still serve all of them.
 	nw := wsn.MustDeploy(wsn.Config{N: 80, FieldSide: 500, Range: 25, Placement: wsn.Clustered, Clusters: 4, Seed: 7})
 	p := NewProblem(nw)
-	sol, err := Plan(p, DefaultPlannerOptions())
+	sol, err := Plan(context.Background(), p, DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +69,11 @@ func TestPlanHandlesDisconnectedNetworks(t *testing.T) {
 func TestRefinementNeverHurts(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		p := deploy(120, 200, 30, seed)
-		raw, err := Plan(p, PlannerOptions{TSP: tsp.DefaultOptions(), Refine: false})
+		raw, err := Plan(context.Background(), p, PlannerOptions{TSP: tsp.DefaultOptions(), Refine: false})
 		if err != nil {
 			t.Fatal(err)
 		}
-		refined, err := Plan(p, DefaultPlannerOptions())
+		refined, err := Plan(context.Background(), p, DefaultPlannerOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +88,7 @@ func TestRefinementNeverHurts(t *testing.T) {
 func TestPlanShorterThanVisitAll(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		p := deploy(200, 200, 30, seed)
-		sol, err := Plan(p, DefaultPlannerOptions())
+		sol, err := Plan(context.Background(), p, DefaultPlannerOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +109,7 @@ func TestPlanGridStrategyFeasible(t *testing.T) {
 	p := deploy(100, 200, 30, 11)
 	p.Strategy = cover.FieldGrid
 	p.GridSpacing = 20
-	sol, err := Plan(p, DefaultPlannerOptions())
+	sol, err := Plan(context.Background(), p, DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +122,13 @@ func TestPlanIntersectionStrategyAtLeastAsShort(t *testing.T) {
 	// Denser candidate sets should on average shorten tours; require it
 	// not to be dramatically worse on a fixed seed.
 	p := deploy(80, 150, 30, 13)
-	sites, err := Plan(p, DefaultPlannerOptions())
+	sites, err := Plan(context.Background(), p, DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := deploy(80, 150, 30, 13)
 	p2.Strategy = cover.Intersections
-	inter, err := Plan(p2, DefaultPlannerOptions())
+	inter, err := Plan(context.Background(), p2, DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestPlanIntersectionStrategyAtLeastAsShort(t *testing.T) {
 func TestSingleSensorNetwork(t *testing.T) {
 	nw := wsn.New([]geom.Point{geom.Pt(80, 50)}, geom.Pt(50, 50), 20, geom.Square(100))
 	p := NewProblem(nw)
-	sol, err := Plan(p, DefaultPlannerOptions())
+	sol, err := Plan(context.Background(), p, DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestSingleSensorNetwork(t *testing.T) {
 func TestPlanExactSmallInstances(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		p := deploy(15, 80, 25, seed)
-		ex, err := PlanExact(p, DefaultExactLimits())
+		ex, err := PlanExact(context.Background(), p)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -167,7 +169,7 @@ func TestPlanExactSmallInstances(t *testing.T) {
 		if err := ex.Validate(p); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		heur, err := Plan(p, DefaultPlannerOptions())
+		heur, err := Plan(context.Background(), p, DefaultPlannerOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +181,7 @@ func TestPlanExactSmallInstances(t *testing.T) {
 
 func TestPlanExactBeatsOrMatchesVisitAll(t *testing.T) {
 	p := deploy(12, 70, 25, 21)
-	ex, err := PlanExact(p, DefaultExactLimits())
+	ex, err := PlanExact(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,7 @@ func TestPlanExactBeatsOrMatchesVisitAll(t *testing.T) {
 
 func TestPlanExactRejectsHugeInstances(t *testing.T) {
 	p := deploy(300, 300, 25, 1)
-	if _, err := PlanExact(p, ExactLimits{MaxCandidates: 10, MaxStops: 14, MaxNodes: 1000}); err == nil {
+	if _, err := PlanExact(context.Background(), p); err == nil {
 		t.Fatal("oversized exact instance accepted")
 	}
 }
@@ -206,24 +208,46 @@ func TestMinStopsILPMatchesExactCover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chosen, exact, err := inst.ExactMin(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !exact {
-			t.Fatal("combinatorial cover search capped on tiny instance")
-		}
-		ilp, ilpExact, err := MinStopsILP(p, 0)
+		pruned, _ := inst.Prune()
+		want := minCoverSize(pruned)
+		ilp, ilpExact, err := MinStopsILP(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ilpExact {
 			t.Fatal("ILP capped on tiny instance")
 		}
-		if ilp != len(chosen) {
-			t.Fatalf("seed %d: ILP min stops %d != combinatorial %d", seed, ilp, len(chosen))
+		if ilp != want {
+			t.Fatalf("seed %d: ILP min stops %d != brute-force minimum %d", seed, ilp, want)
 		}
 	}
+}
+
+// minCoverSize is the brute-force minimum number of candidates whose
+// covers together hold every sensor: it tries every subset, smallest
+// first. It returns -1 when even all candidates leave a sensor out.
+func minCoverSize(inst *cover.Instance) int {
+	covers := inst.CoverSets()
+	var try func(start, left int, got *bitset.Set) bool
+	try = func(start, left int, got *bitset.Set) bool {
+		if got.Count() == inst.Universe {
+			return true
+		}
+		for c := start; left > 0 && c < len(covers); c++ {
+			next := got.Clone()
+			next.Or(covers[c])
+			if try(c+1, left-1, next) {
+				return true
+			}
+		}
+		return false
+	}
+	for k := 0; k <= len(covers); k++ {
+		if try(0, k, bitset.New(inst.Universe)) {
+			return k
+		}
+	}
+	return -1
 }
 
 func TestInfeasibleWhenNoCandidates(t *testing.T) {
@@ -241,7 +265,7 @@ func BenchmarkPlan200(b *testing.B) {
 	opts := DefaultPlannerOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Plan(p, opts); err != nil {
+		if _, err := Plan(context.Background(), p, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,11 +273,30 @@ func BenchmarkPlan200(b *testing.B) {
 
 func BenchmarkPlanExact15(b *testing.B) {
 	p := deploy(15, 80, 25, 2)
-	limits := DefaultExactLimits()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PlanExact(p, limits); err != nil {
+		if _, err := PlanExact(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPlanExactNotExactPastStopLimit: a network that needs more stops
+// than the enumeration considers cannot be certified, so PlanExact must
+// not report its plan as exact.
+func TestPlanExactNotExactPastStopLimit(t *testing.T) {
+	p := deploy(20, 200, 0.5, 1)
+	sol, err := PlanExact(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Stops() <= exactMaxStops {
+		t.Fatalf("instance needs %d stops; the test wants more than %d", sol.Stops(), exactMaxStops)
+	}
+	if sol.Exact {
+		t.Fatal("a search cut at the stop limit reported an exact plan")
+	}
+	if err := sol.Validate(p); err != nil {
+		t.Fatal(err)
 	}
 }

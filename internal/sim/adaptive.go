@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"mobicol/internal/check"
@@ -42,7 +43,7 @@ type AdaptiveResult struct {
 // survivor is a planner bug, and it fails the run loudly instead of
 // silently skipping the stranded sensor.
 func planChecked(sub *wsn.Network) (*shdgp.Solution, error) {
-	sol, err := shdgp.Plan(shdgp.NewProblem(sub), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(sub), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -65,8 +65,8 @@ func DESMobileRoundObs(nw *wsn.Network, plan *collector.TourPlan, spec collector
 	}
 	// Sensors assigned per stop.
 	atStop := make([][]int, len(plan.Stops))
-	for i, s := range plan.UploadAt {
-		if s >= 0 {
+	for i := range plan.UploadAt {
+		if s := plan.StopOf(i); s >= 0 {
 			atStop[s] = append(atStop[s], i)
 		}
 	}

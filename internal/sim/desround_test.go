@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestDESMobileRoundHandComputed(t *testing.T) {
 
 func TestDESMobileMatchesAnalyticRoundTime(t *testing.T) {
 	nw := wsn.MustDeploy(wsn.Config{N: 120, FieldSide: 200, Range: 30, Seed: 3})
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestDESMobileMatchesAnalyticRoundTime(t *testing.T) {
 
 func TestDESMobilePeakQueueMatchesAssignment(t *testing.T) {
 	nw := wsn.MustDeploy(wsn.Config{N: 100, FieldSide: 150, Range: 30, Seed: 4})
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestDESRejectsBadParams(t *testing.T) {
 	if _, err := DESStaticRound(plan, 0); err == nil {
 		t.Fatal("zero delay accepted")
 	}
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ import (
 func lifetimeFingerprint(t *testing.T, seed uint64) string {
 	t.Helper()
 	nw := wsn.MustDeploy(wsn.Config{N: 120, FieldSide: 200, Range: 30, Seed: seed})
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,25 +34,13 @@ func NewLossyMobile(label string, nw *wsn.Network, plan *collector.TourPlan, rm 
 // Name implements Scheme.
 func (m *LossyMobile) Name() string { return m.Label }
 
-// assigned returns the number of sensors known to both the plan and the
-// network. Clamping every per-sensor loop to it keeps a malformed plan
-// (wrong UploadAt arity) from indexing out of bounds; the sensors past
-// the plan's end spend nothing and count as not gathered in Coverage.
-func (m *LossyMobile) assigned() int {
-	n := len(m.Plan.UploadAt)
-	if m.net.N() < n {
-		n = m.net.N()
-	}
-	return n
-}
-
 // ChargeRound implements Scheme: expected attempts × per-attempt cost.
 // Sensors without a valid upload stop spend nothing.
 func (m *LossyMobile) ChargeRound(led *energy.Ledger) {
 	r := m.net.Range
-	for i := 0; i < m.assigned(); i++ {
-		s := m.Plan.UploadAt[i]
-		if s < 0 || s >= len(m.Plan.Stops) {
+	for i := 0; i < assigned(m.Plan, m.net); i++ {
+		s := m.Plan.StopOf(i)
+		if s < 0 {
 			continue
 		}
 		d := m.net.Nodes[i].Pos.Dist(m.Plan.Stops[s])
@@ -86,9 +74,9 @@ func (m *LossyMobile) DeliveryRatio() float64 {
 	}
 	sum := 0.0
 	r := m.net.Range
-	for i := 0; i < m.assigned(); i++ {
-		s := m.Plan.UploadAt[i]
-		if s < 0 || s >= len(m.Plan.Stops) {
+	for i := 0; i < assigned(m.Plan, m.net); i++ {
+		s := m.Plan.StopOf(i)
+		if s < 0 {
 			continue
 		}
 		sum += m.Radio.DeliveryProb(m.net.Nodes[i].Pos.Dist(m.Plan.Stops[s]), r)

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
+	"mobicol/internal/collector"
 	"mobicol/internal/energy"
+	"mobicol/internal/geom"
 	"mobicol/internal/radio"
 	"mobicol/internal/routing"
 	"mobicol/internal/shdgp"
@@ -14,7 +18,7 @@ import (
 func lossyPair(t *testing.T, seed uint64, rm radio.Model) (*LossyMobile, *LossyStatic, *wsn.Network) {
 	t.Helper()
 	nw := wsn.MustDeploy(wsn.Config{N: 150, FieldSide: 200, Range: 30, Seed: seed})
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +39,7 @@ func lossyPair(t *testing.T, seed uint64, rm radio.Model) (*LossyMobile, *LossyS
 // and a zero width makes PRR NaN at d = D50·r.
 func TestLossySchemesRejectInvalidRadio(t *testing.T) {
 	nw := wsn.MustDeploy(wsn.Config{N: 30, FieldSide: 100, Range: 30, Seed: 1})
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +64,7 @@ func TestLossySchemesRejectInvalidRadio(t *testing.T) {
 
 func TestPerfectRadioMatchesLosslessCharging(t *testing.T) {
 	mob, _, nw := lossyPair(t, 1, radio.Perfect())
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,5 +157,45 @@ func TestLossySchemeInterfaces(t *testing.T) {
 	}
 	if mob.Coverage() != 1 {
 		t.Fatalf("mobile coverage %v", mob.Coverage())
+	}
+}
+
+// TestOutOfRangeUploadStopIsUnserved: an UploadAt entry outside
+// [0, len(Stops)) counts as unserved everywhere a plan is read — served
+// counts, per-stop loads, coverage, delivery and charging — instead of
+// counting as served in some places and panicking in others.
+func TestOutOfRangeUploadStopIsUnserved(t *testing.T) {
+	nw := wsn.New([]geom.Point{geom.Pt(10, 10), geom.Pt(20, 10)}, geom.Pt(0, 0), 30, geom.Square(50))
+	plan := &collector.TourPlan{Sink: nw.Sink, Stops: []geom.Point{geom.Pt(20, 10)}, UploadAt: []int{1, 0}}
+	if got := plan.Served(); got != 1 {
+		t.Errorf("Served() = %d, want 1", got)
+	}
+	if got := plan.SensorsAt(); !slices.Equal(got, []int{1}) {
+		t.Errorf("SensorsAt() = %v, want [1]", got)
+	}
+	mob := NewMobile("shdg", nw, plan)
+	lossy, err := NewLossyMobile("lossy", nw, plan, radio.Perfect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot, err := NewRotation("rot", nw, []*collector.TourPlan{plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Scheme{mob, lossy, rot} {
+		if got := s.Coverage(); got != 0.5 {
+			t.Errorf("%s: Coverage() = %v, want 0.5", s.Name(), got)
+		}
+		led := energy.NewLedger(nw.N(), energy.DefaultModel())
+		s.ChargeRound(led)
+		if led.SpentJ(0) != 0 {
+			t.Errorf("%s: unserved sensor 0 spent %v J", s.Name(), led.SpentJ(0))
+		}
+		if !(led.SpentJ(1) > 0) {
+			t.Errorf("%s: served sensor 1 spent nothing", s.Name())
+		}
+	}
+	if got := lossy.DeliveryRatio(); got != 0.5 {
+		t.Errorf("DeliveryRatio() = %v, want 0.5", got)
 	}
 }

@@ -42,8 +42,8 @@ func (r *Rotation) Name() string { return r.Label }
 // active plan.
 func (r *Rotation) ChargeRound(led *energy.Ledger) {
 	plan := r.Plans[led.Round()%len(r.Plans)]
-	for i, s := range plan.UploadAt {
-		if s >= 0 {
+	for i := range plan.UploadAt {
+		if s := plan.StopOf(i); s >= 0 {
 			led.ChargeTx(i, r.net.Nodes[i].Pos.Dist(plan.Stops[s]))
 		}
 	}
@@ -80,7 +80,7 @@ func (r *Rotation) Coverage() float64 {
 	for i := 0; i < r.net.N(); i++ {
 		all := true
 		for _, p := range r.Plans {
-			if p.UploadAt[i] < 0 {
+			if p.StopOf(i) < 0 {
 				all = false
 				break
 			}

@@ -5,13 +5,12 @@ import (
 
 	"mobicol/internal/collector"
 	"mobicol/internal/shdgp"
-	"mobicol/internal/tsp"
 )
 
 func diversePlans(t *testing.T, seed uint64, k int) (*Rotation, *Mobile) {
 	t.Helper()
 	nw := testNet(seed)
-	sols, err := shdgp.PlanDiverse(shdgp.NewProblem(nw), k, tsp.DefaultOptions())
+	sols, err := shdgp.PlanDiverse(shdgp.NewProblem(nw), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestRotationExtendsLifetime(t *testing.T) {
 func TestPlanDiverseDistinctAndValid(t *testing.T) {
 	nw := testNet(38)
 	p := shdgp.NewProblem(nw)
-	sols, err := shdgp.PlanDiverse(p, 5, tsp.DefaultOptions())
+	sols, err := shdgp.PlanDiverse(p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestPlanDiverseDistinctAndValid(t *testing.T) {
 
 func TestPlanDiverseRejectsBadK(t *testing.T) {
 	nw := testNet(39)
-	if _, err := shdgp.PlanDiverse(shdgp.NewProblem(nw), 0, tsp.DefaultOptions()); err == nil {
+	if _, err := shdgp.PlanDiverse(shdgp.NewProblem(nw), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }

@@ -55,10 +55,19 @@ func NewCLA(nw *wsn.Network, plan *collector.TourPlan) *Mobile {
 // Name implements Scheme.
 func (m *Mobile) Name() string { return m.Label }
 
+// assigned returns the number of sensors known to both the plan and the
+// network. Clamping every per-sensor loop to it keeps a malformed plan
+// (wrong UploadAt arity) from indexing out of bounds; the sensors past
+// the plan's end spend nothing.
+func assigned(plan *collector.TourPlan, nw *wsn.Network) int {
+	return min(len(plan.UploadAt), nw.N())
+}
+
 // ChargeRound implements Scheme: each served sensor pays one single-hop
 // transmission to its stop.
 func (m *Mobile) ChargeRound(led *energy.Ledger) {
-	for i, s := range m.Plan.UploadAt {
+	for i := 0; i < assigned(m.Plan, m.net); i++ {
+		s := m.Plan.StopOf(i)
 		if s < 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"mobicol/internal/baselines"
@@ -25,7 +26,7 @@ func smallBattery() energy.Model {
 
 func buildSchemes(t *testing.T, nw *wsn.Network) (mobile, cla, static, straight Scheme) {
 	t.Helper()
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestCoverageSemantics(t *testing.T) {
 	// Mobile schemes serve everyone; static and straight-line may strand
 	// sensors in sparse fields.
 	nw := wsn.MustDeploy(wsn.Config{N: 60, FieldSide: 500, Range: 25, Placement: wsn.Clustered, Clusters: 4, Seed: 6})
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ const HeldKarpMax = 18
 
 // HeldKarp solves the TSP exactly by Bellman–Held–Karp dynamic programming
 // in O(n²·2ⁿ) time. It returns the optimal closed tour. Instances larger
-// than HeldKarpMax return an error; use BranchBound or a heuristic instead.
+// than HeldKarpMax return an error; Solve handles them heuristically.
 func HeldKarp(pts []geom.Point) (Tour, error) {
 	n := len(pts)
 	if n > HeldKarpMax {
@@ -85,120 +85,4 @@ func HeldKarp(pts []geom.Point) (Tour, error) {
 		tour[i], tour[j] = tour[j], tour[i]
 	}
 	return tour, nil
-}
-
-// BranchBound solves the TSP exactly by depth-first branch and bound with
-// an MST lower bound on the unvisited remainder. maxNodes caps the search
-// (0 means no cap); when the cap trips, the best tour found so far is
-// returned with exact=false.
-func BranchBound(pts []geom.Point, maxNodes int) (tour Tour, exact bool) {
-	n := len(pts)
-	if n <= 3 {
-		return trivialTour(n), true
-	}
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		for j := range d[i] {
-			d[i][j] = pts[i].Dist(pts[j])
-		}
-	}
-	// Seed the incumbent with a good heuristic tour: tight incumbents
-	// prune far more of the search tree.
-	incumbent := NearestNeighbor(pts, 0)
-	TwoOpt(pts, incumbent)
-	OrOpt(pts, incumbent)
-	//mdglint:ignore unitcheck hot search boundary: branch & bound prunes on the raw distance matrix
-	bestLen := float64(incumbent.Length(pts))
-	best := incumbent.Clone()
-
-	visited := make([]bool, n)
-	visited[0] = true
-	path := make([]int, 1, n)
-	path[0] = 0
-	nodes := 0
-	exact = true
-
-	// mstBound lower-bounds the cost to complete the path: the MST over
-	// {last} ∪ unvisited ∪ {0} connects everything the remaining tour must.
-	mstBound := func(last int) float64 {
-		var rem []int
-		rem = append(rem, last)
-		for v := 1; v < n; v++ {
-			if !visited[v] {
-				rem = append(rem, v)
-			}
-		}
-		rem = append(rem, 0)
-		// Dense Prim over rem.
-		m := len(rem)
-		inTree := make([]bool, m)
-		bestD := make([]float64, m)
-		for i := range bestD {
-			bestD[i] = math.Inf(1)
-		}
-		bestD[0] = 0
-		total := 0.0
-		for it := 0; it < m; it++ {
-			u, ud := -1, math.Inf(1)
-			for v := 0; v < m; v++ {
-				if !inTree[v] && bestD[v] < ud {
-					u, ud = v, bestD[v]
-				}
-			}
-			inTree[u] = true
-			total += ud
-			for v := 0; v < m; v++ {
-				if !inTree[v] {
-					if w := d[rem[u]][rem[v]]; w < bestD[v] {
-						bestD[v] = w
-					}
-				}
-			}
-		}
-		return total
-	}
-
-	var rec func(last int, length float64)
-	rec = func(last int, length float64) {
-		nodes++
-		if maxNodes > 0 && nodes > maxNodes {
-			exact = false
-			return
-		}
-		if len(path) == n {
-			if total := length + d[last][0]; total < bestLen {
-				bestLen = total
-				best = append(best[:0], path...)
-			}
-			return
-		}
-		if length+mstBound(last) >= bestLen-1e-12 {
-			return
-		}
-		// Branch to unvisited vertices, nearest first.
-		order := make([]int, 0, n)
-		for v := 1; v < n; v++ {
-			if !visited[v] {
-				order = append(order, v)
-			}
-		}
-		for i := 1; i < len(order); i++ {
-			for j := i; j > 0 && d[last][order[j]] < d[last][order[j-1]]; j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
-		}
-		for _, v := range order {
-			visited[v] = true
-			path = append(path, v)
-			rec(v, length+d[last][v])
-			path = path[:len(path)-1]
-			visited[v] = false
-			if maxNodes > 0 && nodes > maxNodes {
-				return
-			}
-		}
-	}
-	rec(0, 0)
-	return best, exact
 }

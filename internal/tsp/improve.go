@@ -181,19 +181,6 @@ func (s *Scratch) ensure(n int) {
 	s.queue = s.queue[:0]
 }
 
-// TwoOpt improves tour in place with 2-opt moves (reverse a segment when
-// doing so shortens the tour), restricted to candidate edges between near
-// neighbours and accelerated with don't-look bits. It returns the number
-// of improving moves applied.
-func TwoOpt(pts []geom.Point, tour Tour) int {
-	if len(tour) < 4 {
-		return 0
-	}
-	neigh, _ := neighborLists(pts, neighborK)
-	var s Scratch
-	return s.TwoOpt(pts, tour, neigh)
-}
-
 // NeighborLists builds the k-nearest candidate lists the improvement
 // passes take (the solver uses k = 12). The lists depend only on the
 // point set, so callers holding a Scratch across passes build them once
@@ -351,67 +338,6 @@ func (s *Scratch) twoOpt(pts []geom.Point, tour Tour, neigh [][]int, seeds []int
 			s.queue = append(s.queue, a)
 		} else {
 			dontLook[a] = true
-		}
-	}
-	return moves
-}
-
-// OrOpt improves tour in place by relocating chains of 1–3 consecutive
-// stops to a better position (possibly reversed). It returns the number of
-// improving moves applied. Run it after TwoOpt: the two neighbourhoods are
-// complementary.
-//
-// The scan is first-improvement but keeps going within a pass: after an
-// improving relocation it moves on to the next segment start rather than
-// restarting the whole O(n²) sweep, so a pass is O(n²) regardless of how
-// many moves it finds.
-func OrOpt(pts []geom.Point, tour Tour) int {
-	n := len(tour)
-	if n < 5 {
-		return 0
-	}
-	d := func(a, b int) float64 { return pts[a].Dist(pts[b]) }
-	moves := 0
-	maxSeg := min(3, n-3)
-	buf := make(Tour, 0, n)
-	improved := true
-	for improved {
-		improved = false
-		for segLen := 1; segLen <= maxSeg; segLen++ {
-			for i := 0; i < n; i++ {
-				// Segment occupies positions i..i+segLen-1 (mod n).
-				p0 := tour[(i-1+n)%n]      // before segment
-				s0 := tour[i]              // segment head
-				s1 := tour[(i+segLen-1)%n] // segment tail
-				p1 := tour[(i+segLen)%n]   // after segment
-				removed := d(p0, s0) + d(s1, p1) - d(p0, p1)
-				if removed <= 1e-12 {
-					continue
-				}
-				// Try inserting between every other consecutive pair.
-				for j := 0; j < n; j++ {
-					// Skip positions inside or adjacent to the segment.
-					if within(i, segLen, j, n) || (j+1)%n == i {
-						continue
-					}
-					a, b := tour[j], tour[(j+1)%n]
-					forward := d(a, s0) + d(s1, b) - d(a, b)
-					backward := d(a, s1) + d(s0, b) - d(a, b)
-					rev := backward < forward
-					added := forward
-					if rev {
-						added = backward
-					}
-					if added < removed-1e-12 {
-						relocate(tour, i, segLen, j, rev, buf)
-						moves++
-						improved = true
-						// This segment has moved; continue the pass at the
-						// next start position instead of restarting.
-						break
-					}
-				}
-			}
 		}
 	}
 	return moves

@@ -2,9 +2,8 @@
 // of polling points into a short closed data-gathering tour. It offers
 // three construction heuristics (nearest neighbour, greedy edge, and
 // Christofides with the MST double tree as its fallback), 2-opt and
-// Or-opt local search, exact solvers for small instances (Held–Karp
-// dynamic programming and an MST-bounded branch & bound), and the
-// spanning-tree lower bound.
+// Or-opt local search, Held–Karp dynamic programming for instances of
+// at most HeldKarpMax points, and the spanning-tree lower bound.
 //
 // All tours are closed (the collector returns to the sink). A tour is a
 // permutation of point indices; its length includes the final edge back to
@@ -29,9 +28,6 @@ func (t Tour) Length(pts []geom.Point) geom.Meters {
 	}
 	return geom.Meters(total)
 }
-
-// Clone returns an independent copy of t.
-func (t Tour) Clone() Tour { return append(Tour(nil), t...) }
 
 // RotateTo rotates the tour in place so that it begins at the stop with
 // index start. Closed-tour length is rotation invariant; the collector

@@ -39,6 +39,20 @@ func GreedyEdge(pts []geom.Point) Tour {
 	return greedyEdge(pts, neigh, idx)
 }
 
+// twoOpt and orOpt run one Scratch local-search pass over fresh
+// k-nearest lists, the one-call form the invariant tests drive.
+func twoOpt(pts []geom.Point, tour Tour) int {
+	neigh, _ := neighborLists(pts, neighborK)
+	var s Scratch
+	return s.TwoOpt(pts, tour, neigh)
+}
+
+func orOpt(pts []geom.Point, tour Tour) int {
+	neigh, _ := neighborLists(pts, neighborK)
+	var s Scratch
+	return s.OrOpt(pts, tour, neigh)
+}
+
 // OneTreeLowerBound returns the best 1-tree bound over all choices of the
 // special vertex: MST over the other n-1 points plus that vertex's two
 // cheapest edges. The 1-tree bound dominates the plain MST bound, so the
@@ -194,7 +208,7 @@ func TestTwoOptNeverIncreasesLength(t *testing.T) {
 		pts := randPts(s, 4+s.Intn(100), 150)
 		tour := NearestNeighbor(pts, 0)
 		before := tour.Length(pts)
-		TwoOpt(pts, tour)
+		twoOpt(pts, tour)
 		after := tour.Length(pts)
 		if after > before+1e-9 {
 			t.Fatalf("2-opt increased length %v -> %v", before, after)
@@ -211,7 +225,7 @@ func TestOrOptNeverIncreasesLength(t *testing.T) {
 		pts := randPts(s, 5+s.Intn(60), 150)
 		tour := NearestNeighbor(pts, 0)
 		before := tour.Length(pts)
-		OrOpt(pts, tour)
+		orOpt(pts, tour)
 		after := tour.Length(pts)
 		if after > before+1e-9 {
 			t.Fatalf("Or-opt increased length %v -> %v", before, after)
@@ -227,7 +241,7 @@ func TestTwoOptUncrossesSquare(t *testing.T) {
 	// 2-opt must uncross it to length 4.
 	pts := square4
 	tour := Tour{0, 2, 1, 3}
-	TwoOpt(pts, tour)
+	twoOpt(pts, tour)
 	if got := tour.Length(pts); math.Abs(float64(got)-4) > 1e-9 {
 		t.Fatalf("2-opt left length %v, want 4", got)
 	}
@@ -295,36 +309,6 @@ func bruteForceOpt(pts []geom.Point) float64 {
 	}
 	rec(1)
 	return best
-}
-
-func TestBranchBoundMatchesHeldKarp(t *testing.T) {
-	s := rng.New(55)
-	for trial := 0; trial < 8; trial++ {
-		n := 5 + s.Intn(8) // 5..12
-		pts := randPts(s, n, 100)
-		hk, err := HeldKarp(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, exact := BranchBound(pts, 0)
-		if !exact {
-			t.Fatal("uncapped branch & bound reported inexact")
-		}
-		if math.Abs(float64(bb.Length(pts)-hk.Length(pts))) > 1e-6 {
-			t.Fatalf("B&B %v != HeldKarp %v", bb.Length(pts), hk.Length(pts))
-		}
-	}
-}
-
-func TestBranchBoundNodeCap(t *testing.T) {
-	pts := randPts(rng.New(56), 25, 100)
-	tour, exact := BranchBound(pts, 10)
-	if exact {
-		t.Fatal("capped search on 25 points claimed exactness")
-	}
-	if err := tour.Validate(25); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestLowerBoundsBelowOptimum(t *testing.T) {
@@ -402,8 +386,8 @@ func TestQuickLocalSearchInvariants(t *testing.T) {
 		pts := randPts(s, n, 120)
 		tour := GreedyEdge(pts)
 		before := tour.Length(pts)
-		TwoOpt(pts, tour)
-		OrOpt(pts, tour)
+		twoOpt(pts, tour)
+		orOpt(pts, tour)
 		if tour.Validate(n) != nil {
 			return false
 		}
@@ -423,7 +407,7 @@ func TestCollinearPoints(t *testing.T) {
 			t.Fatalf("%s collinear: %v", name, err)
 		}
 		// Optimal is out-and-back: length 8.
-		TwoOpt(pts, tour)
+		twoOpt(pts, tour)
 		if got := tour.Length(pts); got < 8-1e-9 {
 			t.Fatalf("%s collinear length %v below the possible minimum 8", name, got)
 		}
@@ -457,7 +441,7 @@ func BenchmarkTwoOpt500(b *testing.B) {
 		b.StopTimer()
 		tour := NearestNeighbor(pts, 0)
 		b.StartTimer()
-		TwoOpt(pts, tour)
+		twoOpt(pts, tour)
 	}
 }
 

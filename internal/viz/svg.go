@@ -61,7 +61,8 @@ func RenderTour(w io.Writer, nw *wsn.Network, plan *collector.TourPlan) error {
 		}
 		fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>`+"\n", poly.String(), tourColor)
 		// Upload assignments as faint spokes.
-		for i, sIdx := range plan.UploadAt {
+		for i := 0; i < min(len(plan.UploadAt), nw.N()); i++ {
+			sIdx := plan.StopOf(i)
 			if sIdx < 0 {
 				continue
 			}

@@ -2,16 +2,19 @@ package viz
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
+	"mobicol/internal/collector"
+	"mobicol/internal/geom"
 	"mobicol/internal/shdgp"
 	"mobicol/internal/wsn"
 )
 
 func TestRenderTourWellFormed(t *testing.T) {
 	nw := wsn.MustDeploy(wsn.Config{N: 60, FieldSide: 150, Range: 25, Seed: 2})
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestRenderTourNilPlan(t *testing.T) {
 
 func TestRenderTourSkipsUnassignedSpokes(t *testing.T) {
 	nw := wsn.MustDeploy(wsn.Config{N: 20, FieldSide: 100, Range: 25, Seed: 3})
-	sol, err := shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,5 +68,20 @@ func TestRenderTourSkipsUnassignedSpokes(t *testing.T) {
 	sol.Plan.UploadAt[0] = -1
 	if got := spokes(); got != all-1 {
 		t.Fatalf("%d spokes with sensor 0 unassigned, want %d", got, all-1)
+	}
+}
+
+// TestRenderTourOutOfRangeUploadStop: an UploadAt entry outside
+// [0, len(Stops)) draws no spoke, and a plan with more entries than
+// sensors draws none for the extra entries, instead of panicking.
+func TestRenderTourOutOfRangeUploadStop(t *testing.T) {
+	nw := wsn.New([]geom.Point{geom.Pt(10, 10), geom.Pt(20, 10)}, geom.Pt(0, 0), 30, geom.Square(50))
+	plan := &collector.TourPlan{Sink: nw.Sink, Stops: []geom.Point{geom.Pt(20, 10)}, UploadAt: []int{1, 0, 0}}
+	var buf bytes.Buffer
+	if err := RenderTour(&buf, nw, plan); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), "<line"); got != 1 {
+		t.Fatalf("%d spokes, want 1 (sensor 1 only)", got)
 	}
 }

@@ -67,13 +67,22 @@ func Deploy(cfg Config) (*Network, error) {
 	if cfg.N < 0 {
 		return nil, fmt.Errorf("wsn: negative sensor count %d", cfg.N)
 	}
-	if cfg.FieldSide <= 0 {
-		return nil, fmt.Errorf("wsn: non-positive field side %v", cfg.FieldSide)
+	if !(cfg.FieldSide > 0) {
+		return nil, fmt.Errorf("wsn: field side %v is not positive", cfg.FieldSide)
 	}
-	if cfg.Range <= 0 {
-		return nil, fmt.Errorf("wsn: non-positive transmission range %v", cfg.Range)
+	if !(cfg.Range > 0) {
+		return nil, fmt.Errorf("wsn: transmission range %v is not positive", cfg.Range)
 	}
 	field := geom.Square(cfg.FieldSide)
+	sink := field.Center()
+	if cfg.SinkAtCorner {
+		sink = field.Min
+	}
+	// Every placement lies inside the field, so the field, sink and
+	// range alone decide whether squared distances overflow.
+	if err := New(nil, sink, cfg.Range, field).Validate(); err != nil {
+		return nil, err
+	}
 	s := rng.New(cfg.Seed)
 	pts := make([]geom.Point, 0, cfg.N)
 	switch cfg.Placement {
@@ -91,10 +100,6 @@ func Deploy(cfg Config) (*Network, error) {
 		pts = corridor(s, cfg.N, cfg.FieldSide)
 	default:
 		return nil, fmt.Errorf("wsn: unknown placement %v", cfg.Placement)
-	}
-	sink := field.Center()
-	if cfg.SinkAtCorner {
-		sink = field.Min
 	}
 	return New(pts, sink, cfg.Range, field), nil
 }

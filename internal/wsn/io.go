@@ -47,5 +47,9 @@ func ReadJSON(r io.Reader) (*Network, error) {
 		pts[i] = geom.Pt(s[0], s[1])
 	}
 	field := geom.NewRect(geom.Pt(ff.Field[0], ff.Field[1]), geom.Pt(ff.Field[2], ff.Field[3]))
-	return New(pts, geom.Pt(ff.Sink[0], ff.Sink[1]), ff.Range, field), nil
+	nw := New(pts, geom.Pt(ff.Sink[0], ff.Sink[1]), ff.Range, field)
+	if err := nw.Validate(); err != nil {
+		return nil, err
+	}
+	return nw, nil
 }

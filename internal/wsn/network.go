@@ -6,6 +6,7 @@ package wsn
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"mobicol/internal/geom"
@@ -48,6 +49,28 @@ func New(positions []geom.Point, sink geom.Point, transmissionRange float64, fie
 		nodes[i] = Node{ID: i, Pos: p}
 	}
 	return &Network{Nodes: nodes, Sink: sink, Range: transmissionRange, Field: field}
+}
+
+// Validate rejects a network whose squared extent is not finite. The
+// planners compare squared distances between any two of its points
+// (sensors, sink, field corners) and against the squared range; past
+// about 1e154 m these overflow to +Inf and the comparisons stop meaning
+// anything. Deploy and ReadJSON call it, and so does the engine seam for
+// networks built with New.
+func (nw *Network) Validate() error {
+	f, s := nw.Field, nw.Sink
+	minX, minY := min(f.Min.X, f.Max.X, s.X), min(f.Min.Y, f.Max.Y, s.Y)
+	maxX, maxY := max(f.Min.X, f.Max.X, s.X), max(f.Min.Y, f.Max.Y, s.Y)
+	for i := range nw.Nodes {
+		p := nw.Nodes[i].Pos
+		minX, minY = min(minX, p.X), min(minY, p.Y)
+		maxX, maxY = max(maxX, p.X), max(maxY, p.Y)
+	}
+	dx, dy := maxX-minX, maxY-minY
+	if d2 := dx*dx + dy*dy + nw.Range*nw.Range; math.IsInf(d2, 0) || math.IsNaN(d2) {
+		return fmt.Errorf("wsn: network extent %g x %g m with range %g m overflows squared distances", dx, dy, nw.Range)
+	}
+	return nil
 }
 
 // N returns the number of sensors.

@@ -188,6 +188,9 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewBufferString(`{"sensors":[],"sink":[0,0],"range":0,"field":[0,0,1,1]}`)); err == nil {
 		t.Fatal("zero range accepted")
 	}
+	if _, err := ReadJSON(bytes.NewBufferString(`{"sensors":[[0,0],[1e300,1e300]],"sink":[0,0],"range":30,"field":[0,0,1e300,1e300]}`)); err == nil {
+		t.Fatal("network whose squared extent overflows accepted")
+	}
 }
 
 func TestDeployPanicsOnBadConfig(t *testing.T) {
@@ -195,6 +198,9 @@ func TestDeployPanicsOnBadConfig(t *testing.T) {
 		{N: -1, FieldSide: 10, Range: 1},
 		{N: 5, FieldSide: 0, Range: 1},
 		{N: 5, FieldSide: 10, Range: 0},
+		{N: 5, FieldSide: math.NaN(), Range: 1},
+		{N: 5, FieldSide: 10, Range: math.NaN()},
+		{N: 5, FieldSide: 1e300, Range: 30},
 	} {
 		func() {
 			defer func() {

@@ -25,6 +25,8 @@
 package mobicol
 
 import (
+	"context"
+
 	"mobicol/internal/baselines"
 	"mobicol/internal/collector"
 	"mobicol/internal/cover"
@@ -119,12 +121,14 @@ const (
 
 // PlanTour runs the heuristic SHDGP planner with default options.
 func PlanTour(nw *Network) (*Solution, error) {
-	return shdgp.Plan(shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+	return shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 }
 
-// PlanTourWith runs the heuristic planner with explicit options.
-func PlanTourWith(p *Problem, opts PlannerOptions) (*Solution, error) {
-	return shdgp.Plan(p, opts)
+// PlanTourWith runs the heuristic planner with explicit options. It
+// checks ctx between phases and before each refine pass, and returns
+// ctx's error at the first check that finds it done.
+func PlanTourWith(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, error) {
+	return shdgp.Plan(ctx, p, opts)
 }
 
 // DefaultPlannerOptions returns the planner configuration used throughout
@@ -135,9 +139,11 @@ func DefaultPlannerOptions() PlannerOptions { return shdgp.DefaultPlannerOptions
 func NewProblem(nw *Network) *Problem { return shdgp.NewProblem(nw) }
 
 // PlanTourExact solves small instances to optimality (the paper's CPLEX
-// role). See shdgp.ExactLimits for the instance-size guards.
+// role). It rejects an instance with more than 64 candidate stops after
+// dominance pruning, considers covers of at most 14 stops, and returns
+// its best plan with Exact=false after 5,000,000 enumeration nodes.
 func PlanTourExact(nw *Network) (*Solution, error) {
-	return shdgp.PlanExact(shdgp.NewProblem(nw), shdgp.DefaultExactLimits())
+	return shdgp.PlanExact(context.Background(), shdgp.NewProblem(nw))
 }
 
 // PlanVisitAll returns the visit-every-sensor tour (the d = 0 extreme).
@@ -148,7 +154,7 @@ func PlanVisitAll(nw *Network) (*Solution, error) {
 // PlanTourCapacitated plans a tour in which no polling point buffers more
 // than cap sensors' packets (the paper's buffer-overflow concern).
 func PlanTourCapacitated(nw *Network, cap int) (*Solution, error) {
-	return shdgp.PlanCapacitated(shdgp.NewProblem(nw), cap, tsp.DefaultOptions())
+	return shdgp.PlanCapacitated(shdgp.NewProblem(nw), cap)
 }
 
 // PlanTourSweep runs the alternative SPT-sweep heuristic (stops opened
@@ -160,7 +166,7 @@ func PlanTourSweep(nw *Network) (*Solution, error) {
 // PlanTourHetero plans with per-sensor transmission ranges: sensor i must
 // be within radii[i] metres of its upload stop.
 func PlanTourHetero(nw *Network, radii []float64) (*Solution, error) {
-	return shdgp.PlanHetero(nw, radii, tsp.DefaultOptions())
+	return shdgp.PlanHetero(nw, radii)
 }
 
 // MultiPlan is a set of concurrent sink-anchored sub-tours.
@@ -169,13 +175,13 @@ type MultiPlan = mtsp.MultiPlan
 // MinCollectors covers the solution's stops with the fewest sub-tours of
 // closed length at most bound.
 func MinCollectors(nw *Network, sol *Solution, bound float64) (*MultiPlan, error) {
-	return mtsp.MinCollectors(nw.Sink, sol.Plan.Stops, bound, tsp.DefaultOptions())
+	return mtsp.MinCollectors(nw.Sink, sol.Plan.Stops, bound)
 }
 
 // SplitTour divides the solution's stops among exactly k collectors,
 // minimising the longest sub-tour.
 func SplitTour(nw *Network, sol *Solution, k int) (*MultiPlan, error) {
-	return mtsp.MinMaxSplit(nw.Sink, sol.Plan.Stops, k, tsp.DefaultOptions())
+	return mtsp.MinMaxSplit(nw.Sink, sol.Plan.Stops, k)
 }
 
 // SubTourPlans converts a MultiPlan into per-collector executable plans.
@@ -247,7 +253,7 @@ func RunAdaptiveStatic(nw *Network, model EnergyModel, maxRounds int) (*Adaptive
 // PlanDiverse returns up to k structurally different plans for rotation
 // (round-robin plan alternation that averages per-sensor upload cost).
 func PlanDiverse(nw *Network, k int) ([]*Solution, error) {
-	return shdgp.PlanDiverse(shdgp.NewProblem(nw), k, tsp.DefaultOptions())
+	return shdgp.PlanDiverse(shdgp.NewProblem(nw), k)
 }
 
 // RotationScheme alternates plans round-robin for lifetime simulation.

@@ -1,6 +1,7 @@
 package mobicol
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestPlanTourWithOptionsAndStrategies(t *testing.T) {
 	for _, strat := range []CandidateStrategy{SensorSites, FieldGrid, Intersections} {
 		p := NewProblem(nw)
 		p.Strategy = strat
-		sol, err := PlanTourWith(p, DefaultPlannerOptions())
+		sol, err := PlanTourWith(context.Background(), p, DefaultPlannerOptions())
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
