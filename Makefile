@@ -136,6 +136,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTourPlanRoundTrip -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -fuzz=FuzzNetworkRead -fuzztime=$(FUZZTIME) ./internal/wsn/
 	$(GO) test -fuzz=FuzzCourseRead -fuzztime=$(FUZZTIME) ./internal/obstacle/
+	$(GO) test -fuzz=FuzzGridIndexQueries -fuzztime=$(FUZZTIME) ./internal/geom/
 
 # check runs the CI pipeline's gates locally. It skips the fuzz-smoke
 # job (make fuzz-smoke) and the benchmark smoke step, which runs every

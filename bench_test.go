@@ -158,6 +158,43 @@ func BenchmarkOrOptSteadyState(b *testing.B) {
 	}
 }
 
+// gridQueries is one unit of steady-state grid-index work: a k-nearest
+// query and a range query per point, into reused buffers, as the tsp
+// neighbour lists, cover's instance build and refine run them.
+type gridQueries struct {
+	pts  []geom.Point
+	idx  *geom.GridIndex
+	nbr  []int
+	d2   []float64
+	hits []int
+}
+
+func newGridQueries() *gridQueries {
+	nw := MustDeploy(DeployConfig{N: 2000, FieldSide: 900, Range: 30, Seed: 1}) // paper density
+	pts := nw.Positions()
+	g := &gridQueries{pts: pts, idx: geom.NewGridIndexAuto(pts, 1), nbr: make([]int, 12), d2: make([]float64, 12)}
+	g.run()
+	return g
+}
+
+func (g *gridQueries) run() {
+	for i, p := range g.pts {
+		g.idx.NearestK(p, i, g.nbr, g.d2)
+		g.hits = g.idx.Within(p, 30, g.hits[:0])
+	}
+}
+
+// BenchmarkGridIndexNearestKSteadyState pins the grid index's k-nearest
+// and range queries at allocs/op == 0 once the hit buffer has grown.
+func BenchmarkGridIndexNearestKSteadyState(b *testing.B) {
+	g := newGridQueries()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.run()
+	}
+}
+
 // warmGreedy builds a covering instance and runs one selection so the
 // scratch buffers and the instance's lazy feasibility memo are in their
 // steady state.
@@ -246,6 +283,11 @@ func TestHotPathSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Instance.GreedyInto steady state allocates %.1f objects/op, want 0", n)
+	}
+
+	g := newGridQueries()
+	if n := testing.AllocsPerRun(5, g.run); n != 0 {
+		t.Errorf("GridIndex.NearestK + Within steady state allocates %.1f objects/op, want 0", n)
 	}
 
 	tr := warmSpanTrace()

@@ -170,6 +170,9 @@ func TestCancelUnderLoad(t *testing.T) {
 // gigabytes), a field whose squared extent overflows, and the empty,
 // one-sensor, coincident, collinear and range-exceeds-field networks.
 // Each run must return an oracle-valid plan or an error, never panic.
+// Ranges of 1e17 and 1e30 m on a 100 m field must plan: grid range
+// queries there used to walk 1e16 cell rows, or overflow int and find
+// no sensor in range.
 func TestAdversarialNetworks(t *testing.T) {
 	deploy := func(n int, side, r float64) *wsn.Network {
 		nw, err := wsn.Deploy(wsn.Config{N: n, FieldSide: side, Range: r, Seed: 1})
@@ -198,18 +201,21 @@ func TestAdversarialNetworks(t *testing.T) {
 		farPts[i] = geom.Pt(10*float64(i), 1e17+10*float64(i))
 	}
 	nets := []struct {
-		name string
-		nw   *wsn.Network
+		name     string
+		nw       *wsn.Network
+		mustPlan bool
 	}{
-		{"range-1mm", deploy(50, 200, 0.001)},
-		{"extent-1e300", wsn.New([]geom.Point{geom.Pt(0, 0), geom.Pt(1e300, 1e300), geom.Pt(5e299, 1)}, geom.Pt(0, 0), 30, geom.Square(1e300))},
-		{"range-1nm", deploy(20, 100, 1e-9)},
-		{"empty", wsn.New(nil, field.Center(), 10, field)},
-		{"one-sensor", wsn.New([]geom.Point{geom.Pt(10, 10)}, field.Center(), 10, field)},
-		{"coincident", wsn.New(same, field.Center(), 10, field)},
-		{"collinear", wsn.New(line, field.Center(), 12, field)},
-		{"range-exceeds-field", deploy(30, 100, 500)},
-		{"offset-field-1e17", wsn.New(farPts, far.Center(), 1, far)},
+		{"range-1mm", deploy(50, 200, 0.001), false},
+		{"extent-1e300", wsn.New([]geom.Point{geom.Pt(0, 0), geom.Pt(1e300, 1e300), geom.Pt(5e299, 1)}, geom.Pt(0, 0), 30, geom.Square(1e300)), false},
+		{"range-1nm", deploy(20, 100, 1e-9), false},
+		{"empty", wsn.New(nil, field.Center(), 10, field), false},
+		{"one-sensor", wsn.New([]geom.Point{geom.Pt(10, 10)}, field.Center(), 10, field), false},
+		{"coincident", wsn.New(same, field.Center(), 10, field), false},
+		{"collinear", wsn.New(line, field.Center(), 12, field), false},
+		{"range-exceeds-field", deploy(30, 100, 500), false},
+		{"offset-field-1e17", wsn.New(farPts, far.Center(), 1, far), false},
+		{"range-1e17", deploy(30, 100, 1e17), true},
+		{"range-1e30", deploy(30, 100, 1e30), true},
 	}
 	for _, name := range engine.Names() {
 		p, _ := engine.Lookup(name)
@@ -222,6 +228,9 @@ func TestAdversarialNetworks(t *testing.T) {
 				}()
 				pl, st, err := p.Plan(context.Background(), engine.Scenario{Net: tc.nw}, engine.Options{})
 				if err != nil {
+					if tc.mustPlan {
+						t.Fatalf("plan: %v", err)
+					}
 					return
 				}
 				if err := check.Plan(tc.nw, pl.Tour, check.Options{UploadDist: pl.UploadDist}); err != nil {

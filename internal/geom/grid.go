@@ -3,17 +3,17 @@ package geom
 import "math"
 
 // GridIndex is a uniform spatial hash over points that answers
-// fixed-radius range queries in expected O(1 + output) time. It is the
+// fixed-radius range queries in expected O(1 + output) time, and
+// nearest and k-nearest queries by ring search. It is the
 // workhorse behind unit-disk-graph construction: building the neighbour
 // lists of an N-sensor field costs O(N) with a cell size equal to the
 // transmission range, versus O(N²) for the naive double loop.
 //
 // Internally the index stores the points twice: once as the caller's
 // []Point (for identity) and once as flat xs/ys coordinate slices
-// grouped by cell in CSR layout (cellStart/order). Queries scan each
-// candidate cell's contiguous coordinate range with the batch kernels
-// from batch.go instead of chasing a map of bucket slices, which is
-// both allocation-free at query time and vectorisation-friendly.
+// grouped by cell in CSR layout (cellStart/order). Cells are numbered
+// row-major, so a row of cells is one contiguous coordinate range that
+// a query scans in one loop, allocation-free.
 type GridIndex struct {
 	cell float64
 	pts  []Point
@@ -146,13 +146,24 @@ func NewGridIndexFor(pts []Point, r float64) *GridIndex {
 	return NewGridIndex(pts, r)
 }
 
-// CellSize returns the index's cell edge length in metres.
-func (g *GridIndex) CellSize() float64 { return g.cell }
+// axisCell returns the cell along one axis (origin o, n cells) that holds
+// coordinate v, clamped to [0, n-1] in float before the int conversion,
+// so that far, huge or non-finite coordinates cannot overflow. It is the
+// one place coordinates become cells: for indexed points the clamp never
+// fires, and a clamped query cell is the grid cell nearest the query.
+func (g *GridIndex) axisCell(v, o float64, n int) int {
+	t := math.Floor((v - o) / g.cell)
+	if !(t > 0) { // NaN lands here too
+		return 0
+	}
+	if t >= float64(n-1) {
+		return n - 1
+	}
+	return int(t)
+}
 
 func (g *GridIndex) cellOf(p Point) (cx, cy int) {
-	cx = int(math.Floor((p.X - g.minX) / g.cell))
-	cy = int(math.Floor((p.Y - g.minY) / g.cell))
-	return cx, cy
+	return g.axisCell(p.X, g.minX, g.cols), g.axisCell(p.Y, g.minY, g.rows)
 }
 
 func (g *GridIndex) key(p Point) int {
@@ -160,34 +171,35 @@ func (g *GridIndex) key(p Point) int {
 	return cy*g.cols + cx
 }
 
+// box returns the clamped cell rectangle [x0, x1]×[y0, y1] that holds
+// every indexed point whose squared distance to q is at most r2. A point
+// the distance test accepts lies within sqrt(r2)·(1+3u) of q along each
+// axis (u the unit roundoff), so within the half side h. Rounding q±h
+// cannot step past such a point's coordinate, itself a float, and the
+// cell map is monotone in the coordinate, so the point's cell is inside
+// the box.
+func (g *GridIndex) box(q Point, r2 float64) (x0, x1, y0, y1 int) {
+	h := math.Sqrt(r2) * (1 + 1e-9)
+	x0, x1 = g.axisCell(q.X-h, g.minX, g.cols), g.axisCell(q.X+h, g.minX, g.cols)
+	y0, y1 = g.axisCell(q.Y-h, g.minY, g.rows), g.axisCell(q.Y+h, g.minY, g.rows)
+	return x0, x1, y0, y1
+}
+
 // Within appends to dst the indices of all indexed points within distance r
 // of q (inclusive) and returns the extended slice. Pass a reused buffer to
 // avoid allocation in hot loops.
 func (g *GridIndex) Within(q Point, r float64, dst []int) []int {
-	if len(g.pts) == 0 {
-		return dst
-	}
 	r2 := r*r + Eps
-	span := int(math.Ceil(r/g.cell)) + 1
-	cx, cy := g.cellOf(q)
-	for dy := -span; dy <= span; dy++ {
-		y := cy + dy
-		if y < 0 || y >= g.rows {
-			continue
-		}
-		lo := max(cx-span, 0)
-		hi := min(cx+span, g.cols-1)
-		for x := lo; x <= hi; x++ {
-			k := y*g.cols + x
-			s, e := g.cellStart[k], g.cellStart[k+1]
-			xs, ys := g.xs[s:e], g.ys[s:e]
-			for i := range xs {
-				dx := xs[i] - q.X
-				dyy := ys[i] - q.Y
-				if dx*dx+dyy*dyy <= r2 {
-					//mdglint:allow-alloc(amortized growth of the caller's hit buffer)
-					dst = append(dst, int(g.order[s+int32(i)]))
-				}
+	x0, x1, y0, y1 := g.box(q, r2)
+	for y := y0; y <= y1; y++ {
+		// One row of the box is one contiguous run of the CSR arrays.
+		s, e := g.cellStart[y*g.cols+x0], g.cellStart[y*g.cols+x1+1]
+		for i := s; i < e; i++ {
+			dx := g.xs[i] - q.X
+			dy := g.ys[i] - q.Y
+			if dx*dx+dy*dy <= r2 {
+				//mdglint:allow-alloc(amortized growth of the caller's hit buffer)
+				dst = append(dst, int(g.order[i]))
 			}
 		}
 	}
@@ -199,59 +211,99 @@ func (g *GridIndex) Within(q Point, r float64, dst []int) []int {
 // non-nil, excludes points (e.g. fragment endpoints already linked); -1
 // means every point was skipped.
 func (g *GridIndex) Nearest(q Point, skip func(i int) bool) int {
-	if len(g.pts) == 0 {
+	var nbr [1]int
+	var d2 [1]float64
+	if g.nearest(q, -1, skip, nbr[:], d2[:]) == 0 {
 		return -1
 	}
-	// Expand ring by ring until a hit is found, then one more ring to be
-	// safe (a closer point can live in the next ring than the first hit's).
-	best, bestD2 := -1, math.Inf(1)
+	return nbr[0]
+}
+
+// NearestK writes to nbr the indices of the len(nbr) indexed points
+// nearest q, leaving out self (-1 leaves out none), in ascending
+// (squared distance, index) order, and their squared distances to the
+// same slots of d2, which must be at least as long. It returns how many
+// it wrote: len(nbr), or every other indexed point when there are
+// fewer. The query walks cell rings outward from q's cell and touches
+// only rings that could still hold a point beating the k-th.
+//
+//mdglint:hotpath
+func (g *GridIndex) NearestK(q Point, self int, nbr []int, d2 []float64) int {
+	return g.nearest(q, self, nil, nbr, d2)
+}
+
+// nearest is NearestK with an optional skip predicate (Nearest's). It
+// stops before ring s >= 2 once the k-th squared distance is below
+// ((s-1)·cell)²: a point in ring s or beyond is at least (s-1)·cell from
+// q along one axis, less a rounding term of about 4u·cells·cell from
+// the cell map (u the unit roundoff, cells the grid's columns or rows),
+// which NewGridIndex's cap of about 2·sqrt(n) cells per axis keeps far
+// below the 1e-9 relative slack taken off the bound. Clamping a query
+// outside the grid to its nearest cell keeps the bound: it moves the
+// query cell toward every indexed cell.
+func (g *GridIndex) nearest(q Point, self int, skip func(int) bool, nbr []int, d2 []float64) int {
+	k, m := len(nbr), 0
+	if k == 0 {
+		return 0
+	}
 	cx, cy := g.cellOf(q)
-	// The search must be able to reach every cell even when q lies far
-	// outside the indexed bounding box.
-	maxSpan := max(max(abs(cx), abs(g.cols-1-cx)), max(abs(cy), abs(g.rows-1-cy)))
-	for span := 0; span <= maxSpan; span++ {
-		found := false
-		for dy := -span; dy <= span; dy++ {
-			y := cy + dy
-			if y < 0 || y >= g.rows {
-				continue
-			}
-			// Interior rows of the ring hold only its two edge columns;
-			// the cells between were scanned in earlier rings.
-			step := 1
-			if abs(dy) != span {
-				step = 2 * span
-			}
-			for dx := -span; dx <= span; dx += step {
-				x := cx + dx
-				if x < 0 || x >= g.cols {
-					continue
-				}
-				k := y*g.cols + x
-				s, e := g.cellStart[k], g.cellStart[k+1]
-				xs, ys := g.xs[s:e], g.ys[s:e]
-				for i := range xs {
-					ddx := xs[i] - q.X
-					ddy := ys[i] - q.Y
-					d2 := ddx*ddx + ddy*ddy
-					idx := int(g.order[s+int32(i)])
-					if (d2 < bestD2 || (d2 == bestD2 && idx < best)) && (skip == nil || !skip(idx)) {
-						best, bestD2 = idx, d2
-						found = true
-					}
-				}
-			}
-		}
-		// Once a candidate exists and the ring is farther than the best
-		// distance, no closer point can appear.
-		if best >= 0 && !found {
-			ringDist := float64(span-1) * g.cell
-			if ringDist*ringDist > bestD2 {
+	maxSpan := max(cx, g.cols-1-cx, cy, g.rows-1-cy)
+	for s := 0; s <= maxSpan; s++ {
+		if m == k && s >= 2 {
+			lb := float64(s-1) * g.cell * (1 - 1e-9)
+			if lb*lb > d2[k-1] {
 				break
 			}
 		}
+		x0, x1 := max(cx-s, 0), min(cx+s, g.cols-1)
+		for y := max(cy-s, 0); y <= min(cy+s, g.rows-1); y++ {
+			row := y * g.cols
+			if y == cy-s || y == cy+s {
+				// The ring's top and bottom edges are whole row runs.
+				m = g.scanK(q, self, skip, g.cellStart[row+x0], g.cellStart[row+x1+1], m, nbr, d2)
+				continue
+			}
+			// Interior rows hold only the ring's two edge columns.
+			if cx-s >= 0 {
+				m = g.scanK(q, self, skip, g.cellStart[row+cx-s], g.cellStart[row+cx-s+1], m, nbr, d2)
+			}
+			if cx+s < g.cols {
+				m = g.scanK(q, self, skip, g.cellStart[row+cx+s], g.cellStart[row+cx+s+1], m, nbr, d2)
+			}
+		}
 	}
-	return best
+	return m
+}
+
+// scanK merges the points at CSR positions [s, e) into the m best found
+// so far (nbr/d2 ascending by squared distance, then index) and returns
+// the new count.
+func (g *GridIndex) scanK(q Point, self int, skip func(int) bool, s, e int32, m int, nbr []int, d2 []float64) int {
+	k := len(nbr)
+	for i := s; i < e; i++ {
+		dx := g.xs[i] - q.X
+		dy := g.ys[i] - q.Y
+		dd := dx*dx + dy*dy
+		j := int(g.order[i])
+		if m == k && (dd > d2[k-1] || (dd == d2[k-1] && j > nbr[k-1])) {
+			continue
+		}
+		if j == self || (skip != nil && skip(j)) {
+			continue
+		}
+		at := m
+		if m < k {
+			m++
+		} else {
+			at = k - 1
+		}
+		for at > 0 && (d2[at-1] > dd || (d2[at-1] == dd && nbr[at-1] > j)) {
+			nbr[at], d2[at] = nbr[at-1], d2[at-1]
+			at--
+		}
+		nbr[at], d2[at] = j, dd
+	}
+	return m
 }
 
 // NearestWithin returns the index of the closest indexed point within
@@ -262,34 +314,20 @@ func (g *GridIndex) Nearest(q Point, skip func(i int) bool) int {
 // to the nearest point).
 func (g *GridIndex) NearestWithin(q Point, r float64) (int, float64) {
 	best, bestD2 := -1, math.Inf(1)
-	if len(g.pts) == 0 {
-		return best, bestD2
-	}
 	bound := r*r + Eps
-	span := int(math.Ceil(r/g.cell)) + 1
-	cx, cy := g.cellOf(q)
-	for dy := -span; dy <= span; dy++ {
-		y := cy + dy
-		if y < 0 || y >= g.rows {
-			continue
-		}
-		lo := max(cx-span, 0)
-		hi := min(cx+span, g.cols-1)
-		for x := lo; x <= hi; x++ {
-			k := y*g.cols + x
-			s, e := g.cellStart[k], g.cellStart[k+1]
-			xs, ys := g.xs[s:e], g.ys[s:e]
-			for i := range xs {
-				dx := xs[i] - q.X
-				dyy := ys[i] - q.Y
-				d2 := dx*dx + dyy*dyy
-				if d2 > bound {
-					continue
-				}
-				idx := int(g.order[s+int32(i)])
-				if d2 < bestD2 || (d2 == bestD2 && idx < best) {
-					best, bestD2 = idx, d2
-				}
+	x0, x1, y0, y1 := g.box(q, bound)
+	for y := y0; y <= y1; y++ {
+		s, e := g.cellStart[y*g.cols+x0], g.cellStart[y*g.cols+x1+1]
+		for i := s; i < e; i++ {
+			dx := g.xs[i] - q.X
+			dy := g.ys[i] - q.Y
+			d2 := dx*dx + dy*dy
+			if d2 > bound {
+				continue
+			}
+			idx := int(g.order[i])
+			if best < 0 || d2 < bestD2 || (d2 == bestD2 && idx < best) {
+				best, bestD2 = idx, d2
 			}
 		}
 	}
@@ -298,10 +336,3 @@ func (g *GridIndex) NearestWithin(q Point, r float64) (int, float64) {
 
 // Len returns the number of indexed points.
 func (g *GridIndex) Len() int { return len(g.pts) }
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

@@ -32,7 +32,7 @@ func bruteWithin(pts []Point, q Point, r float64) []int {
 func bruteNearest(pts []Point, q Point, skip func(i int) bool) int {
 	best, bestD2 := -1, math.Inf(1)
 	for i, p := range pts {
-		if d2 := p.Dist2(q); d2 < bestD2 && (skip == nil || !skip(i)) {
+		if d2 := p.Dist2(q); (best < 0 || d2 < bestD2) && (skip == nil || !skip(i)) {
 			best, bestD2 = i, d2
 		}
 	}
@@ -231,16 +231,16 @@ func TestGridIndexForDense(t *testing.T) {
 	s := rng.New(17)
 	pts := randPoints(s, 2000, 200) // dense: r=30 cells would hold ~45 points
 	g := NewGridIndexFor(pts, 30)
-	if g.CellSize() >= 30 {
-		t.Fatalf("dense field kept radius-sized cell %v", g.CellSize())
+	if g.cell >= 30 {
+		t.Fatalf("dense field kept radius-sized cell %v", g.cell)
 	}
 	for trial := 0; trial < 20; trial++ {
 		q := Pt(s.Uniform(0, 200), s.Uniform(0, 200))
 		sameIndexSet(t, g.Within(q, 30, nil), bruteWithin(pts, q, 30), "dense NewGridIndexFor.Within")
 	}
 	sparse := randPoints(s, 20, 200)
-	if g := NewGridIndexFor(sparse, 30); g.CellSize() != 30 {
-		t.Fatalf("sparse field should keep radius-sized cell, got %v", g.CellSize())
+	if g := NewGridIndexFor(sparse, 30); g.cell != 30 {
+		t.Fatalf("sparse field should keep radius-sized cell, got %v", g.cell)
 	}
 }
 
@@ -261,6 +261,15 @@ func BenchmarkGridIndexBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewGridIndex(pts, 30)
+	}
+}
+
+func BenchmarkGridIndexAutoBuild10k(b *testing.B) {
+	pts := randPoints(rng.New(1), 10_000, 2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewGridIndexAuto(pts, 0)
 	}
 }
 

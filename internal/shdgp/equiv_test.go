@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mobicol/internal/bitset"
@@ -14,6 +15,7 @@ import (
 	"mobicol/internal/obs"
 	"mobicol/internal/par"
 	"mobicol/internal/tsp"
+	"mobicol/internal/wsn"
 )
 
 // subsetOf reports whether every element of a is in b.
@@ -164,6 +166,132 @@ func TestRelocateStopsMatchesOracle(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("seed %d: stop %d relocated to %d, oracle chose %d",
 					seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// relocateStopsFullScan is relocateStops with the redundant-stop branch
+// scanning every candidate, the reference the ellipse-bounded query is
+// held to. It also returns how many stops took that branch. A stop with
+// critical sensors scans the coverers of the first one, as relocateStops
+// does (TestRelocateStopsMatchesOracle pins that branch).
+func relocateStopsFullScan(p *Problem, inst *cover.Instance, chosen []int, rs *refineScratch) (moved bool, redundant int) {
+	if len(chosen) == 0 {
+		return false, 0
+	}
+	pts := []geom.Point{p.Net.Sink}
+	for _, c := range chosen {
+		pts = append(pts, inst.Candidates[c])
+	}
+	tour := tsp.Solve(pts, tsp.Options{Construction: tsp.ConstructGreedy, TwoOpt: true})
+	tour.RotateTo(0)
+	prev := make([]geom.Point, len(chosen))
+	next := make([]geom.Point, len(chosen))
+	for ti, idx := range tour {
+		if idx == 0 {
+			continue
+		}
+		prev[idx-1] = pts[tour[(ti-1+len(tour))%len(tour)]]
+		next[idx-1] = pts[tour[(ti+1)%len(tour)]]
+	}
+	rs.resetCounts(inst, chosen)
+	counts := rs.counts
+	for i := range chosen {
+		var critical []int32
+		for _, s := range inst.Cover(chosen[i]) {
+			if counts[s] == 1 {
+				critical = append(critical, s)
+			}
+		}
+		if len(critical) == 0 {
+			redundant++
+		}
+		cur := inst.Candidates[chosen[i]]
+		bestCost := prev[i].Dist(cur) + cur.Dist(next[i])
+		bestCand := chosen[i]
+		var scan []int32
+		for c := 0; c < inst.NumCandidates(); c++ {
+			scan = append(scan, int32(c))
+		}
+		if len(critical) > 0 {
+			scan = rs.coverersOf(critical[0])
+		}
+		for _, c32 := range scan {
+			c := int(c32)
+			if c == chosen[i] || !subsetOfSorted(critical, inst.Cover(c)) {
+				continue
+			}
+			alt := inst.Candidates[c]
+			if cost := prev[i].Dist(alt) + alt.Dist(next[i]); cost < bestCost-1e-9 {
+				bestCost = cost
+				bestCand = c
+			}
+		}
+		if bestCand != chosen[i] {
+			for _, s := range inst.Cover(chosen[i]) {
+				counts[s]--
+			}
+			for _, s := range inst.Cover(bestCand) {
+				counts[s]++
+			}
+			chosen[i] = bestCand
+			moved = true
+		}
+	}
+	return moved, redundant
+}
+
+// TestRelocateStopsMatchesFullScan runs every refine pass twice, with
+// relocateStops and with the full-candidate scan, on uniform and
+// clustered fields under each candidate strategy, and requires the same
+// stops after every pass. The redundant-stop branch, where the
+// candidate-disc query replaces the full scan, must fire.
+func TestRelocateStopsMatchesFullScan(t *testing.T) {
+	all := []cover.CandidateStrategy{cover.SensorSites, cover.FieldGrid, cover.Intersections}
+	fields := []struct {
+		name       string
+		cfg        wsn.Config
+		strategies []cover.CandidateStrategy
+	}{
+		// Intersections run on the 2k fields only: at 5k and 10k they
+		// build 260k-285k candidates, about a minute under -race.
+		{"uniform-2k", wsn.Config{N: 2000, FieldSide: 200 * math.Sqrt(20), Range: 30, Seed: 21}, all},
+		{"clustered-2k", wsn.Config{N: 2000, FieldSide: 200 * math.Sqrt(20), Range: 30, Placement: wsn.Clustered, Clusters: 25, Seed: 24}, all[2:]},
+		{"clustered-5k", wsn.Config{N: 5000, FieldSide: 200 * math.Sqrt(50), Range: 30, Placement: wsn.Clustered, Clusters: 25, Seed: 22}, all[:2]},
+		{"uniform-10k", wsn.Config{N: 10000, FieldSide: 2000, Range: 30, Seed: 23}, all[:2]},
+	}
+	if testing.Short() {
+		fields = fields[:1]
+	}
+	for _, f := range fields {
+		nw := wsn.MustDeploy(f.cfg)
+		for _, strategy := range f.strategies {
+			p := &Problem{Net: nw, Strategy: strategy}
+			inst, err := p.Instance()
+			if err != nil {
+				t.Fatalf("%s/%v: %v", f.name, strategy, err)
+			}
+			chosen, err := inst.Greedy(p.Net.Sink)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", f.name, strategy, err)
+			}
+			got, want := chosen, append([]int(nil), chosen...)
+			rs, ref := newRefineScratch(inst), newRefineScratch(inst)
+			redundant := 0
+			for pass := 0; pass < refinePasses; pass++ {
+				dropRedundant(inst, &got, rs)
+				dropRedundant(inst, &want, ref)
+				gotMoved := relocateStops(p, inst, got, rs)
+				wantMoved, r := relocateStopsFullScan(p, inst, want, ref)
+				redundant += r
+				if gotMoved != wantMoved || !slices.Equal(got, want) {
+					t.Fatalf("%s/%v pass %d: moved=%v, full scan %v; stops differ: %v",
+						f.name, strategy, pass, gotMoved, wantMoved, !slices.Equal(got, want))
+				}
+			}
+			if redundant == 0 {
+				t.Errorf("%s/%v: the redundant-stop branch never fired", f.name, strategy)
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package shdgp
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"mobicol/internal/cover"
 	"mobicol/internal/geom"
@@ -124,7 +126,8 @@ func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, erro
 
 // refineScratch holds the buffers the refinement passes share: coverage
 // counts, the per-sensor coverer lists (transposed covers), the
-// critical-sensor scratch, and the tour-neighbour arrays. Plan builds one
+// critical-sensor scratch, the tour-neighbour arrays, and a grid index
+// over the candidates with its hit buffer. Plan builds one
 // per call and reuses it across every refinement pass, so the passes
 // themselves stay allocation-free.
 type refineScratch struct {
@@ -133,23 +136,26 @@ type refineScratch struct {
 	// candidates covIdx[covOff[s]:covOff[s+1]], ascending.
 	covOff   []int32
 	covIdx   []int32
-	critical []int32      // scratch for one stop's critical sensors, ascending
-	pts      []geom.Point // sink + stop positions for the proxy tour
-	prev     []geom.Point // prev[i] = tour predecessor of stop i
-	next     []geom.Point // next[i] = tour successor of stop i
+	critical []int32         // scratch for one stop's critical sensors, ascending
+	pts      []geom.Point    // sink + stop positions for the proxy tour
+	prev     []geom.Point    // prev[i] = tour predecessor of stop i
+	next     []geom.Point    // next[i] = tour successor of stop i
+	cands    *geom.GridIndex // inst.Candidates, for the redundant-stop disc query
+	hits     []int           // scratch for one disc query's hits, sorted ascending
 }
 
 // newRefineScratch sizes the buffers for the instance. The coverer lists
-// depend only on the instance's candidate covers — not on the current
-// selection — so building them here once serves every refinement pass.
-// The transpose is a counting sort over the cover lists: two O(pairs)
-// passes, no per-sensor slice headers.
+// and the candidate index depend only on the instance — not on the
+// current selection — so building them here once serves every
+// refinement pass. The transpose is a counting sort over the cover
+// lists: two O(pairs) passes, no per-sensor slice headers.
 //
 //mdglint:allow-alloc(refine scratch is built once per Plan and reused across all passes)
 func newRefineScratch(inst *cover.Instance) *refineScratch {
 	rs := &refineScratch{
 		counts: make([]int, inst.Universe),
 		covOff: make([]int32, inst.Universe+1),
+		cands:  geom.NewGridIndexAuto(inst.Candidates, 0),
 	}
 	total := 0
 	for c := 0; c < inst.NumCandidates(); c++ {
@@ -333,8 +339,18 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 			}
 		} else {
 			// No critical sensors (the stop is redundant): every
-			// candidate qualifies, as in the full scan.
-			for c := 0; c < inst.NumCandidates(); c++ {
+			// candidate qualifies, but only one inside the ellipse with
+			// foci prev and next and major axis bestCost can win, and
+			// that ellipse lies in the disc of radius bestCost/2 about
+			// the foci's midpoint. The slack absorbs rounding in the
+			// midpoint and the distances. Scanning the disc's hits
+			// ascending makes the same moves, in the same order, as
+			// scanning every candidate.
+			mid := geom.Pt((prev[i].X+next[i].X)/2, (prev[i].Y+next[i].Y)/2)
+			r := bestCost/2 + 1e-9*(bestCost+math.Abs(mid.X)+math.Abs(mid.Y))
+			rs.hits = rs.cands.Within(mid, r, rs.hits[:0])
+			slices.Sort(rs.hits)
+			for _, c := range rs.hits {
 				consider(c)
 			}
 		}

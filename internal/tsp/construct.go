@@ -52,33 +52,7 @@ func NearestNeighbor(pts []geom.Point, start int) Tour {
 // nearest-first through the grid, then closes the cycle.
 func greedyEdge(pts []geom.Point, neigh [][]int, idx *geom.GridIndex) Tour {
 	n := len(pts)
-	type edge struct {
-		u, v int32
-		w    float64
-	}
-	edges := make([]edge, 0, n*neighborK)
-	for u, list := range neigh {
-		for _, v := range list {
-			// Normalise so both directions of a mutual pair collide; the
-			// duplicate is skipped by the degree/component checks.
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			edges = append(edges, edge{int32(a), int32(b), pts[a].Dist2(pts[b])})
-		}
-	}
-	// Ties sorted by (w, u, v) keep the edge order — and thus the tour —
-	// independent of neighbour-list assembly order.
-	slices.SortFunc(edges, func(a, b edge) int {
-		if c := cmp.Compare(a.w, b.w); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.u, b.u); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.v, b.v)
-	})
+	edges := candidateEdges(pts, neigh)
 	deg := make([]int, n)
 	uf := graph.NewUnionFind(n)
 	adj := make([][2]int, n)
@@ -143,6 +117,46 @@ func greedyEdge(pts []geom.Point, neigh [][]int, idx *geom.GridIndex) Tour {
 		prev, cur = cur, next
 	}
 	return tour
+}
+
+// edge is a greedy-edge candidate: points u < v at squared distance w.
+type edge struct {
+	u, v int32
+	w    float64
+}
+
+// candidateEdges returns every pair the k-nearest lists name, once, in
+// ascending (w, u, v) order. A mutual pair is emitted from the lower
+// index's list only: its second copy would sort next to the first, and
+// greedyEdge's degree and component checks would always reject it.
+func candidateEdges(pts []geom.Point, neigh [][]int) []edge {
+	edges := make([]edge, 0, len(pts)*neighborK)
+	for u, list := range neigh {
+		for _, v := range list {
+			if v < u && slices.Contains(neigh[v], u) {
+				continue
+			}
+			a, b := min(u, v), max(u, v)
+			edges = append(edges, edge{int32(a), int32(b), pts[a].Dist2(pts[b])})
+		}
+	}
+	// Ties sorted by (w, u, v) keep the edge order — and thus the tour —
+	// independent of neighbour-list assembly order. Weights are squared
+	// distances of finite points, never NaN, so plain comparisons order
+	// them as cmp.Compare would, without its NaN checks.
+	slices.SortFunc(edges, func(a, b edge) int {
+		if a.w < b.w {
+			return -1
+		}
+		if a.w > b.w {
+			return 1
+		}
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v, b.v)
+	})
+	return edges
 }
 
 // DoubleTree builds the classic MST 2-approximation: compute a minimum

@@ -1,11 +1,6 @@
 package tsp
 
-import (
-	"math"
-	"sort"
-
-	"mobicol/internal/geom"
-)
+import "mobicol/internal/geom"
 
 // neighborK is the candidate-list width shared by the local searches.
 // 10–16 captures almost all improving 2-opt/Or-opt moves on Euclidean
@@ -20,131 +15,26 @@ const neighborK = 12
 // search restricted to near neighbours finds almost all the improving
 // moves of the full quadratic scan at a fraction of the cost.
 //
-// The lists are built from an occupancy-auto-sized geom.GridIndex disk
-// query with radius doubling — expected O(k) work per point at any n —
-// with candidate distances computed through the flat-slice batch kernels,
-// and fall back to a full sort only for degenerate geometry (all points
-// coincident, where the grid is a single cell). The result is the exact
-// k-nearest set however the grid is sized, so the auto sizing never
-// changes a tour.
+// Each list is one geom.GridIndex.NearestK ring search over an
+// occupancy-sized grid, expected O(k) work per point at any n, written
+// into one shared n·k backing array. The search is exact however the
+// grid is sized, so the sizing never changes a tour.
 func neighborLists(pts []geom.Point, k int) ([][]int, *geom.GridIndex) {
 	n := len(pts)
-	if k >= n {
-		k = n - 1
-	}
+	k = min(k, n-1)
 	lists := make([][]int, n)
 	idx := geom.NewGridIndexAuto(pts, 1)
 	if k <= 0 {
 		return lists, idx
 	}
-	b := geom.Bound(pts)
-	w, h := b.Max.X-b.Min.X, b.Max.Y-b.Min.Y
-	span := max(w, h)
-	if !(span > 0) {
-		// Coincident points: no usable grid cell. Quadratic fallback.
-		for i := range lists {
-			lists[i] = sortedNeighbors(pts, i, k)
-		}
-		return lists, idx
-	}
-	cell := idx.CellSize()
-	diag := math.Hypot(w, h)
-	xs, ys := geom.SplitXY(pts, nil, nil)
-	buf := make([]int, 0, 4*k)
-	cand := make([]int32, 0, 4*k)
-	keys := make([]float64, 0, 4*k)
-	for i := range pts {
-		r := cell
-		others := 0
-		for {
-			buf = idx.Within(pts[i], r, buf[:0])
-			others = len(buf)
-			for _, j := range buf {
-				if j == i {
-					others--
-				}
-			}
-			if others >= k || r > diag {
-				break
-			}
-			r *= 2
-		}
-		if others < k {
-			// Unreachable once r exceeds the bounding-box diagonal (every
-			// point is within diag of every other), but keep the exact path
-			// as a safety net.
-			lists[i] = sortedNeighbors(pts, i, k)
-			continue
-		}
-		cand = cand[:0]
-		for _, j := range buf {
-			if j != i {
-				cand = append(cand, int32(j))
-			}
-		}
-		if cap(keys) < len(cand) {
-			keys = make([]float64, len(cand))
-		}
-		keys = keys[:len(cand)]
-		geom.Dist2Gather(xs, ys, cand, pts[i], keys)
-		sort.Sort(&distSorter{idx: cand, key: keys})
-		list := make([]int, k)
-		for j := range list {
-			list[j] = int(cand[j])
-		}
+	flat := make([]int, n*k)
+	d2 := make([]float64, k)
+	for i, p := range pts {
+		list := flat[i*k : (i+1)*k : (i+1)*k]
+		idx.NearestK(p, i, list, d2)
 		lists[i] = list
 	}
 	return lists, idx
-}
-
-// distSorter orders candidate indices by ascending precomputed squared
-// distance, ties toward the lower index — the same total order
-// sortByDist's comparator produces, without recomputing distances per
-// comparison.
-type distSorter struct {
-	idx []int32
-	key []float64
-}
-
-func (d *distSorter) Len() int { return len(d.idx) }
-func (d *distSorter) Less(a, b int) bool {
-	//mdglint:ignore floateq sort comparator needs exact ordering; an epsilon would break strict weak ordering
-	if d.key[a] != d.key[b] {
-		return d.key[a] < d.key[b]
-	}
-	return d.idx[a] < d.idx[b]
-}
-func (d *distSorter) Swap(a, b int) {
-	d.idx[a], d.idx[b] = d.idx[b], d.idx[a]
-	d.key[a], d.key[b] = d.key[b], d.key[a]
-}
-
-// sortedNeighbors is the exact quadratic construction of one point's
-// k-nearest list; neighborLists uses it only for degenerate geometry.
-func sortedNeighbors(pts []geom.Point, i, k int) []int {
-	cand := make([]int, 0, len(pts)-1)
-	for j := range pts {
-		if j != i {
-			cand = append(cand, j)
-		}
-	}
-	sortByDist(pts, i, cand)
-	return cand[:k:k]
-}
-
-// sortByDist orders cand by ascending squared distance to pts[i], ties
-// toward the lower index so the order is total and path-independent.
-func sortByDist(pts []geom.Point, i int, cand []int) {
-	sort.Slice(cand, func(a, b int) bool {
-		da, db := pts[cand[a]].Dist2(pts[i]), pts[cand[b]].Dist2(pts[i])
-		if da < db {
-			return true
-		}
-		if db < da {
-			return false
-		}
-		return cand[a] < cand[b]
-	})
 }
 
 // Scratch holds the reusable working state of the local-search passes.
