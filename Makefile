@@ -14,14 +14,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# mdglint is this repo's own static-analysis suite (cmd/mdglint), eleven
-# analyzers: determinism, float-equality, panic, error (discarded, or
-# dead/overwritten), and global-state checks plus the type-aware
-# unitcheck (units of measure) and convcheck (lossy conversion)
-# analyzers, the call-graph-backed alloccheck (hot-path allocation sites)
-# and parpure (par-callback purity) analyzers, and the dataflow pair over
-# the engine seam: purecheck (Scenario purity/retention) and ctxflow
-# (context threading).
+# mdglint is this repo's own static-analysis suite (cmd/mdglint), nine
+# analyzers: determinism, float-equality, panic, discarded-error, and
+# global-state checks plus the type-aware unitcheck (units of measure),
+# the call-graph-backed alloccheck (hot-path allocation sites), and the
+# dataflow pair over the engine seam: purecheck (Scenario
+# purity/retention) and ctxflow (context threading).
 # CI runs it; `make lint` reproduces the gate locally.
 lint:
 	$(GO) run ./cmd/mdglint ./...
@@ -31,9 +29,9 @@ lint:
 lint-json:
 	$(GO) run ./cmd/mdglint -json ./...
 
-# lint-dataflow runs just the dataflow analyzers (purecheck, ctxflow,
-# errcheck) — the fast loop while auditing a planner for scenario
-# mutation, context laundering, or dropped errors.
+# lint-dataflow runs the two dataflow analyzers (purecheck, ctxflow) plus
+# the syntactic errcheck — the fast loop while auditing a planner for
+# scenario mutation, context laundering, or discarded errors.
 lint-dataflow:
 	$(GO) run ./cmd/mdglint -run purecheck,ctxflow,errcheck ./...
 

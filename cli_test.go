@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"mobicol/internal/lint"
 	"mobicol/internal/obs"
 )
 
@@ -81,6 +82,28 @@ func TestNoDanglingToolNames(t *testing.T) {
 				t.Errorf("%s names %s, which is not a directory", name, m[0])
 			}
 		}
+	}
+}
+
+// TestReadmeAnalyzerTable checks that the bold names in README's
+// analyzer table are lint.Analyzers()' names in the same order, so a
+// deleted or added analyzer cannot leave the documented inventory behind.
+func TestReadmeAnalyzerTable(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowRE := regexp.MustCompile(`(?m)^\| \*\*([a-z]+)\*\* +\|`)
+	var got []string
+	for _, m := range rowRE.FindAllStringSubmatch(string(raw), -1) {
+		got = append(got, m[1])
+	}
+	var want []string
+	for _, a := range lint.Analyzers() {
+		want = append(want, a.Name)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("README analyzer table lists %v, lint.Analyzers() is %v", got, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command mdglint runs the repository's static-analysis suite: the
-// eleven determinism, floateq, nopanic, errcheck, globalvar, unitcheck,
-// convcheck, alloccheck, parpure, purecheck, and ctxflow analyzers from
-// internal/lint over every package in the module.
+// nine determinism, floateq, nopanic, errcheck, globalvar, unitcheck,
+// alloccheck, purecheck, and ctxflow analyzers from internal/lint over
+// every package in the module.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 // always lints the whole module containing the working directory — the
 // quality gate is all-or-nothing. -run narrows the suite to a
 // comma-separated list of analyzer names (see -list) for a focused
-// audit, e.g. `-run purecheck,ctxflow,errcheck` for the dataflow analyzers.
+// audit, e.g. `-run purecheck,ctxflow` for the dataflow analyzers.
 // It prints one `file:line: analyzer: message` per finding (or, with
 // -json, one JSON object per line with file, line, analyzer, and
 // message fields for CI annotation), globally ordered by (file, line,

@@ -41,6 +41,11 @@ type Instance struct {
 	// covers is the lazily materialised dense view (CoverSets).
 	covers []*bitset.Set
 
+	// The lazily built transpose (Coverers): sensor s is covered by
+	// candidates covIdx[covOff[s]:covOff[s+1]], ascending.
+	covOff []int32
+	covIdx []int32
+
 	// err records an invalid construction (mismatched radii, non-positive
 	// range); Err and every solving method surface it.
 	err error
@@ -80,6 +85,45 @@ func (in *Instance) CoverSets() []*bitset.Set {
 		}
 	}
 	return in.covers
+}
+
+// Coverers returns the candidates covering sensor s, ascending: the
+// transpose of the cover lists, built once on first use. The slice
+// aliases the instance's storage; callers must not mutate it.
+//
+//mdglint:hotpath
+func (in *Instance) Coverers(s int) []int32 {
+	if in.covOff == nil {
+		in.transpose()
+	}
+	return in.covIdx[in.covOff[s]:in.covOff[s+1]]
+}
+
+// transpose builds the Coverers lists as a counting sort over the cover
+// lists: two O(pairs) passes, no per-sensor slice headers. Ascending
+// candidate order per sensor falls out of the ascending outer loop.
+//
+//mdglint:allow-alloc(the transpose is built once per instance; later Coverers calls reuse it)
+func (in *Instance) transpose() {
+	// The offsets are shifted by one: sensor s's count goes to off[s+2],
+	// so after the prefix sum off[s+1] is s's start and serves as its
+	// write cursor; placing s's coverers advances it to s+1's start,
+	// which is where off[s+1] belongs.
+	off := make([]int32, in.Universe+2)
+	for _, s := range in.idx {
+		off[s+2]++
+	}
+	for s := 1; s <= in.Universe; s++ {
+		off[s+1] += off[s]
+	}
+	idx := make([]int32, len(in.idx))
+	for c := 0; c < in.NumCandidates(); c++ {
+		for _, s := range in.Cover(c) {
+			idx[off[s+1]] = int32(c)
+			off[s+1]++
+		}
+	}
+	in.covOff, in.covIdx = off[:in.Universe+1], idx
 }
 
 // NewInstance builds the covering instance for the given sensors,
@@ -282,12 +326,12 @@ func (s *GreedyScratch) ensure(universe, candidates int) {
 	s.chosen = s.chosen[:0]
 }
 
-// gainAgainst counts how many of candidate c's sensors are still in
+// GainAgainst counts how many of candidate c's sensors are still in
 // uncovered — the CELF re-evaluation kernel. Sparse iteration makes it
 // O(|cover|) per call instead of O(universe/64) bitset words.
 //
 //mdglint:hotpath
-func (in *Instance) gainAgainst(c int, uncovered *bitset.Set) int {
+func (in *Instance) GainAgainst(c int, uncovered *bitset.Set) int {
 	g := 0
 	for _, s := range in.Cover(c) {
 		if uncovered.Has(int(s)) {
@@ -327,7 +371,7 @@ func (in *Instance) GreedyInto(tieBreak geom.Point, sp *obs.Span, s *GreedyScrat
 		// are monotone non-increasing, so stale entries only over-rank;
 		// a fresh top is the exact naive argmax.
 		for len(h) > 0 && h[0].round != round {
-			h[0].gain = in.gainAgainst(h[0].cand, uncovered)
+			h[0].gain = in.GainAgainst(h[0].cand, uncovered)
 			h[0].round = round
 			h.siftDown(0)
 			reevals++
@@ -375,9 +419,9 @@ func (in *Instance) Assign(sensors []geom.Point, chosen []int) []int {
 	return assignment
 }
 
-// subsetOfSorted reports whether every element of a (ascending) is also
+// SubsetOfSorted reports whether every element of a (ascending) is also
 // in b (ascending).
-func subsetOfSorted(a, b []int32) bool {
+func SubsetOfSorted(a, b []int32) bool {
 	j := 0
 	for _, v := range a {
 		for j < len(b) && b[j] < v {
@@ -409,7 +453,7 @@ func (in *Instance) Prune() (*Instance, []int) {
 				continue
 			}
 			cb := in.Cover(b)
-			if subsetOfSorted(ca, cb) {
+			if SubsetOfSorted(ca, cb) {
 				if len(ca) == len(cb) && a < b {
 					continue // keep the earlier of two equals
 				}

@@ -176,6 +176,36 @@ func TestPruneKeepsOneOfEquals(t *testing.T) {
 	}
 }
 
+// TestCoverersTransposeCovers checks the sensor → candidate transpose
+// against the cover lists: Coverers(s) is every candidate whose cover
+// holds s, ascending, on the full and the pruned instance alike.
+func TestCoverersTransposeCovers(t *testing.T) {
+	s := rng.New(29)
+	sensors := randSensors(s, 120, 150)
+	field := geom.Square(150)
+	full := NewInstance(sensors, mustCandidates(t, sensors, field, 25, FieldGrid, 20), 25)
+	pruned, _ := full.Prune()
+	for _, in := range []*Instance{full, pruned} {
+		want := make([][]int32, in.Universe)
+		for c := 0; c < in.NumCandidates(); c++ {
+			for _, sv := range in.Cover(c) {
+				want[sv] = append(want[sv], int32(c))
+			}
+		}
+		for sv := range want {
+			got := in.Coverers(sv)
+			if len(got) != len(want[sv]) {
+				t.Fatalf("sensor %d: Coverers = %v, want %v", sv, got, want[sv])
+			}
+			for i := range got {
+				if got[i] != want[sv][i] {
+					t.Fatalf("sensor %d: Coverers = %v, want %v", sv, got, want[sv])
+				}
+			}
+		}
+	}
+}
+
 func TestGenerateCandidatesStrategies(t *testing.T) {
 	s := rng.New(73)
 	sensors := randSensors(s, 40, 100)

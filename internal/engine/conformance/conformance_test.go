@@ -10,6 +10,7 @@ import (
 
 	"mobicol/internal/check"
 	"mobicol/internal/collector"
+	"mobicol/internal/cover"
 	"mobicol/internal/engine"
 	"mobicol/internal/engine/conformance"
 	"mobicol/internal/geom"
@@ -181,10 +182,7 @@ func TestAdversarialNetworks(t *testing.T) {
 		}
 		return nw
 	}
-	// 14 collinear sensors: at 20 the exact planner spends its whole
-	// 5·10⁶-node budget, seconds of search, because the MST bound prunes
-	// little on a line.
-	line := make([]geom.Point, 14)
+	line := make([]geom.Point, 20)
 	for i := range line {
 		line[i] = geom.Pt(5*float64(i), 50)
 	}
@@ -242,4 +240,49 @@ func TestAdversarialNetworks(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestExactNoLongerThanHeuristics tests the exact planner's optimality
+// claim instead of trusting it: whenever exact reports Exact, its tour is
+// no longer than shdg's or sweep's on the same network with the same
+// candidate strategy.
+func TestExactNoLongerThanHeuristics(t *testing.T) {
+	plan := func(name string, nw *wsn.Network, st cover.CandidateStrategy) engine.Stats {
+		t.Helper()
+		p, ok := engine.Lookup(name)
+		if !ok {
+			t.Fatalf("planner %q is not registered", name)
+		}
+		_, stats, err := p.Plan(context.Background(), engine.Scenario{Net: nw}, engine.Options{Strategy: st})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return stats
+	}
+	certified := 0
+	for _, pl := range []wsn.Placement{wsn.Uniform, wsn.Clustered} {
+		for _, st := range []cover.CandidateStrategy{cover.SensorSites, cover.FieldGrid} {
+			for seed := uint64(1); seed <= 30; seed++ {
+				nw, err := wsn.Deploy(wsn.Config{N: 16, FieldSide: 120, Range: 25, Placement: pl, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := plan("exact", nw, st)
+				if !ex.Exact {
+					continue
+				}
+				certified++
+				for _, other := range []string{"shdg", "sweep"} {
+					if o := plan(other, nw, st); ex.Length > o.Length+1e-9 {
+						t.Errorf("%v/%v/seed %d: exact %.6f m is longer than %s's %.6f m",
+							pl, st, seed, ex.Length, other, o.Length)
+					}
+				}
+			}
+		}
+	}
+	if certified == 0 {
+		t.Fatal("no network was certified exact; the law checked nothing")
+	}
+	t.Logf("%d of 120 networks certified exact", certified)
 }

@@ -1,7 +1,7 @@
 // Package callgraph builds a class-hierarchy-analysis (CHA) call graph
 // over the type-checked packages of a module, for the interprocedural
-// lint analyzers (alloccheck, parpure). Stdlib only, like the rest of
-// the lint engine.
+// lint analyzers (alloccheck, and purecheck and ctxflow through the
+// dataflow summaries). Stdlib only, like the rest of the lint engine.
 //
 // The graph is a deliberate over-approximation — every call that *could*
 // happen at runtime has an edge, some edges can never fire — because the

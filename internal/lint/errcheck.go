@@ -6,20 +6,16 @@ import (
 	"strings"
 )
 
-// ErrCheckAnalyzer flags error results no code ever checks, in non-test
-// code. It has two rules:
-//
-//   - discarded: a call used as a bare statement (including defer and
-//     go) whose results include an error. Assigning the error to the
-//     blank identifier (`_ = f()`) is treated as an explicit, visible
-//     decision and is not flagged. The fmt print family and the
-//     never-failing writers (strings.Builder, bytes.Buffer) are exempt;
-//   - dead: an error that was bound to a variable but is overwritten or
-//     never read before any check (checkErrFlow, in errflow.go).
+// ErrCheckAnalyzer flags error results discarded in non-test code: a
+// call used as a bare statement (including defer and go) whose results
+// include an error. Assigning the error to the blank identifier
+// (`_ = f()`) is treated as an explicit, visible decision and is not
+// flagged. The fmt print family and the never-failing writers
+// (strings.Builder, bytes.Buffer) are exempt.
 func ErrCheckAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "errcheck",
-		Doc:  "flag error returns discarded, or bound but overwritten or dead before any check",
+		Doc:  "flag error returns discarded by a bare call statement",
 		Run:  runErrCheck,
 	}
 }
@@ -32,15 +28,6 @@ func runErrCheck(pass *Pass) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var call *ast.CallExpr
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkErrFlow(pass, n.Type, n.Body)
-				}
-			case *ast.FuncLit:
-				// Each literal gets its own dead-error walk so its locals
-				// are analyzed; enclosing-scope vars it touches are
-				// disqualified as captured in the enclosing walk.
-				checkErrFlow(pass, n.Type, n.Body)
 			case *ast.ExprStmt:
 				call, _ = n.X.(*ast.CallExpr)
 			case *ast.DeferStmt:

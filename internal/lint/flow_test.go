@@ -13,12 +13,6 @@ func TestCtxFlowAnalyzer(t *testing.T) {
 	checkFixture(t, CtxFlowAnalyzer(), "ctxflow.go", "mobicol/internal/fixture")
 }
 
-// TestErrFlowAnalyzer drives errcheck's dead rule (the former errflow
-// analyzer) over its own fixture.
-func TestErrFlowAnalyzer(t *testing.T) {
-	checkFixture(t, ErrCheckAnalyzer(), "errflow.go", "mobicol/internal/fixture")
-}
-
 // TestMalformedAllowMutIsReported pins the PR 6 idiom for the new
 // directive: allow-mut without a parenthesized reason is itself an
 // unsuppressable mdglint finding.
@@ -38,56 +32,6 @@ func f(xs []int) { xs[0] = 1 }
 	}
 	if malformed != 1 {
 		t.Errorf("want 1 malformed allow-mut finding, got %d: %v", malformed, findings)
-	}
-}
-
-// TestErrFlowSkipsTestFiles pins the dead rule's test-file exemption.
-func TestErrFlowSkipsTestFiles(t *testing.T) {
-	const src = `package p
-
-func step() error { return nil }
-
-func f() error {
-	err := step()
-	err = step()
-	return err
-}
-`
-	pkg := loadSource(t, "p_test.go", src)
-	if fs := Run([]*Package{pkg}, []*Analyzer{ErrCheckAnalyzer()}); len(fs) != 0 {
-		t.Errorf("errcheck fired in a test file: %v", fs)
-	}
-}
-
-// TestErrFlowSkipsFreeVariablesInClosures pins the recursive-walker
-// shape: a closure assigning an enclosing error variable it also reads
-// on re-entry must not be treated as a linear dead store.
-func TestErrFlowSkipsFreeVariablesInClosures(t *testing.T) {
-	const src = `package p
-
-func emit(string) (int, error) { return 0, nil }
-
-type node struct{ children []*node }
-
-func walkAll(root *node) error {
-	var err error
-	var walk func(n *node)
-	walk = func(n *node) {
-		if err != nil {
-			return
-		}
-		_, err = emit("visit")
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(root)
-	return err
-}
-`
-	pkg := loadSource(t, "p.go", src)
-	if fs := Run([]*Package{pkg}, []*Analyzer{ErrCheckAnalyzer()}); len(fs) != 0 {
-		t.Errorf("errcheck flagged a recursive closure's free variable: %v", fs)
 	}
 }
 

@@ -13,10 +13,6 @@ func TestAllocCheckAnalyzer(t *testing.T) {
 	checkFixture(t, AllocCheckAnalyzer(), "alloccheck.go", "mobicol/internal/fixture")
 }
 
-func TestParPureAnalyzer(t *testing.T) {
-	checkFixture(t, ParPureAnalyzer(), "parpure.go", "mobicol/internal/fixture")
-}
-
 // TestAllocCheckSkipsTestFiles pins the test-file exemption: hot-path
 // annotations in a _test.go file produce nothing.
 func TestAllocCheckSkipsTestFiles(t *testing.T) {

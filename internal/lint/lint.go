@@ -66,11 +66,10 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 }
 
 // Analyzers returns fresh instances of the full suite, in reporting order.
-// The first five are syntactic; unitcheck, convcheck, and errcheck's
-// dead rule need the go/types information the loader attaches to each
-// Package; alloccheck and parpure additionally use the whole-module call
-// graph Run builds into each Pass; purecheck and ctxflow use the
-// dataflow summaries computed over that graph.
+// The first five are syntactic; unitcheck needs the go/types information
+// the loader attaches to each Package; alloccheck additionally uses the
+// whole-module call graph Run builds into each Pass; purecheck and
+// ctxflow use the dataflow summaries computed over that graph.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer(),
@@ -79,9 +78,7 @@ func Analyzers() []*Analyzer {
 		ErrCheckAnalyzer(),
 		GlobalVarAnalyzer(),
 		UnitCheckAnalyzer(),
-		ConvCheckAnalyzer(),
 		AllocCheckAnalyzer(),
-		ParPureAnalyzer(),
 		PureCheckAnalyzer(),
 		CtxFlowAnalyzer(),
 	}
@@ -143,7 +140,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	collect := func(f Finding) { all = append(all, f) }
 
 	// Whole-module interprocedural context: the CHA call graph plus the
-	// hotpath/allow-alloc annotation state alloccheck and parpure need.
+	// hotpath/allow-alloc annotation state alloccheck needs.
 	// Malformed hot-path directives surface like malformed suppressions.
 	mod := NewModule(pkgs)
 	all = append(all, mod.malformed...)

@@ -13,7 +13,7 @@ import (
 )
 
 // Interprocedural module context. The per-package analyzers see one
-// package at a time; alloccheck and parpure reason about what is
+// package at a time; alloccheck, purecheck and ctxflow reason about what is
 // *reachable* across packages, so Run builds one Module per lint run —
 // the CHA call graph plus the hot-path annotation state — and hands it
 // to every Pass.

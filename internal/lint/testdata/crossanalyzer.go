@@ -1,10 +1,10 @@
-// Fixture tripping all eleven analyzers in one file. The test loads it
+// Fixture tripping all nine analyzers in one file. The test loads it
 // under import path mobicol/internal/sim, which puts the determinism
-// map-iteration rule, the nopanic internal/ scope, and the convcheck hot
-// planning-path scope all in force, and asserts the exact (line,
-// analyzer) sequence: one finding per analyzer rule (errcheck has two),
-// positions strictly increasing. The
-// Planner/Scenario pair at the bottom activates the seam analyzers
+// map-iteration rule and the nopanic internal/ scope in force, and
+// asserts the exact (line, analyzer) sequence: one finding per analyzer,
+// positions strictly increasing. A redundant conversion, a par callee's
+// package-level write and an overwritten error stay as no-finding cases.
+// The Planner/Scenario pair at the bottom activates the seam analyzers
 // (purecheck, ctxflow) the same way the real engine package does.
 package fixture
 
@@ -40,7 +40,7 @@ func mustPositive(x float64) float64 {
 func fallible() error { return nil }
 
 func dropError() {
-	fallible() // errcheck (discarded)
+	fallible() // errcheck
 }
 
 func mixUnits(tour Meters) Joules {
@@ -48,10 +48,10 @@ func mixUnits(tour Meters) Joules {
 }
 
 func redundant(x float64) float64 {
-	return float64(x) // convcheck
+	return float64(x) // no finding: redundant conversion
 }
 
-// Pool mirrors par.Pool for the parpure callback rule.
+// Pool mirrors par.Pool.
 type Pool struct{}
 
 // ForEach mirrors the par fan-out entry point.
@@ -73,11 +73,11 @@ func parShared(p *Pool, n int) {
 }
 
 func bump(i int) {
-	hits += i // parpure
+	hits += i // no finding: shared write from a par callee
 }
 
 func overwriteErr() error {
-	err := fallible() // errcheck (dead)
+	err := fallible() // no finding: overwritten error
 	err = fallible()
 	return err
 }

@@ -105,3 +105,61 @@ func (t *threaded) Plan(ctx context.Context, sc Scenario, opts Options) (*Result
 	}
 	return &Result{N: consume(sub, sc)}, nil
 }
+
+type looper struct{}
+
+// Plan trips the stranding rule through the loop shapes the phase search
+// recognizes, and launders a minted context passed straight to a callee
+// (one finding: it is not also reported as dropped).
+func (l *looper) Plan(ctx context.Context, sc Scenario, opts Options) (*Result, error) {
+	n := countPhase(ctx, &sc) + tailPhase(ctx, [][]int{sc.Items}) + idlePhase(ctx, len(sc.Items), watch{})
+	return &Result{N: n + consume(context.TODO(), sc)}, nil // want "calls context.TODO()"
+}
+
+// countPhase loops to a bound derived from its input but never consults ctx.
+func countPhase(ctx context.Context, sc *Scenario) int {
+	total := 0
+	for i := 0; i < len((*sc).Items); i++ { // want "loops over its input"
+		total += (*sc).Items[i]
+	}
+	return total
+}
+
+// tailPhase ranges over part of one row of its input, after a nested
+// literal the phase search does not descend into.
+func tailPhase(ctx context.Context, rows [][]int) int {
+	total := 0
+	add := func(v int) { total += v }
+	for _, v := range rows[0][1:] { // want "ranges over its input"
+		add(v)
+	}
+	return total
+}
+
+// watch has a Start method but is not a phase span.
+type watch struct{}
+
+// Start resets the watch.
+func (watch) Start() {}
+
+// idlePhase is the negative case: ctx is unread, but its Start calls open
+// no span and none of its loop bounds is an input.
+func idlePhase(ctx context.Context, n int, st interface{ Start() }) int {
+	var w watch
+	w.Start()
+	st.Start()
+	total := 0
+	for i := 0; i < max(n, 8); i++ {
+		total += i
+	}
+	for i := 8; i > 0; i-- {
+		total += i
+	}
+	for total == 1 {
+		total++
+	}
+	for done := false; !done; {
+		done = true
+	}
+	return total
+}

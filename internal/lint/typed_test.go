@@ -53,45 +53,6 @@ func launder(m Meters) float64 { return float64(m) }
 	}
 }
 
-// TestLoopCaptureAnalyzer pins the capture cases of loopcapture.go: the
-// par-callback writes are parpure's findings, and the go/defer literals
-// reading loop variables draw nothing from the whole suite.
-func TestLoopCaptureAnalyzer(t *testing.T) {
-	checkFixture(t, ParPureAnalyzer(), "loopcapture.go", "mobicol/internal/fixture")
-	pkg := loadFixture(t, "loopcapture.go", "mobicol/internal/fixture")
-	for _, f := range Run([]*Package{pkg}, Analyzers()) {
-		if f.Analyzer != "parpure" {
-			t.Errorf("unexpected finding: %s", f)
-		}
-	}
-}
-
-func TestConvCheckAnalyzer(t *testing.T) {
-	// A hot planning-path import puts all three conversion rules in force.
-	checkFixture(t, ConvCheckAnalyzer(), "convcheck.go", "mobicol/internal/tsp")
-}
-
-// TestConvCheckFloat32RuleScopedToHotPaths pins the scoping: under a cold
-// import path the float32 truncation rule is silent while the redundant
-// and round-trip rules still fire.
-func TestConvCheckFloat32RuleScopedToHotPaths(t *testing.T) {
-	pkg := loadFixture(t, "convcheck.go", "mobicol/internal/viz")
-	var trunc, other int
-	for _, f := range Run([]*Package{pkg}, []*Analyzer{ConvCheckAnalyzer()}) {
-		if strings.Contains(f.Message, "float32 truncation") {
-			trunc++
-		} else {
-			other++
-		}
-	}
-	if trunc != 0 {
-		t.Errorf("float32 truncation rule fired %d times outside the hot packages", trunc)
-	}
-	if other == 0 {
-		t.Error("redundant/round-trip rules must stay active outside the hot packages")
-	}
-}
-
 // TestCrossAnalyzerFixture runs the full suite over one file that trips
 // every analyzer rule exactly once and pins the exact (line, analyzer)
 // sequence: findings come back sorted by position, so the sequence is
@@ -106,8 +67,8 @@ func TestCrossAnalyzerFixture(t *testing.T) {
 	}
 	want := []at{
 		{19, "globalvar"}, {23, "determinism"}, {30, "floateq"}, {35, "nopanic"},
-		{43, "errcheck"}, {47, "unitcheck"}, {51, "convcheck"}, {66, "alloccheck"},
-		{76, "parpure"}, {80, "errcheck"}, {97, "purecheck"}, {98, "ctxflow"},
+		{43, "errcheck"}, {47, "unitcheck"}, {66, "alloccheck"},
+		{97, "purecheck"}, {98, "ctxflow"},
 	}
 	got := make([]at, len(findings))
 	for i, f := range findings {

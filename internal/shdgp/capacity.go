@@ -38,15 +38,6 @@ func PlanCapacitated(p *Problem, cap int) (*Solution, error) {
 	var stopsCand []int     // chosen candidate per stop
 	var stopsAssign [][]int // sensors served by each stop
 
-	countUncovered := func(c int) int {
-		g := 0
-		for _, s := range inst.Cover(c) {
-			if uncovered.Has(int(s)) {
-				g++
-			}
-		}
-		return g
-	}
 	for !uncovered.Empty() {
 		best, bestGain := -1, 0
 		var bestDist float64
@@ -54,7 +45,7 @@ func PlanCapacitated(p *Problem, cap int) (*Solution, error) {
 			if used[c] {
 				continue
 			}
-			gain := countUncovered(c)
+			gain := inst.GainAgainst(c, uncovered)
 			if gain > cap {
 				gain = cap
 			}
@@ -135,23 +126,6 @@ func PlanSweep(p *Problem, opts tsp.Options) (*Solution, error) {
 	if len(sensors) == 0 {
 		return nil, fmt.Errorf("shdgp: empty network")
 	}
-	// coversSensor[s]: candidate indices covering sensor s.
-	coversSensor := make([][]int, inst.Universe)
-	for c := 0; c < inst.NumCandidates(); c++ {
-		for _, s := range inst.Cover(c) {
-			coversSensor[s] = append(coversSensor[s], c)
-		}
-	}
-
-	countUncovered := func(c int, uncovered *bitset.Set) int {
-		g := 0
-		for _, s := range inst.Cover(c) {
-			if uncovered.Has(int(s)) {
-				g++
-			}
-		}
-		return g
-	}
 	uncovered := bitset.New(inst.Universe)
 	uncovered.Fill()
 	var chosen []int
@@ -160,10 +134,9 @@ func PlanSweep(p *Problem, opts tsp.Options) (*Solution, error) {
 			continue
 		}
 		best, bestGain := -1, -1
-		for _, c := range coversSensor[s] {
-			gain := countUncovered(c, uncovered)
-			if gain > bestGain {
-				best, bestGain = c, gain
+		for _, c := range inst.Coverers(s) {
+			if gain := inst.GainAgainst(int(c), uncovered); gain > bestGain {
+				best, bestGain = int(c), gain
 			}
 		}
 		if best < 0 {

@@ -215,11 +215,11 @@ func relocateStopsFullScan(p *Problem, inst *cover.Instance, chosen []int, rs *r
 			scan = append(scan, int32(c))
 		}
 		if len(critical) > 0 {
-			scan = rs.coverersOf(critical[0])
+			scan = inst.Coverers(int(critical[0]))
 		}
 		for _, c32 := range scan {
 			c := int(c32)
-			if c == chosen[i] || !subsetOfSorted(critical, inst.Cover(c)) {
+			if c == chosen[i] || !cover.SubsetOfSorted(critical, inst.Cover(c)) {
 				continue
 			}
 			alt := inst.Candidates[c]

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"mobicol/internal/bitset"
+	"mobicol/internal/cover"
 	"mobicol/internal/geom"
 	"mobicol/internal/lp"
 	"mobicol/internal/tsp"
@@ -55,7 +57,12 @@ func exactTSP() tsp.Options {
 // in a metric space, the optimal tour over a superset of stops is at least
 // the optimal tour over the subset — so restricting to minimal covers
 // preserves optimality. Partial selections are pruned with the MST lower
-// bound over {sink} ∪ chosen stops for the same monotonicity reason.
+// bound over {sink} ∪ chosen stops for the same monotonicity reason, and,
+// when that does not prune, with a bound per uncovered sensor s: every
+// completion visits some candidate c covering s, so its tour is at least
+// the cheapest such c's max(2·|sink c|, |sink q| + |q c| + |c sink|) over
+// the chosen stops q. On a line the MST is half the tour and prunes
+// little; the per-sensor bound is what ends the search there.
 func PlanExact(ctx context.Context, p *Problem) (*Solution, error) {
 	instFull, err := p.Instance()
 	if err != nil {
@@ -66,104 +73,14 @@ func PlanExact(ctx context.Context, p *Problem) (*Solution, error) {
 		return nil, fmt.Errorf("shdgp: exact solver limited to %d candidates, instance has %d after pruning",
 			exactMaxCandidates, inst.NumCandidates())
 	}
-	// Bounded to exactMaxCandidates candidates: the dense set view is
-	// cheap and keeps the enumeration on bitset algebra.
-	covers := inst.CoverSets()
-
 	// Incumbent from the heuristic planner: tight pruning from node one.
 	heur, err := Plan(ctx, p, DefaultPlannerOptions())
 	if err != nil {
 		return nil, err
 	}
-	bestLen := heur.Length
-	var bestChosen []int
-	exact := true
-
-	// coversSensor[s]: candidates covering s, largest cover first.
-	coversSensor := make([][]int, inst.Universe)
-	for c, set := range covers {
-		set.ForEach(func(s int) { coversSensor[s] = append(coversSensor[s], c) })
-	}
-	for s := range coversSensor {
-		cs := coversSensor[s]
-		for i := 1; i < len(cs); i++ {
-			for j := i; j > 0 && covers[cs[j]].Count() > covers[cs[j-1]].Count(); j-- {
-				cs[j], cs[j-1] = cs[j-1], cs[j]
-			}
-		}
-	}
-
-	uncovered := bitset.New(inst.Universe)
-	uncovered.Fill()
-	var cur []int
-	nodes := 0
-	var canceled error
-
-	tourLB := func() geom.Meters {
-		pts := make([]geom.Point, 0, len(cur)+1)
-		pts = append(pts, p.Net.Sink)
-		for _, c := range cur {
-			pts = append(pts, inst.Candidates[c])
-		}
-		return tsp.MSTLowerBound(pts)
-	}
-	leafLen := func() geom.Meters {
-		pts := make([]geom.Point, 0, len(cur)+1)
-		pts = append(pts, p.Net.Sink)
-		for _, c := range cur {
-			pts = append(pts, inst.Candidates[c])
-		}
-		return tsp.Solve(pts, exactTSP()).Length(pts)
-	}
-
-	var rec func()
-	rec = func() {
-		nodes++
-		if nodes > exactMaxNodes {
-			exact = false
-			return
-		}
-		if nodes%exactCheckEvery == 0 {
-			if canceled = ctx.Err(); canceled != nil {
-				return
-			}
-		}
-		if uncovered.Empty() {
-			if l := leafLen(); l < bestLen-1e-9 {
-				bestLen = l
-				bestChosen = append(bestChosen[:0], cur...)
-			}
-			return
-		}
-		if tourLB() >= bestLen-1e-9 {
-			return
-		}
-		if len(cur) >= exactMaxStops {
-			// A cheaper cover may need more stops than the search
-			// considers, so the result is no longer proven optimal.
-			exact = false
-			return
-		}
-		s := uncovered.NextSet(0)
-		for _, c := range coversSensor[s] {
-			newly := covers[c].Clone()
-			newly.And(uncovered)
-			if newly.Empty() {
-				continue // c covers nothing new on this branch
-			}
-			uncovered.AndNot(covers[c])
-			cur = append(cur, c)
-			rec()
-			cur = cur[:len(cur)-1]
-			uncovered.Or(newly)
-			if nodes > exactMaxNodes || canceled != nil {
-				return
-			}
-		}
-	}
-	rec()
-	if canceled != nil {
-		return nil, canceled
+	bestChosen, _, exact, err := searchCovers(ctx, inst, p.Net.Sink, heur.Length)
+	if err != nil {
+		return nil, err
 	}
 
 	if bestChosen == nil {
@@ -183,6 +100,123 @@ func PlanExact(ctx context.Context, p *Problem) (*Solution, error) {
 	sol := buildSolution(p, instFull, mapped, exactTSP(), "exact")
 	sol.Exact = exact
 	return sol, nil
+}
+
+// searchCovers runs PlanExact's enumeration over inst's minimal covers,
+// touring each leaf from sink by Held–Karp. It returns the cheapest cover
+// shorter than incumbent (nil when none is) with its tour length, whether
+// the search closed without hitting a limit, and ctx's error if a check
+// found it done.
+func searchCovers(ctx context.Context, inst *cover.Instance, sink geom.Point, incumbent geom.Meters) ([]int, geom.Meters, bool, error) {
+	// Bounded to exactMaxCandidates candidates: the dense set view is
+	// cheap and keeps the enumeration on bitset algebra.
+	covers := inst.CoverSets()
+	bestLen := incumbent
+	var bestChosen []int
+	exact := true
+
+	// coversSensor[s]: candidates covering s, largest cover first; the
+	// stable sort keeps equal covers in ascending candidate order.
+	coversSensor := make([][]int32, inst.Universe)
+	for s := range coversSensor {
+		cs := append([]int32(nil), inst.Coverers(s)...)
+		slices.SortStableFunc(cs, func(a, b int32) int { return len(inst.Cover(int(b))) - len(inst.Cover(int(a))) })
+		coversSensor[s] = cs
+	}
+	sinkDist := make([]float64, inst.NumCandidates())
+	for c, pc := range inst.Candidates {
+		sinkDist[c] = sink.Dist(pc)
+	}
+
+	uncovered := bitset.New(inst.Universe)
+	uncovered.Fill()
+	var cur []int
+	nodes := 0
+	var canceled error
+
+	tourPoints := func() []geom.Point {
+		pts := make([]geom.Point, 0, len(cur)+1)
+		pts = append(pts, sink)
+		for _, c := range cur {
+			pts = append(pts, inst.Candidates[c])
+		}
+		return pts
+	}
+	// pruned reports whether no completion of cur can beat bestLen.
+	pruned := func() bool {
+		limit := bestLen - 1e-9
+		if tsp.MSTLowerBound(tourPoints()) >= limit {
+			return true
+		}
+		for s := uncovered.NextSet(0); s >= 0; s = uncovered.NextSet(s + 1) {
+			affordable := false
+			for _, c := range coversSensor[s] {
+				pc := inst.Candidates[c]
+				lb := 2 * sinkDist[c]
+				for _, q := range cur {
+					lb = max(lb, sinkDist[q]+inst.Candidates[q].Dist(pc)+sinkDist[c])
+				}
+				if geom.Meters(lb) < limit {
+					affordable = true
+					break
+				}
+			}
+			if !affordable {
+				return true // every candidate covering s is too far out
+			}
+		}
+		return false
+	}
+
+	var rec func()
+	rec = func() {
+		nodes++
+		if nodes > exactMaxNodes {
+			exact = false
+			return
+		}
+		if nodes%exactCheckEvery == 0 {
+			if canceled = ctx.Err(); canceled != nil {
+				return
+			}
+		}
+		if uncovered.Empty() {
+			pts := tourPoints()
+			if l := tsp.Solve(pts, exactTSP()).Length(pts); l < bestLen-1e-9 {
+				bestLen = l
+				bestChosen = append(bestChosen[:0], cur...)
+			}
+			return
+		}
+		if pruned() {
+			return
+		}
+		if len(cur) >= exactMaxStops {
+			// A cheaper cover may need more stops than the search
+			// considers, so the result is no longer proven optimal.
+			exact = false
+			return
+		}
+		s := uncovered.NextSet(0)
+		for _, c32 := range coversSensor[s] {
+			c := int(c32)
+			newly := covers[c].Clone()
+			newly.And(uncovered)
+			if newly.Empty() {
+				continue // c covers nothing new on this branch
+			}
+			uncovered.AndNot(covers[c])
+			cur = append(cur, c)
+			rec()
+			cur = cur[:len(cur)-1]
+			uncovered.Or(newly)
+			if nodes > exactMaxNodes || canceled != nil {
+				return
+			}
+		}
+	}
+	rec()
+	return bestChosen, bestLen, exact, canceled
 }
 
 // MinStopsILP returns the LP-certified minimum number of stops for the

@@ -125,17 +125,12 @@ func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, erro
 }
 
 // refineScratch holds the buffers the refinement passes share: coverage
-// counts, the per-sensor coverer lists (transposed covers), the
-// critical-sensor scratch, the tour-neighbour arrays, and a grid index
-// over the candidates with its hit buffer. Plan builds one
+// counts, the critical-sensor scratch, the tour-neighbour arrays, and a
+// grid index over the candidates with its hit buffer. Plan builds one
 // per call and reuses it across every refinement pass, so the passes
 // themselves stay allocation-free.
 type refineScratch struct {
-	counts []int // counts[s] = kept stops covering sensor s
-	// Transpose of the instance's CSR covers: sensor s is covered by
-	// candidates covIdx[covOff[s]:covOff[s+1]], ascending.
-	covOff   []int32
-	covIdx   []int32
+	counts   []int           // counts[s] = kept stops covering sensor s
 	critical []int32         // scratch for one stop's critical sensors, ascending
 	pts      []geom.Point    // sink + stop positions for the proxy tour
 	prev     []geom.Point    // prev[i] = tour predecessor of stop i
@@ -144,61 +139,16 @@ type refineScratch struct {
 	hits     []int           // scratch for one disc query's hits, sorted ascending
 }
 
-// newRefineScratch sizes the buffers for the instance. The coverer lists
-// and the candidate index depend only on the instance — not on the
-// current selection — so building them here once serves every
-// refinement pass. The transpose is a counting sort over the cover
-// lists: two O(pairs) passes, no per-sensor slice headers.
+// newRefineScratch sizes the buffers for the instance. The candidate
+// index depends only on the instance — not on the current selection — so
+// building it here once serves every refinement pass.
 //
 //mdglint:allow-alloc(refine scratch is built once per Plan and reused across all passes)
 func newRefineScratch(inst *cover.Instance) *refineScratch {
-	rs := &refineScratch{
+	return &refineScratch{
 		counts: make([]int, inst.Universe),
-		covOff: make([]int32, inst.Universe+1),
 		cands:  geom.NewGridIndexAuto(inst.Candidates, 0),
 	}
-	total := 0
-	for c := 0; c < inst.NumCandidates(); c++ {
-		for _, s := range inst.Cover(c) {
-			rs.covOff[s+1]++
-		}
-		total += len(inst.Cover(c))
-	}
-	for s := 0; s < inst.Universe; s++ {
-		rs.covOff[s+1] += rs.covOff[s]
-	}
-	rs.covIdx = make([]int32, total)
-	fill := make([]int32, inst.Universe)
-	// Ascending candidate order per sensor falls out of the ascending
-	// outer loop — the same order the per-sensor append lists had.
-	for c := 0; c < inst.NumCandidates(); c++ {
-		for _, s := range inst.Cover(c) {
-			rs.covIdx[rs.covOff[s]+fill[s]] = int32(c)
-			fill[s]++
-		}
-	}
-	return rs
-}
-
-// coverersOf returns the candidates covering sensor s, ascending.
-func (rs *refineScratch) coverersOf(s int32) []int32 {
-	return rs.covIdx[rs.covOff[s]:rs.covOff[s+1]]
-}
-
-// subsetOfSorted reports whether every element of a (ascending) is also
-// in b (ascending).
-func subsetOfSorted(a, b []int32) bool {
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j >= len(b) || b[j] != v {
-			return false
-		}
-		j++
-	}
-	return true
 }
 
 // ensureTour grows the proxy-tour buffers to hold k stops.
@@ -321,7 +271,7 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 			if c == chosen[i] {
 				return
 			}
-			if !subsetOfSorted(critical, inst.Cover(c)) {
+			if !cover.SubsetOfSorted(critical, inst.Cover(c)) {
 				return
 			}
 			alt := inst.Candidates[c]
@@ -334,7 +284,7 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 			// Any replacement must cover every critical sensor, so scanning
 			// the coverers of the first one — ascending, like the full scan
 			// — preserves tie-breaks while touching a handful of candidates.
-			for _, c := range rs.coverersOf(critical[0]) {
+			for _, c := range inst.Coverers(int(critical[0])) {
 				consider(int(c))
 			}
 		} else {
