@@ -135,6 +135,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzNetworkRead -fuzztime=$(FUZZTIME) ./internal/wsn/
 	$(GO) test -fuzz=FuzzCourseRead -fuzztime=$(FUZZTIME) ./internal/obstacle/
 	$(GO) test -fuzz=FuzzGridIndexQueries -fuzztime=$(FUZZTIME) ./internal/geom/
+	$(GO) test -fuzz=FuzzInsertionSlot -fuzztime=$(FUZZTIME) ./internal/replan/
+	$(GO) test -fuzz=FuzzRelocate -fuzztime=$(FUZZTIME) ./internal/tsp/
 
 # check runs the CI pipeline's gates locally. It skips the fuzz-smoke
 # job (make fuzz-smoke) and the benchmark smoke step, which runs every

@@ -121,28 +121,28 @@ func BenchmarkE16Rotation(b *testing.B) { runExperiment(b, "E16", 1, 1, "rounds"
 // searches into the given scratch, and returns the shared state: after
 // this, re-running either pass finds no improving move and — with the
 // scratch buffers grown — must not allocate.
-func warmTSPScratch(s *tsp.Scratch) (pts []geom.Point, tour tsp.Tour, neigh [][]int) {
+func warmTSPScratch(s *tsp.Scratch) (pts []geom.Point, tour tsp.Tour, nb *tsp.Neighbors) {
 	nw := MustDeploy(DeployConfig{N: 200, FieldSide: 200, Range: 30, Seed: 1})
 	pts = nw.Positions()
-	neigh = tsp.NeighborLists(pts, 12)
+	nb = tsp.NewNeighbors(pts)
 	tour = make(tsp.Tour, len(pts))
 	for i := range tour {
 		tour[i] = i
 	}
-	for s.TwoOpt(pts, tour, neigh)+s.OrOpt(pts, tour, neigh) > 0 {
+	for s.TwoOpt(pts, tour, nb)+s.OrOpt(pts, tour, nb) > 0 {
 	}
-	return pts, tour, neigh
+	return pts, tour, nb
 }
 
 // BenchmarkTwoOptSteadyState pins the 2-opt pass at allocs/op == 0: on a
 // converged tour with a warmed scratch the pass is a pure scan.
 func BenchmarkTwoOptSteadyState(b *testing.B) {
 	var s tsp.Scratch
-	pts, tour, neigh := warmTSPScratch(&s)
+	pts, tour, nb := warmTSPScratch(&s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.TwoOpt(pts, tour, neigh)
+		s.TwoOpt(pts, tour, nb)
 	}
 }
 
@@ -150,11 +150,11 @@ func BenchmarkTwoOptSteadyState(b *testing.B) {
 // the same converged-tour, warmed-scratch regime.
 func BenchmarkOrOptSteadyState(b *testing.B) {
 	var s tsp.Scratch
-	pts, tour, neigh := warmTSPScratch(&s)
+	pts, tour, nb := warmTSPScratch(&s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.OrOpt(pts, tour, neigh)
+		s.OrOpt(pts, tour, nb)
 	}
 }
 
@@ -267,11 +267,11 @@ func BenchmarkSpanSteadyState(b *testing.B) {
 // crept back into a planning inner loop.
 func TestHotPathSteadyStateZeroAllocs(t *testing.T) {
 	var ts tsp.Scratch
-	pts, tour, neigh := warmTSPScratch(&ts)
-	if n := testing.AllocsPerRun(20, func() { ts.TwoOpt(pts, tour, neigh) }); n != 0 {
+	pts, tour, nb := warmTSPScratch(&ts)
+	if n := testing.AllocsPerRun(20, func() { ts.TwoOpt(pts, tour, nb) }); n != 0 {
 		t.Errorf("Scratch.TwoOpt steady state allocates %.1f objects/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { ts.OrOpt(pts, tour, neigh) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { ts.OrOpt(pts, tour, nb) }); n != 0 {
 		t.Errorf("Scratch.OrOpt steady state allocates %.1f objects/op, want 0", n)
 	}
 

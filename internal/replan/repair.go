@@ -3,6 +3,8 @@ package replan
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"mobicol/internal/collector"
 	"mobicol/internal/cover"
@@ -12,10 +14,6 @@ import (
 	"mobicol/internal/tsp"
 	"mobicol/internal/wsn"
 )
-
-// repairNeighborK matches the cold planner's TSP neighbour-list width so
-// the seeded passes see the same candidate moves a full pass would.
-const repairNeighborK = 12
 
 // Options tunes a repair.
 type Options struct {
@@ -111,8 +109,9 @@ func Repair(ctx context.Context, nw *wsn.Network, prev *collector.TourPlan, carr
 	// Phase 2 — rehome: a dirty sensor that drifted into range of some
 	// other existing stop needs no new stop, just a new assignment.
 	spRehome := root.Child("rehome")
+	var stopIdx *geom.GridIndex // also serves the splice phase's slot search
 	if len(dirty) > 0 && m > 0 {
-		stopIdx := geom.NewGridIndexFor(prev.Stops, nw.Range)
+		stopIdx = geom.NewGridIndexFor(prev.Stops, nw.Range)
 		rehomed := par.Map(opts.Pool, len(dirty), func(k int) int {
 			s, _ := stopIdx.NearestWithin(sensors[dirty[k]], nw.Range)
 			return s
@@ -215,18 +214,19 @@ func Repair(ctx context.Context, nw *wsn.Network, prev *collector.TourPlan, carr
 			}
 		}
 	}
-	for g := m; g < m+len(newStops); g++ {
-		pos := cheapestSlot(nw.Sink, allStops, order, allStops[g])
-		if pos > 0 {
-			touched[order[pos-1]] = true
+	if len(newStops) > 0 {
+		sp := newSplicer(nw.Sink, allStops, order, eject)
+		for g := m; g < len(allStops); g++ {
+			pos := sp.insert(g, stopIdx)
+			if pos > 0 {
+				touched[sp.order[pos-1]] = true
+			}
+			if pos < len(sp.order)-1 {
+				touched[sp.order[pos+1]] = true
+			}
+			touched[g] = true
 		}
-		if pos < len(order) {
-			touched[order[pos]] = true
-		}
-		order = append(order, 0)
-		copy(order[pos+1:], order[pos:])
-		order[pos] = g
-		touched[g] = true
+		order = sp.order
 	}
 	spSplice.SetInt("ejected", int64(st.Ejected))
 	spSplice.End()
@@ -252,10 +252,12 @@ func Repair(ctx context.Context, nw *wsn.Network, prev *collector.TourPlan, carr
 				seeds = append(seeds, i, i+1, (i+2)%len(pts))
 			}
 		}
-		neigh := tsp.NeighborLists(pts, repairNeighborK)
+		// The passes read the neighbour lists of only the points they
+		// examine, so only those lists are computed.
+		nb := tsp.NewNeighbors(pts)
 		var sc tsp.Scratch
-		st.Moves = sc.TwoOptSeeded(pts, tour, neigh, seeds)
-		st.Moves += sc.OrOptSeeded(pts, tour, neigh, seeds)
+		st.Moves = sc.TwoOptSeeded(pts, tour, nb, seeds)
+		st.Moves += sc.OrOptSeeded(pts, tour, nb, seeds)
 		tour.RotateTo(0)
 	}
 	spImprove.SetInt("moves", int64(st.Moves))
@@ -281,25 +283,124 @@ func Repair(ctx context.Context, nw *wsn.Network, prev *collector.TourPlan, carr
 	return &collector.TourPlan{Sink: nw.Sink, Stops: finalStops, UploadAt: uploadAt}, st, nil
 }
 
-// cheapestSlot returns the insertion position (into order) that grows the
-// closed tour sink -> stops[order...] -> sink the least when adding p.
-// Position 0 inserts after the sink; ties break toward the earliest slot.
-func cheapestSlot(sink geom.Point, stops []geom.Point, order []int, p geom.Point) int {
+// splicer inserts new stops into a visit order by cheapest insertion:
+// each goes into the slot that grows the closed tour sink -> order ->
+// sink the least, ties toward the earliest slot, as a scan over every
+// slot would place it. It prices only the slots that could match the
+// cheapest one, so an insertion costs about the stops near the new one,
+// not the tour.
+type splicer struct {
+	sink  geom.Point
+	stops []geom.Point // every stop by id: the previous plan's, then the new ones
+	order []int        // visit order of stop ids
+	at    []int        // at[g]: position of stop g in order, -1 when absent
+	eject []bool       // previous stops left out of order
+	fresh []int        // new stops inserted so far
+	lmax  float64      // upper bound on every stop-to-stop edge of order
+	hits  []int        // scratch: grid query results
+	slots []int        // scratch: positions to price
+}
+
+// newSplicer starts from order, the previous stops that survive in visit
+// order.
+func newSplicer(sink geom.Point, stops []geom.Point, order []int, eject []bool) splicer {
+	sp := splicer{sink: sink, stops: stops, order: order, at: make([]int, len(stops)), eject: eject}
+	for g := range sp.at {
+		sp.at[g] = -1
+	}
+	for i, g := range order {
+		sp.at[g] = i
+		if i > 0 {
+			sp.lmax = max(sp.lmax, stops[order[i-1]].Dist(stops[g]))
+		}
+	}
+	return sp
+}
+
+// cost is what inserting p at slot pos adds to the tour: slot pos lies
+// between order[pos-1] and order[pos], the sink standing in past either
+// end.
+func (sp *splicer) cost(pos int, p geom.Point) float64 {
+	a, b := sp.sink, sp.sink
+	if pos > 0 {
+		a = sp.stops[sp.order[pos-1]]
+	}
+	if pos < len(sp.order) {
+		b = sp.stops[sp.order[pos]]
+	}
+	return a.Dist(p) + p.Dist(b) - a.Dist(b)
+}
+
+// slot returns the position at which inserting p grows the tour least,
+// ties toward the earliest position. grid indexes the previous stops (nil
+// when there were none); the ejected ones it holds are never priced. The
+// splicer does not keep it: it aliases the previous plan.
+//
+// A slot between stops a and b costs |ap| + |pb| - |ab| >=
+// 2·min(|ap|, |pb|) - lmax, so it can match a cost c only if one of its
+// ends lies within (lmax + c)/2 of p. c starts as the cheapest of the
+// two sink slots and the two slots of the nearest surviving stop; the
+// stops within that radius, surviving ones from the grid and new ones
+// by a scan, name every other slot that could match it. Pricing those
+// slots in ascending position with the same strict < keeps the full
+// scan's choice, ties included: a slot outside the set costs more than
+// c, so more than the cheapest. The slack absorbs rounding in the
+// distances, the radius and the coordinates.
+func (sp *splicer) slot(p geom.Point, grid *geom.GridIndex) int {
+	k := len(sp.order)
+	c := min(sp.cost(0, p), sp.cost(k, p))
+	if grid != nil {
+		eject := sp.eject
+		if s := grid.Nearest(p, func(j int) bool { return eject[j] }); s >= 0 {
+			c = min(c, sp.cost(sp.at[s], p), sp.cost(sp.at[s]+1, p))
+		}
+	}
+	r := (sp.lmax + c) / 2
+	r += 1e-9 * (r + math.Abs(p.X) + math.Abs(p.Y))
+	slots := append(sp.slots[:0], 0, k)
+	if grid != nil {
+		sp.hits = grid.Within(p, r, sp.hits[:0])
+		for _, s := range sp.hits {
+			if !sp.eject[s] {
+				slots = append(slots, sp.at[s], sp.at[s]+1)
+			}
+		}
+	}
+	for _, g := range sp.fresh {
+		if p.Dist2(sp.stops[g]) <= r*r+geom.Eps {
+			slots = append(slots, sp.at[g], sp.at[g]+1)
+		}
+	}
+	slices.Sort(slots)
+	sp.slots = slots
 	best, bestCost := 0, 0.0
-	k := len(order)
-	for pos := 0; pos <= k; pos++ {
-		a := sink
-		if pos > 0 {
-			a = stops[order[pos-1]]
+	for i, pos := range slots {
+		if i > 0 && pos == slots[i-1] {
+			continue
 		}
-		b := sink
-		if pos < k {
-			b = stops[order[pos]]
-		}
-		cost := a.Dist(p) + p.Dist(b) - a.Dist(b)
-		if pos == 0 || cost < bestCost {
+		if cost := sp.cost(pos, p); i == 0 || cost < bestCost {
 			best, bestCost = pos, cost
 		}
 	}
 	return best
+}
+
+// insert places new stop g at its cheapest slot and returns the slot.
+func (sp *splicer) insert(g int, grid *geom.GridIndex) int {
+	p := sp.stops[g]
+	pos := sp.slot(p, grid)
+	if pos > 0 {
+		sp.lmax = max(sp.lmax, sp.stops[sp.order[pos-1]].Dist(p))
+	}
+	if pos < len(sp.order) {
+		sp.lmax = max(sp.lmax, p.Dist(sp.stops[sp.order[pos]]))
+	}
+	sp.order = append(sp.order, 0)
+	copy(sp.order[pos+1:], sp.order[pos:])
+	sp.order[pos] = g
+	for i := pos; i < len(sp.order); i++ {
+		sp.at[sp.order[i]] = i
+	}
+	sp.fresh = append(sp.fresh, g)
+	return pos
 }

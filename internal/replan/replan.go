@@ -16,14 +16,22 @@
 // The pipeline mirrors the cold planner but touches only dirty state:
 // carry over every still-in-range assignment, rehome the rest onto kept
 // stops through a grid over the stop set, cover the leftovers with a
-// greedy disk cover of their own sites, splice the new stops into the
-// previous visit order by cheapest insertion, eject stops that lost all
-// their sensors, and run the seeded (bounded) 2-opt/Or-opt passes around
-// the touched tour segments only.
+// greedy disk cover of their own sites, eject stops that lost all their
+// sensors, splice the new stops into the previous visit order by
+// cheapest insertion, and run the seeded (bounded) 2-opt/Or-opt passes
+// around the touched tour segments only.
+//
+// A round's cost follows the delta, not the tour. The splice prices
+// only the slots with an end near the new stop, found through the
+// rehome grid, and still picks the slot a scan of every slot would,
+// ties included. The seeded passes compute the neighbour lists of only
+// the points they examine, and an Or-opt move shifts only the stops
+// between the segment and its new place.
 package replan
 
 import (
 	"fmt"
+	"slices"
 
 	"mobicol/internal/collector"
 	"mobicol/internal/geom"
@@ -50,39 +58,47 @@ type Delta struct {
 // into its indexing: surviving sensors keep their prevUpload entry
 // (positional identity — a moved sensor keeps its assignment and is
 // re-validated geometrically by Repair), added sensors get -1. Removal
-// wins when an index is both removed and moved; surviving sensors keep
-// their relative order, added sensors append after them.
+// wins when an index is both removed and moved, and the last move of an
+// index wins over earlier ones; surviving sensors keep their relative
+// order, added sensors append after them. The survivors come from one
+// walk of the nodes against a sorted copy of Removed, and each move
+// finds its survivor's slot by binary search in that copy, so the cost
+// is O(n + |Δ| log |Δ|) and the delta's own slices are left as they are.
 func (d Delta) Apply(prev *wsn.Network, prevUpload []int) (*wsn.Network, []int, error) {
 	n := prev.N()
 	if len(prevUpload) != n {
 		return nil, nil, fmt.Errorf("replan: %d carried assignments for %d sensors", len(prevUpload), n)
 	}
-	gone := make(map[int]bool, len(d.Removed))
 	for _, i := range d.Removed {
 		if i < 0 || i >= n {
 			return nil, nil, fmt.Errorf("replan: removed index %d out of range [0,%d)", i, n)
 		}
-		gone[i] = true
 	}
-	moved := make(map[int]geom.Point, len(d.Moved))
 	for _, m := range d.Moved {
 		if m.Index < 0 || m.Index >= n {
 			return nil, nil, fmt.Errorf("replan: moved index %d out of range [0,%d)", m.Index, n)
 		}
-		moved[m.Index] = m.To // last move of an index wins
 	}
-	positions := make([]geom.Point, 0, n-len(gone)+len(d.Added))
+	removed := append([]int(nil), d.Removed...)
+	slices.Sort(removed)
+	removed = slices.Compact(removed)
+	positions := make([]geom.Point, 0, n-len(removed)+len(d.Added))
 	carried := make([]int, 0, cap(positions))
+	next := removed
 	for i, node := range prev.Nodes {
-		if gone[i] {
+		if len(next) > 0 && next[0] == i {
+			next = next[1:]
 			continue
 		}
-		p := node.Pos
-		if to, ok := moved[i]; ok {
-			p = to
-		}
-		positions = append(positions, p)
+		positions = append(positions, node.Pos)
 		carried = append(carried, prevUpload[i])
+	}
+	// Survivor i sits at i minus the removals below it. Moves apply in
+	// order, so the last move of an index wins.
+	for _, m := range d.Moved {
+		if below, gone := slices.BinarySearch(removed, m.Index); !gone {
+			positions[m.Index-below] = m.To
+		}
 	}
 	for _, p := range d.Added {
 		positions = append(positions, p)

@@ -253,3 +253,78 @@ func TestRepairWarmSpeedup(t *testing.T) {
 			time.Duration(warmNs), time.Duration(coldNs))
 	}
 }
+
+// applyByMaps is Delta.Apply over per-node map lookups: the reference
+// the merge walk is held to.
+func applyByMaps(d Delta, prev *wsn.Network, prevUpload []int) ([]geom.Point, []int) {
+	gone := map[int]bool{}
+	for _, i := range d.Removed {
+		gone[i] = true
+	}
+	moved := map[int]geom.Point{}
+	for _, m := range d.Moved {
+		moved[m.Index] = m.To
+	}
+	var positions []geom.Point
+	var carried []int
+	for i, node := range prev.Nodes {
+		if gone[i] {
+			continue
+		}
+		p := node.Pos
+		if to, ok := moved[i]; ok {
+			p = to
+		}
+		positions = append(positions, p)
+		carried = append(carried, prevUpload[i])
+	}
+	for _, p := range d.Added {
+		positions = append(positions, p)
+		carried = append(carried, -1)
+	}
+	return positions, carried
+}
+
+// TestDeltaApplyMatchesMapReference pins Apply's rules: removal wins over
+// a move of the same index, the last move of an index wins, duplicate
+// removals count once, and the delta's slices are left unsorted.
+func TestDeltaApplyMatchesMapReference(t *testing.T) {
+	nw := deploy(40, 200, 30, 9)
+	upload := make([]int, nw.N())
+	for i := range upload {
+		upload[i] = i % 7
+	}
+	at := func(x float64) geom.Point { return geom.Pt(x, x) }
+	cases := []struct {
+		name string
+		d    Delta
+	}{
+		{"empty", Delta{}},
+		{"duplicate removals", Delta{Removed: []int{5, 3, 5, 39, 3, 0}}},
+		{"removed and moved", Delta{Removed: []int{8, 2}, Moved: []Move{{2, at(1)}, {9, at(2)}, {8, at(3)}}}},
+		{"repeated moves", Delta{Moved: []Move{{4, at(1)}, {1, at(2)}, {4, at(3)}, {1, at(4)}, {4, at(5)}}}},
+		{"everything", Delta{
+			Removed: []int{39, 0, 17, 17},
+			Moved:   []Move{{17, at(6)}, {0, at(7)}, {38, at(8)}, {38, at(9)}, {12, at(10)}},
+			Added:   []geom.Point{at(11), at(12)},
+		}},
+		{"perturb", Perturb(nw, 0.3, 5)},
+	}
+	for _, c := range cases {
+		removed, moved := slices.Clone(c.d.Removed), slices.Clone(c.d.Moved)
+		got, carried, err := c.d.Apply(nw, upload)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		wantPos, wantCarried := applyByMaps(c.d, nw, upload)
+		if !slices.Equal(got.Positions(), wantPos) || !slices.Equal(carried, wantCarried) {
+			t.Fatalf("%s: Apply diverged from the map reference", c.name)
+		}
+		if got.Sink != nw.Sink || got.Range != nw.Range || got.Field != nw.Field {
+			t.Fatalf("%s: Apply changed the sink, range or field", c.name)
+		}
+		if !slices.Equal(c.d.Removed, removed) || !slices.Equal(c.d.Moved, moved) {
+			t.Fatalf("%s: Apply reordered the delta", c.name)
+		}
+	}
+}

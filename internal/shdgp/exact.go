@@ -45,11 +45,22 @@ func exactTSP() tsp.Options {
 	return tsp.Options{Construction: tsp.ConstructGreedy, TwoOpt: true, OrOpt: true, ExactBelow: tsp.HeldKarpMax}
 }
 
-// PlanExact solves the SHDGP to optimality (within the exact limits
-// above) by enumerating covers and solving each leaf's TSP exactly. It
-// checks ctx inside the heuristic incumbent's phases and every
-// exactCheckEvery enumeration nodes, and returns ctx's error at the
-// first check that finds it done.
+// PlanExact solves the SHDGP to optimality over the dominance-pruned
+// candidates (within the exact limits above) by enumerating covers and
+// solving each leaf's TSP exactly. It checks ctx inside the heuristic
+// incumbent's phases and every exactCheckEvery enumeration nodes, and
+// returns ctx's error at the first check that finds it done.
+//
+// Exact=true certifies that optimum over the pruned candidates only.
+// Dominance is a set-cover notion: a candidate whose sensors another
+// candidate also covers is pruned, though it can sit closer to the tour.
+// The search starts from the heuristic planner's plan, which chooses
+// among every candidate, and returns the shorter of that incumbent and
+// the best pruned cover. The returned tour is never longer than the
+// pruned optimum and can be shorter: on 8 clustered sensors (150 m
+// field, 20 m range, grid candidates, seed 3) the heuristic's 219.5 m
+// beats the best pruned cover's 269.8 m
+// (TestPlanExactCertifiesPrunedCandidatesOnly).
 //
 // Enumeration branches on the lowest-index uncovered sensor: any feasible
 // cover must contain some candidate covering it, so the search tree is

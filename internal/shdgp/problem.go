@@ -68,7 +68,11 @@ type Solution struct {
 	Plan *collector.TourPlan
 	// Length is the closed tour length in metres.
 	Length geom.Meters
-	// Exact is true when the solution is provably optimal.
+	// Exact is true when PlanExact's search closed within its limits: no
+	// cover of the dominance-pruned candidates is shorter than the tour.
+	// The tour is the shorter of that pruned optimum and the heuristic
+	// incumbent, which plans over every candidate, so Exact does not
+	// certify it optimal over the unpruned candidates.
 	Exact bool
 	// Algorithm names the planner that produced the solution.
 	Algorithm string

@@ -42,17 +42,17 @@ func NearestNeighbor(pts []geom.Point, start int) Tour {
 // greedyEdge builds a tour by adding the shortest edges that keep degree
 // <= 2 and avoid premature subtours (the "greedy matching" construction;
 // typically a few percent shorter than nearest neighbour). The candidate
-// edges are each point's k nearest neighbours, neigh, built over the
-// grid idx: O(nk) edges instead of all O(n²) pairs, and almost every edge
-// the all-pairs rule would pick connects near neighbours; the local
-// searches erase the rest of the gap. Solve builds neigh and idx once for
-// the construction and the local searches. The candidate pass generally
-// leaves a forest of path fragments (a point whose k nearest are all full
-// keeps degree < 2), so a second pass links fragment endpoints
-// nearest-first through the grid, then closes the cycle.
-func greedyEdge(pts []geom.Point, neigh [][]int, idx *geom.GridIndex) Tour {
+// edges are each point's k nearest neighbours from nb: O(nk) edges
+// instead of all O(n²) pairs, and almost every edge the all-pairs rule
+// would pick connects near neighbours; the local searches erase the rest
+// of the gap. Solve builds nb once for the construction and the local
+// searches. The candidate pass generally leaves a forest of path
+// fragments (a point whose k nearest are all full keeps degree < 2), so
+// a second pass links fragment endpoints nearest-first through nb's
+// grid, then closes the cycle.
+func greedyEdge(pts []geom.Point, nb *Neighbors) Tour {
 	n := len(pts)
-	edges := candidateEdges(pts, neigh)
+	edges := candidateEdges(pts, nb)
 	deg := make([]int, n)
 	uf := graph.NewUnionFind(n)
 	adj := make([][2]int, n)
@@ -89,7 +89,7 @@ func greedyEdge(pts []geom.Point, neigh [][]int, idx *geom.GridIndex) Tour {
 				break
 			}
 		}
-		v := idx.Nearest(pts[u], func(j int) bool {
+		v := nb.idx.Nearest(pts[u], func(j int) bool {
 			return j == u || deg[j] >= 2 || uf.Connected(u, j)
 		})
 		link(u, v)
@@ -128,12 +128,13 @@ type edge struct {
 // candidateEdges returns every pair the k-nearest lists name, once, in
 // ascending (w, u, v) order. A mutual pair is emitted from the lower
 // index's list only: its second copy would sort next to the first, and
-// greedyEdge's degree and component checks would always reject it.
-func candidateEdges(pts []geom.Point, neigh [][]int) []edge {
+// greedyEdge's degree and component checks would always reject it. It
+// reads, and so fills, every list.
+func candidateEdges(pts []geom.Point, nb *Neighbors) []edge {
 	edges := make([]edge, 0, len(pts)*neighborK)
-	for u, list := range neigh {
-		for _, v := range list {
-			if v < u && slices.Contains(neigh[v], u) {
+	for u := range pts {
+		for _, v := range nb.List(u) {
+			if v < u && slices.Contains(nb.List(v), u) {
 				continue
 			}
 			a, b := min(u, v), max(u, v)

@@ -13,7 +13,7 @@ import (
 )
 
 // sortedNeighbors is the exact quadratic construction of one point's
-// k-nearest list, the oracle neighborLists is held to.
+// k-nearest list, the oracle Neighbors is held to.
 func sortedNeighbors(pts []geom.Point, i, k int) []int {
 	cand := make([]int, 0, len(pts)-1)
 	for j := range pts {
@@ -80,22 +80,74 @@ func neighborFamilies(s *rng.Source) []neighborFamily {
 		neighborFamily{"coincident", randPts(s, 6, 0)})
 }
 
+// eagerLists reads every list of nb in index order: the eager build
+// the lists filled on first read are held to.
+func eagerLists(nb *Neighbors) [][]int {
+	lists := make([][]int, len(nb.pts))
+	for i := range lists {
+		lists[i] = nb.List(i)
+	}
+	return lists
+}
+
 // TestNeighborListsMatchFullSort pins the grid-backed construction to the
 // quadratic oracle: same neighbours, same order, for every point of
-// every family, with k below n-1 and at or past it.
+// every family, with neighborK below n-1 and (on the smallest families)
+// at or past it. The lists are read in a shuffled order, so each is
+// filled between unrelated others.
 func TestNeighborListsMatchFullSort(t *testing.T) {
 	for seed := uint64(5); seed < 8; seed++ {
-		for _, fam := range neighborFamilies(rng.New(seed)) {
+		s := rng.New(seed)
+		for _, fam := range neighborFamilies(s) {
 			pts := fam.pts
-			for _, k := range []int{neighborK, len(pts) - 1, len(pts) + 2} {
-				got, _ := neighborLists(pts, k)
-				for i := range pts {
-					want := sortedNeighbors(pts, i, min(k, len(pts)-1))
-					if !slices.Equal(got[i], want) {
-						t.Fatalf("%s seed=%d k=%d point %d: %v, want %v", fam.name, seed, k, i, got[i], want)
-					}
+			nb := NewNeighbors(pts)
+			for _, i := range s.Perm(len(pts)) {
+				want := sortedNeighbors(pts, i, min(neighborK, len(pts)-1))
+				if got := nb.List(i); !slices.Equal(got, want) {
+					t.Fatalf("%s seed=%d point %d: %v, want %v", fam.name, seed, i, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestLazyNeighborsMatchEager: seeded passes over lists filled on first
+// read make the same moves as over lists built up front, fill only the
+// lists of the points they examine, and leave every filled list equal
+// to its eager build.
+func TestLazyNeighborsMatchEager(t *testing.T) {
+	for seed := uint64(30); seed < 34; seed++ {
+		pts := randPts(rng.New(seed), 3000, 3000)
+		base := GreedyEdge(pts)
+		// Disturb one stretch of the tour, as a splice does.
+		slices.Reverse(base[100:108])
+		seeds := slices.Clone(base[98:110])
+
+		eager := NewNeighbors(pts)
+		want := eagerLists(eager)
+		lazy := NewNeighbors(pts)
+		a, b := slices.Clone(base), slices.Clone(base)
+		var s1, s2 Scratch
+		m1 := s1.TwoOptSeeded(pts, a, eager, seeds) + s1.OrOptSeeded(pts, a, eager, seeds)
+		m2 := s2.TwoOptSeeded(pts, b, lazy, seeds) + s2.OrOptSeeded(pts, b, lazy, seeds)
+		if m1 != m2 || !slices.Equal(a, b) {
+			t.Fatalf("seed %d: lazy lists diverged from eager ones (%d vs %d moves)", seed, m2, m1)
+		}
+		if m1 == 0 {
+			t.Fatalf("seed %d: the disturbed stretch drew no move", seed)
+		}
+		filled := 0
+		for i, ok := range lazy.filled {
+			if !ok {
+				continue
+			}
+			filled++
+			if got := lazy.flat[i*lazy.k : (i+1)*lazy.k]; !slices.Equal(got, want[i]) {
+				t.Fatalf("seed %d point %d: lazily filled %v, eager %v", seed, i, got, want[i])
+			}
+		}
+		if filled == 0 || filled > len(pts)/10 {
+			t.Fatalf("seed %d: seeded passes filled %d of %d lists", seed, filled, len(pts))
 		}
 	}
 }
@@ -106,7 +158,7 @@ func TestNeighborListsMatchFullSort(t *testing.T) {
 func TestCandidateEdgesOncePerPair(t *testing.T) {
 	for _, fam := range neighborFamilies(rng.New(9)) {
 		pts := fam.pts
-		neigh, _ := neighborLists(pts, neighborK)
+		neigh := eagerLists(NewNeighbors(pts))
 		seen := map[[2]int]bool{}
 		var want []edge
 		for u, list := range neigh {
@@ -127,7 +179,7 @@ func TestCandidateEdgesOncePerPair(t *testing.T) {
 			}
 			return cmp.Compare(x.v, y.v)
 		})
-		if got := candidateEdges(pts, neigh); !slices.Equal(got, want) {
+		if got := candidateEdges(pts, NewNeighbors(pts)); !slices.Equal(got, want) {
 			t.Fatalf("%s: %d candidate edges, want the %d distinct list pairs in (w, u, v) order", fam.name, len(got), len(want))
 		}
 	}
@@ -137,8 +189,7 @@ func TestCandidateEdgesOncePerPair(t *testing.T) {
 // point at the same location, one grid cell, still yields full lists.
 func TestNeighborListsCoincidentPoints(t *testing.T) {
 	pts := randPts(rng.New(1), 6, 0) // Uniform(0,0) puts every point at the origin
-	lists, _ := neighborLists(pts, neighborK)
-	for i, l := range lists {
+	for i, l := range eagerLists(NewNeighbors(pts)) {
 		if len(l) != 5 {
 			t.Fatalf("point %d: %d neighbours, want 5", i, len(l))
 		}
@@ -157,10 +208,9 @@ func TestOrOptNeighborsNeverLengthens(t *testing.T) {
 	for seed := uint64(60); seed < 66; seed++ {
 		pts := randPts(rng.New(seed), 90, 200)
 		tour := NearestNeighbor(pts, 0)
-		neigh, _ := neighborLists(pts, neighborK)
 		before := tour.Length(pts)
 		var s Scratch
-		moves := s.OrOpt(pts, tour, neigh)
+		moves := s.OrOpt(pts, tour, NewNeighbors(pts))
 		after := tour.Length(pts)
 		if err := tour.Validate(len(pts)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -185,4 +235,77 @@ func BenchmarkSolve(b *testing.B) {
 			}
 		})
 	}
+}
+
+// checkRelocate runs relocate and relocateByValue on copies of tour and
+// fails unless the arrays match and relocate left pos the inverse of
+// its array. Both paths must move the segment, so callers pass only
+// moves Or-opt makes: j outside the segment and not just before it.
+func checkRelocate(t *testing.T, tour Tour, i, segLen, j int, rev bool) {
+	t.Helper()
+	n := len(tour)
+	got, want := slices.Clone(tour), slices.Clone(tour)
+	pos := make([]int, n)
+	for k, v := range got {
+		pos[v] = k
+	}
+	relocate(got, pos, i, segLen, j, rev, make(Tour, 0, n))
+	relocateByValue(want, i, segLen, j, rev, make(Tour, 0, n))
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d i=%d len=%d j=%d rev=%v: in place %v, by value %v", n, i, segLen, j, rev, got, want)
+	}
+	for k, v := range got {
+		if pos[v] != k {
+			t.Fatalf("n=%d i=%d len=%d j=%d rev=%v: pos[%d] = %d, stop is at %d", n, i, segLen, j, rev, v, pos[v], k)
+		}
+	}
+}
+
+// TestRelocateInPlaceMatchesByValue pins the in-place Or-opt move to the
+// by-value splice on every move of small tours: segment lengths 1-3 in
+// both orientations, the anchor before and after the segment and at
+// positions 0 and n-1, segments ending at the array end, and wrapping
+// segments, which take the by-value path.
+func TestRelocateInPlaceMatchesByValue(t *testing.T) {
+	s := rng.New(4)
+	for _, n := range []int{5, 6, 9, 12} {
+		for i := 0; i < n; i++ {
+			for segLen := 1; segLen <= min(3, n-3); segLen++ {
+				for j := 0; j < n; j++ {
+					if within(i, segLen, j, n) || (j+1)%n == i {
+						continue
+					}
+					for _, rev := range []bool{false, true} {
+						checkRelocate(t, Tour(s.Perm(n)), i, segLen, j, rev)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzRelocate holds the in-place Or-opt move to the by-value splice on
+// decoded moves: bytes 0-4 pick the tour size (5-68), the segment start,
+// length and orientation and the anchor; the rest shuffle the tour.
+func FuzzRelocate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		n := 5 + int(data[0])%64
+		i := int(data[1]) % n
+		segLen := 1 + int(data[2])%min(3, n-3)
+		j := int(data[3]) % n
+		rev := data[4]&1 == 1
+		if within(i, segLen, j, n) || (j+1)%n == i {
+			return
+		}
+		tour := trivialTour(n)
+		for k, b := range data[5:] {
+			a := k % n
+			c := int(b) % n
+			tour[a], tour[c] = tour[c], tour[a]
+		}
+		checkRelocate(t, tour, i, segLen, j, rev)
+	})
 }

@@ -7,34 +7,57 @@ import "mobicol/internal/geom"
 // instances; 12 matches the classic Lin–Kernighan setting.
 const neighborK = 12
 
-// neighborLists returns, for every point, the indices of its k nearest
-// other points, sorted by ascending distance (ties toward the lower
-// index, so the lists are independent of construction path), and the
-// grid index it built them from. Greedy-edge takes its candidate edges
-// from the lists and links leftover fragments through the grid; local
-// search restricted to near neighbours finds almost all the improving
-// moves of the full quadratic scan at a fraction of the cost.
+// Neighbors holds the k-nearest candidate lists of a point set (k =
+// neighborK, or every other point when there are fewer), each sorted by
+// ascending distance with ties toward the lower index, so the lists are
+// independent of construction path, plus the grid index they come from.
+// Greedy-edge takes its candidate edges from the lists and links
+// leftover fragments through the grid; local search restricted to near
+// neighbours finds almost all the improving moves of the full quadratic
+// scan at a fraction of the cost.
 //
-// Each list is one geom.GridIndex.NearestK ring search over an
-// occupancy-sized grid, expected O(k) work per point at any n, written
-// into one shared n·k backing array. The search is exact however the
-// grid is sized, so the sizing never changes a tour.
-func neighborLists(pts []geom.Point, k int) ([][]int, *geom.GridIndex) {
+// A list is computed the first time it is read: one
+// geom.GridIndex.NearestK ring search over an occupancy-sized grid,
+// expected O(k) work per point at any n, written into one shared n·k
+// backing array. Solve's greedy-edge construction reads every list; the
+// seeded passes of warm repair read only the lists of the points they
+// examine. The search is exact however the grid is sized, and a list
+// does not depend on when it is read, so neither changes a tour. A
+// Neighbors must not be shared between concurrent passes.
+type Neighbors struct {
+	pts    []geom.Point
+	idx    *geom.GridIndex
+	k      int
+	flat   []int  // list i is flat[i*k : (i+1)*k]
+	filled []bool // filled[i]: list i is computed
+	d2     [neighborK]float64
+}
+
+// NewNeighbors indexes pts for their k-nearest lists; no list is
+// computed until it is read.
+func NewNeighbors(pts []geom.Point) *Neighbors {
 	n := len(pts)
-	k = min(k, n-1)
-	lists := make([][]int, n)
-	idx := geom.NewGridIndexAuto(pts, 1)
-	if k <= 0 {
-		return lists, idx
+	k := max(min(neighborK, n-1), 0)
+	return &Neighbors{
+		pts:    pts,
+		idx:    geom.NewGridIndexAuto(pts, 1),
+		k:      k,
+		flat:   make([]int, n*k),
+		filled: make([]bool, n),
 	}
-	flat := make([]int, n*k)
-	d2 := make([]float64, k)
-	for i, p := range pts {
-		list := flat[i*k : (i+1)*k : (i+1)*k]
-		idx.NearestK(p, i, list, d2)
-		lists[i] = list
+}
+
+// List returns point i's neighbour list, computing it on first read. The
+// slice aliases the shared backing array and must not be modified.
+//
+//mdglint:hotpath
+func (nb *Neighbors) List(i int) []int {
+	list := nb.flat[i*nb.k : (i+1)*nb.k : (i+1)*nb.k]
+	if !nb.filled[i] {
+		nb.idx.NearestK(nb.pts[i], i, list, nb.d2[:nb.k])
+		nb.filled[i] = true
 	}
-	return lists, idx
+	return list
 }
 
 // Scratch holds the reusable working state of the local-search passes.
@@ -48,7 +71,7 @@ type Scratch struct {
 	pos      []int  // point -> position in tour
 	dontLook []bool // don't-look bits
 	queue    []int  // work queue of points to (re-)examine
-	reloc    Tour   // relocation splice buffer
+	reloc    Tour   // relocation splice buffer for wrapping segments
 }
 
 // ensure sizes the buffers for an n-stop tour and resets per-pass state.
@@ -71,22 +94,13 @@ func (s *Scratch) ensure(n int) {
 	s.queue = s.queue[:0]
 }
 
-// NeighborLists builds the k-nearest candidate lists the improvement
-// passes take (the solver uses k = 12). The lists depend only on the
-// point set, so callers holding a Scratch across passes build them once
-// and share them between TwoOpt and OrOpt.
-func NeighborLists(pts []geom.Point, k int) [][]int {
-	neigh, _ := neighborLists(pts, k)
-	return neigh
-}
-
 // TwoOpt is 2-opt over caller-supplied neighbour lists and caller-owned
 // scratch state: the steady-state pass allocates nothing once the
 // buffers have grown to the instance size.
 //
 //mdglint:hotpath
-func (s *Scratch) TwoOpt(pts []geom.Point, tour Tour, neigh [][]int) int {
-	return s.twoOpt(pts, tour, neigh, nil)
+func (s *Scratch) TwoOpt(pts []geom.Point, tour Tour, nb *Neighbors) int {
+	return s.twoOpt(pts, tour, nb, nil)
 }
 
 // TwoOptSeeded is TwoOpt with the work queue seeded from the given point
@@ -97,8 +111,8 @@ func (s *Scratch) TwoOpt(pts []geom.Point, tour Tour, neigh [][]int) int {
 // empty seed set is a no-op by construction.
 //
 //mdglint:hotpath
-func (s *Scratch) TwoOptSeeded(pts []geom.Point, tour Tour, neigh [][]int, seeds []int) int {
-	return s.twoOpt(pts, tour, neigh, seeds)
+func (s *Scratch) TwoOptSeeded(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
+	return s.twoOpt(pts, tour, nb, seeds)
 }
 
 // seedQueue initialises the work queue: nil seeds enqueue the whole tour
@@ -126,7 +140,7 @@ func (s *Scratch) seedQueue(tour Tour, seeds []int) {
 }
 
 //mdglint:hotpath
-func (s *Scratch) twoOpt(pts []geom.Point, tour Tour, neigh [][]int, seeds []int) int {
+func (s *Scratch) twoOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
 	n := len(tour)
 	if n < 4 {
 		return 0
@@ -163,7 +177,7 @@ func (s *Scratch) twoOpt(pts []geom.Point, tour Tour, neigh [][]int, seeds []int
 				b = pred(a)
 			}
 			dab := d(a, b)
-			for _, c := range neigh[a] {
+			for _, c := range nb.List(a) {
 				dac := d(a, c)
 				if dac >= dab {
 					break // neighbours sorted: no closer candidate remains
@@ -244,8 +258,8 @@ func (s *Scratch) twoOpt(pts []geom.Point, tour Tour, neigh [][]int, seeds []int
 // state once the caller-owned buffers have grown to the instance size.
 //
 //mdglint:hotpath
-func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, neigh [][]int) int {
-	return s.orOpt(pts, tour, neigh, nil)
+func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, nb *Neighbors) int {
+	return s.orOpt(pts, tour, nb, nil)
 }
 
 // OrOptSeeded is OrOpt with the work queue seeded from the given point
@@ -255,12 +269,12 @@ func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, neigh [][]int) int {
 // set is a no-op by construction.
 //
 //mdglint:hotpath
-func (s *Scratch) OrOptSeeded(pts []geom.Point, tour Tour, neigh [][]int, seeds []int) int {
-	return s.orOpt(pts, tour, neigh, seeds)
+func (s *Scratch) OrOptSeeded(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
+	return s.orOpt(pts, tour, nb, seeds)
 }
 
 //mdglint:hotpath
-func (s *Scratch) orOpt(pts []geom.Point, tour Tour, neigh [][]int, seeds []int) int {
+func (s *Scratch) orOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
 	n := len(tour)
 	if n < 5 {
 		return 0
@@ -268,12 +282,9 @@ func (s *Scratch) orOpt(pts []geom.Point, tour Tour, neigh [][]int, seeds []int)
 	s.ensure(n)
 	d := func(a, b int) float64 { return pts[a].Dist(pts[b]) }
 	pos, dontLook := s.pos, s.dontLook
-	rebuild := func() {
-		for i, v := range tour {
-			pos[v] = i
-		}
+	for i, v := range tour {
+		pos[v] = i
 	}
-	rebuild()
 	s.seedQueue(tour, seeds)
 	head := 0
 	moves := 0
@@ -289,7 +300,7 @@ func (s *Scratch) orOpt(pts []geom.Point, tour Tour, neigh [][]int, seeds []int)
 			if removed <= 1e-12 {
 				continue
 			}
-			for _, list := range [2][]int{neigh[s0], neigh[s1]} {
+			for _, list := range [2][]int{nb.List(s0), nb.List(s1)} {
 				for _, c := range list {
 					// Anchor on the tour edge after c and the one before
 					// it, so c can serve as either endpoint of the broken
@@ -307,8 +318,7 @@ func (s *Scratch) orOpt(pts []geom.Point, tour Tour, neigh [][]int, seeds []int)
 							added = backward
 						}
 						if added < removed-1e-12 {
-							relocate(tour, i, segLen, j, rev, s.reloc)
-							rebuild()
+							relocate(tour, pos, i, segLen, j, rev, s.reloc)
 							for _, v := range [6]int{p0, p1, s0, s1, a, b} {
 								if dontLook[v] {
 									dontLook[v] = false
@@ -354,11 +364,50 @@ func within(i, segLen, j, n int) bool {
 }
 
 // relocate moves the segment of segLen stops (at most 3) starting at
-// position i to just after position j, optionally reversing it. It
-// rebuilds the tour by value: remove the segment, then splice it back in
-// after the stop that was at position j. buf is a caller-owned splice
-// buffer with capacity >= len(tour); relocate never retains it.
-func relocate(tour Tour, i, segLen, j int, rev bool, buf Tour) {
+// position i to just after position j, optionally reversing it, and
+// refreshes pos for every position it rewrites. The result is
+// relocateByValue's array, element for element, so the passes see the
+// same positions either way. A segment that does not wrap the array end
+// moves in place: only the stops between the segment and the anchor
+// shift, by segLen, and only their positions are refreshed. A wrapping
+// segment takes the by-value path and a full refresh. buf is the splice
+// buffer relocateByValue needs.
+func relocate(tour Tour, pos []int, i, segLen, j int, rev bool, buf Tour) {
+	if i+segLen > len(tour) {
+		relocateByValue(tour, i, segLen, j, rev, buf)
+		for k, v := range tour {
+			pos[v] = k
+		}
+		return
+	}
+	var seg [3]int
+	copy(seg[:segLen], tour[i:i+segLen])
+	if rev {
+		for a, b := 0, segLen-1; a < b; a, b = a+1, b-1 {
+			seg[a], seg[b] = seg[b], seg[a]
+		}
+	}
+	lo, hi := j+1, i+segLen-1
+	if j > i {
+		// The anchor follows the segment: tour[i+segLen..j] shifts back.
+		copy(tour[i:], tour[i+segLen:j+1])
+		copy(tour[j-segLen+1:], seg[:segLen])
+		lo, hi = i, j
+	} else {
+		// The anchor precedes the segment: tour[j+1..i-1] shifts forward.
+		copy(tour[j+1+segLen:], tour[j+1:i])
+		copy(tour[j+1:], seg[:segLen])
+	}
+	for k := lo; k <= hi; k++ {
+		pos[tour[k]] = k
+	}
+}
+
+// relocateByValue is relocate without pos: it rebuilds the tour by
+// value, removing the segment and splicing it back in after the stop that
+// was at position j. buf is a caller-owned splice buffer with capacity >=
+// len(tour); relocateByValue never retains it.
+func relocateByValue(tour Tour, i, segLen, j int, rev bool, buf Tour) {
 	var seg [3]int
 	for k := 0; k < segLen; k++ {
 		seg[k] = tour[(i+k)%len(tour)]

@@ -117,7 +117,7 @@ func orOptMatrix(d [][]float64, tour Tour) {
 						added = backward
 					}
 					if added < removed-1e-12 {
-						relocate(tour, i, segLen, j, rev, buf)
+						relocateByValue(tour, i, segLen, j, rev, buf)
 						improved = true
 						break scan
 					}

@@ -56,19 +56,19 @@ func TestGreedyEdgeWithinMSTBound(t *testing.T) {
 func TestSeededMatchesFullWhenSeededEverywhere(t *testing.T) {
 	for seed := uint64(21); seed < 25; seed++ {
 		pts := randPts(rng.New(seed), 150, 400)
-		neigh, _ := neighborLists(pts, neighborK)
+		nb := NewNeighbors(pts)
 		base := GreedyEdge(pts)
 
 		full := slices.Clone(base)
 		seeded := slices.Clone(base)
 		var s1, s2 Scratch
-		m1 := s1.TwoOpt(pts, full, neigh)
-		m2 := s2.TwoOptSeeded(pts, seeded, neigh, []int(seeded))
+		m1 := s1.TwoOpt(pts, full, nb)
+		m2 := s2.TwoOptSeeded(pts, seeded, nb, []int(seeded))
 		if m1 != m2 || !slices.Equal(full, seeded) {
 			t.Fatalf("seed %d: TwoOptSeeded(all) diverged from TwoOpt (%d vs %d moves)", seed, m2, m1)
 		}
-		m1 = s1.OrOpt(pts, full, neigh)
-		m2 = s2.OrOptSeeded(pts, seeded, neigh, []int(seeded))
+		m1 = s1.OrOpt(pts, full, nb)
+		m2 = s2.OrOptSeeded(pts, seeded, nb, []int(seeded))
 		if m1 != m2 || !slices.Equal(full, seeded) {
 			t.Fatalf("seed %d: OrOptSeeded(all) diverged from OrOpt (%d vs %d moves)", seed, m2, m1)
 		}
@@ -79,14 +79,14 @@ func TestSeededMatchesFullWhenSeededEverywhere(t *testing.T) {
 // — the invariant warm-start repair relies on for the Δ=∅ case.
 func TestSeededEmptyIsNoop(t *testing.T) {
 	pts := randPts(rng.New(5), 80, 300)
-	neigh, _ := neighborLists(pts, neighborK)
+	nb := NewNeighbors(pts)
 	tour := GreedyEdge(pts)
 	before := slices.Clone(tour)
 	var s Scratch
-	if m := s.TwoOptSeeded(pts, tour, neigh, nil2()); m != 0 || !slices.Equal(tour, before) {
+	if m := s.TwoOptSeeded(pts, tour, nb, nil2()); m != 0 || !slices.Equal(tour, before) {
 		t.Fatalf("TwoOptSeeded(empty) moved: %d", m)
 	}
-	if m := s.OrOptSeeded(pts, tour, neigh, nil2()); m != 0 || !slices.Equal(tour, before) {
+	if m := s.OrOptSeeded(pts, tour, nb, nil2()); m != 0 || !slices.Equal(tour, before) {
 		t.Fatalf("OrOptSeeded(empty) moved: %d", m)
 	}
 }
@@ -100,11 +100,11 @@ func nil2() []int { return []int{} }
 // alone, and never lengthen the tour.
 func TestSeededLocalises(t *testing.T) {
 	pts := randPts(rng.New(7), 200, 500)
-	neigh, _ := neighborLists(pts, neighborK)
+	nb := NewNeighbors(pts)
 	tour := NearestNeighbor(pts, 0)
 	before := tour.Length(pts)
 	var s Scratch
-	s.TwoOptSeeded(pts, tour, neigh, []int{tour[10], tour[11]})
+	s.TwoOptSeeded(pts, tour, nb, []int{tour[10], tour[11]})
 	if err := tour.Validate(len(pts)); err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,12 @@ func TestSeededLocalises(t *testing.T) {
 // don't-look bits, so the result matches the deduplicated seed set.
 func TestSeededMatchesFullOnDuplicateSeeds(t *testing.T) {
 	pts := randPts(rng.New(8), 100, 300)
-	neigh, _ := neighborLists(pts, neighborK)
+	nb := NewNeighbors(pts)
 	a := NearestNeighbor(pts, 0)
 	b := slices.Clone(a)
 	var s1, s2 Scratch
-	m1 := s1.TwoOptSeeded(pts, a, neigh, []int{3, 7})
-	m2 := s2.TwoOptSeeded(pts, b, neigh, []int{3, 7, 3, 7, 7})
+	m1 := s1.TwoOptSeeded(pts, a, nb, []int{3, 7})
+	m2 := s2.TwoOptSeeded(pts, b, nb, []int{3, 7, 3, 7, 7})
 	if m1 != m2 || !slices.Equal(a, b) {
 		t.Fatalf("duplicate seeds diverged: %d vs %d moves", m1, m2)
 	}

@@ -82,17 +82,16 @@ func Solve(pts []geom.Point, opts Options) Tour {
 	sp := opts.Obs.Child("construct")
 	// Greedy-edge and both local searches work off the same k-nearest
 	// candidate lists; build them once and share them across every stage.
-	var neigh [][]int
-	var idx *geom.GridIndex
+	var nb *Neighbors
 	if opts.Construction == ConstructGreedy || opts.TwoOpt || opts.OrOpt {
-		neigh, idx = neighborLists(pts, neighborK)
+		nb = NewNeighbors(pts)
 	}
 	var t Tour
 	switch opts.Construction {
 	case ConstructNN:
 		t = NearestNeighbor(pts, 0)
 	case ConstructGreedy:
-		t = greedyEdge(pts, neigh, idx)
+		t = greedyEdge(pts, nb)
 	case ConstructChristofides:
 		t = Christofides(pts)
 	default:
@@ -110,8 +109,8 @@ func Solve(pts []geom.Point, opts Options) Tour {
 	// One scratch serves every pass: the second 2-opt pass reuses the
 	// buffers the first one grew.
 	var s Scratch
-	twoOpt := func(p []geom.Point, t Tour) int { return s.TwoOpt(p, t, neigh) }
-	orOpt := func(p []geom.Point, t Tour) int { return s.OrOpt(p, t, neigh) }
+	twoOpt := func(p []geom.Point, t Tour) int { return s.TwoOpt(p, t, nb) }
+	orOpt := func(p []geom.Point, t Tour) int { return s.OrOpt(p, t, nb) }
 	if opts.TwoOpt {
 		improvePass(pts, t, opts.Obs, "twoopt", "tsp.twoopt_moves", twoOpt)
 	}

@@ -35,22 +35,19 @@ func GreedyEdge(pts []geom.Point) Tour {
 	if len(pts) <= 3 {
 		return trivialTour(len(pts))
 	}
-	neigh, idx := neighborLists(pts, neighborK)
-	return greedyEdge(pts, neigh, idx)
+	return greedyEdge(pts, NewNeighbors(pts))
 }
 
 // twoOpt and orOpt run one Scratch local-search pass over fresh
 // k-nearest lists, the one-call form the invariant tests drive.
 func twoOpt(pts []geom.Point, tour Tour) int {
-	neigh, _ := neighborLists(pts, neighborK)
 	var s Scratch
-	return s.TwoOpt(pts, tour, neigh)
+	return s.TwoOpt(pts, tour, NewNeighbors(pts))
 }
 
 func orOpt(pts []geom.Point, tour Tour) int {
-	neigh, _ := neighborLists(pts, neighborK)
 	var s Scratch
-	return s.OrOpt(pts, tour, neigh)
+	return s.OrOpt(pts, tour, NewNeighbors(pts))
 }
 
 // OneTreeLowerBound returns the best 1-tree bound over all choices of the
