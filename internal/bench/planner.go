@@ -21,7 +21,7 @@ type PlannerAlgoBench struct {
 	MeanStops float64 `json:"mean_stops"`
 	// PhaseNs is the total wall time per span name across all trials,
 	// straight from the obs span summary ("plan" is the whole planner;
-	// "candidates"/"cover"/"refine"/"tsp" are its phases). Wall times
+	// "candidates"/"cover"/"tour"/"refine"/"tsp" are its phases). Wall times
 	// are machine-dependent by nature; the deterministic columns are
 	// the tour lengths and stop counts.
 	PhaseNs map[string]int64 `json:"phase_ns"`

@@ -4,9 +4,10 @@
 //
 // The package generates candidate stop positions (sensor sites, a uniform
 // grid over the field as in the paper's evaluation, and circle–circle
-// intersection points), and selects covers with either the classic greedy
-// max-coverage heuristic (ln n approximation) or an exact branch-and-bound
-// enumeration for small instances.
+// intersection points), and selects covers with the classic greedy
+// max-coverage heuristic (ln n approximation). For exact planning it
+// prunes dominated candidates and exposes the covers as bitsets; the
+// enumeration of covers lives in shdgp.PlanExact, which tours each one.
 package cover
 
 import (

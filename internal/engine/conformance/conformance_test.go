@@ -128,9 +128,9 @@ func TestSuiteReportsEmptyScenarioFilter(t *testing.T) {
 
 // TestCancelUnderLoad is the cancellation smoke the CI job runs with
 // -race: start a 10k-sensor plan, cancel it from the progress hook as
-// the refine phase starts (refine is the largest phase of an shdg plan),
-// and demand a clean context.Canceled return with no goroutines left
-// behind.
+// the refine phase starts, after the tour phase has built the plan's one
+// tour, and demand a clean context.Canceled return with no goroutines
+// left behind.
 func TestCancelUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-sensor plan; skipped in -short")
@@ -159,7 +159,8 @@ func TestCancelUnderLoad(t *testing.T) {
 		if pl != nil {
 			t.Error("non-nil plan alongside cancellation")
 		}
-		if want := []string{"plan", "candidates", "cover", "refine"}; !slices.Equal(phases, want) {
+		want := []string{"plan", "candidates", "cover", "tour", "construct", "twoopt", "oropt", "twoopt", "refine"}
+		if !slices.Equal(phases, want) {
 			t.Errorf("started phases %v, want %v", phases, want)
 		}
 	})

@@ -11,8 +11,9 @@
 //   - MinMaxSplit: given k collectors, minimise the longest sub-tour.
 //
 // Both use the classic tour-splitting construction (Frederickson, Hecht &
-// Kim): order the stops along one master tour, then cut it into
-// consecutive segments, closing each segment through the sink. Splitting
+// Kim): cut one master tour into consecutive segments, closing each
+// segment through the sink. The master tour is the stops in the order
+// they arrive, which is a single-collector plan's visit order. Splitting
 // an optimal master tour with bound-respecting cuts is a constant-factor
 // approximation for both objectives; each sub-tour is then re-optimised
 // with local search.
@@ -79,31 +80,15 @@ func closedLength(sink geom.Point, stops []geom.Point) float64 {
 	return total + stops[len(stops)-1].Dist(sink)
 }
 
-// masterOrder builds the master tour over sink + stops and returns the
-// stop indices in visiting order (sink excluded).
-func masterOrder(sink geom.Point, stops []geom.Point) []int {
-	pts := make([]geom.Point, 0, len(stops)+1)
-	pts = append(pts, sink)
-	pts = append(pts, stops...)
-	tour := tsp.Solve(pts, tsp.DefaultOptions())
-	tour.RotateTo(0)
-	order := make([]int, 0, len(stops))
-	for _, idx := range tour[1:] {
-		order = append(order, idx-1)
-	}
-	return order
-}
-
-// splitByBound greedily cuts the ordered stops into consecutive segments
-// whose closed (through-sink) lengths do not exceed bound. It returns nil
-// when some single stop is unreachable within the bound (out-and-back
-// already exceeds it), in which case no splitting can help.
-func splitByBound(sink geom.Point, stops []geom.Point, order []int, bound float64) [][]int {
+// splitByBound greedily cuts the stops, in visit order, into consecutive
+// segments whose closed (through-sink) lengths do not exceed bound. It
+// returns nil when some single stop is unreachable within the bound
+// (out-and-back already exceeds it), in which case no splitting can help.
+func splitByBound(sink geom.Point, stops []geom.Point, bound float64) [][]int {
 	var segments [][]int
 	var cur []int
 	curLen := 0.0 // sink -> ... -> last of cur (open)
-	for _, s := range order {
-		p := stops[s]
+	for s, p := range stops {
 		if sink.Dist(p)*2 > bound+1e-9 {
 			return nil
 		}
@@ -163,8 +148,10 @@ func assemble(sink geom.Point, stops []geom.Point, segments [][]int) *MultiPlan 
 }
 
 // MinCollectors returns the fewest sub-tours, each of closed length at
-// most bound, covering all stops. It errors when some stop cannot be
-// visited within the bound even by a dedicated collector.
+// most bound, covering all stops. The stops arrive in visit order (a
+// plan's Stops), and the sub-tours are cut from that order. It errors
+// when some stop cannot be visited within the bound even by a dedicated
+// collector.
 func MinCollectors(sink geom.Point, stops []geom.Point, bound float64) (*MultiPlan, error) {
 	if bound <= 0 {
 		return nil, fmt.Errorf("mtsp: non-positive tour bound %v", bound)
@@ -172,8 +159,7 @@ func MinCollectors(sink geom.Point, stops []geom.Point, bound float64) (*MultiPl
 	if len(stops) == 0 {
 		return &MultiPlan{Sink: sink}, nil
 	}
-	order := masterOrder(sink, stops)
-	segments := splitByBound(sink, stops, order, bound)
+	segments := splitByBound(sink, stops, bound)
 	if segments == nil {
 		return nil, fmt.Errorf("mtsp: a stop needs a %0.1fm round trip, exceeding the %0.1fm bound",
 			worstRoundTrip(sink, stops), bound)
@@ -198,9 +184,11 @@ func worstRoundTrip(sink geom.Point, stops []geom.Point) float64 {
 }
 
 // MinMaxSplit divides the stops among exactly k collectors, minimising the
-// longest sub-tour. It binary-searches the bound over splitByBound: the
-// number of segments needed is non-increasing in the bound, so the search
-// converges to the smallest bound feasible with k segments.
+// longest sub-tour. The stops arrive in visit order (a plan's Stops),
+// and the sub-tours are cut from that order. It binary-searches the bound
+// over splitByBound: the number of segments needed is non-increasing in
+// the bound, so the search converges to the smallest bound feasible with
+// k segments.
 func MinMaxSplit(sink geom.Point, stops []geom.Point, k int) (*MultiPlan, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("mtsp: need at least one collector, got %d", k)
@@ -208,13 +196,12 @@ func MinMaxSplit(sink geom.Point, stops []geom.Point, k int) (*MultiPlan, error)
 	if len(stops) == 0 {
 		return &MultiPlan{Sink: sink}, nil
 	}
-	order := masterOrder(sink, stops)
 	lo := worstRoundTrip(sink, stops)
-	hi := closedLength(sink, orderedPts(stops, order))
+	hi := closedLength(sink, stops)
 	var bestSegs [][]int
 	for iter := 0; iter < 60; iter++ {
 		mid := (lo + hi) / 2
-		segs := splitByBound(sink, stops, order, mid)
+		segs := splitByBound(sink, stops, mid)
 		if segs != nil && len(segs) <= k {
 			bestSegs = segs
 			hi = mid
@@ -223,22 +210,14 @@ func MinMaxSplit(sink geom.Point, stops []geom.Point, k int) (*MultiPlan, error)
 		}
 	}
 	if bestSegs == nil {
-		bestSegs = splitByBound(sink, stops, order, hi)
+		bestSegs = splitByBound(sink, stops, hi)
 		if bestSegs == nil || len(bestSegs) > k {
-			// hi is the full master tour length, always feasible with one
+			// hi is the master tour's length, always feasible with one
 			// segment, so this cannot happen.
 			return nil, fmt.Errorf("mtsp: internal error: no feasible %d-split", k)
 		}
 	}
 	return assemble(sink, stops, bestSegs), nil
-}
-
-func orderedPts(stops []geom.Point, order []int) []geom.Point {
-	out := make([]geom.Point, len(order))
-	for i, s := range order {
-		out[i] = stops[s]
-	}
-	return out
 }
 
 // TourPlans converts the multi-plan into per-collector executable plans

@@ -39,8 +39,8 @@ func (t *Tour) DetourFactor() float64 {
 }
 
 // PlanTour plans a single-hop gathering tour on a field with obstacles:
-// the SHDGP heuristic chooses the stops (radio is unaffected by the
-// obstacles), the visiting order is optimised under the obstacle-aware
+// the SHDGP heuristic chooses and orders the stops (radio is unaffected
+// by the obstacles), that order is improved under the obstacle-aware
 // shortest-path metric, and the driven polyline threads each leg around
 // the obstacles.
 func PlanTour(nw *wsn.Network, course *Course) (*Tour, error) {
@@ -56,11 +56,11 @@ func PlanTour(nw *wsn.Network, course *Course) (*Tour, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Points: 0 = sink, 1.. = stops (in the heuristic's order; the matrix
-	// solver re-orders).
+	// Points: 0 = sink, 1.. = stops in the plan's visit order, which the
+	// matrix improver polishes under the obstacle-aware metric.
 	pts := append([]geom.Point{nw.Sink}, sol.Plan.Stops...)
 	m := course.Matrix(pts)
-	order, err := tsp.SolveMatrix(m)
+	order, err := tsp.ImproveMatrix(m)
 	if err != nil {
 		return nil, err
 	}

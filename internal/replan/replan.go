@@ -124,11 +124,12 @@ func CarryPositional(prev *collector.TourPlan, n int) []int {
 	return carried
 }
 
-// Perturb builds a reproducible delta touching roughly frac·N sensors:
-// half are moved by a jitter of up to one transmission range (clamped to
-// the field), a quarter are removed, and a quarter are added uniformly
-// over the field. It is the scenario generator the warm-start benchmarks
-// and tests share.
+// Perturb builds a reproducible delta from k ≈ frac·N picked sensors (at
+// least 1, at most N): the first k/4 picks are removed, the other
+// k − k/4 are moved by a jitter of up to one transmission range (clamped
+// to the field), and k/4 new sensors are added uniformly over the field.
+// It is the scenario generator the warm-start benchmarks and tests
+// share.
 func Perturb(nw *wsn.Network, frac float64, seed uint64) Delta {
 	n := nw.N()
 	if n == 0 || frac <= 0 {

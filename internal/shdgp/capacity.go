@@ -82,7 +82,7 @@ func PlanCapacitated(p *Problem, cap int) (*Solution, error) {
 		stopsAssign = append(stopsAssign, eligible)
 	}
 
-	orderedStops, orderPos := orderStops(p, inst, stopsCand, tsp.DefaultOptions())
+	orderedStops, orderPos := orderStops(p, inst, stopsCand, tsp.Solve, tsp.DefaultOptions())
 	uploadAt := make([]int, len(sensors))
 	for i := range uploadAt {
 		uploadAt[i] = -1
@@ -147,7 +147,7 @@ func PlanSweep(p *Problem, opts tsp.Options) (*Solution, error) {
 			uncovered.Remove(int(sv))
 		}
 	}
-	sol := buildSolution(p, inst, chosen, opts, "shdg-sweep")
+	sol := buildSolution(p, inst, chosen, tsp.Solve, opts, "shdg-sweep")
 	return sol, nil
 }
 

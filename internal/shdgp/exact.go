@@ -108,7 +108,7 @@ func PlanExact(ctx context.Context, p *Problem) (*Solution, error) {
 	for i, c := range bestChosen {
 		mapped[i] = orig[c]
 	}
-	sol := buildSolution(p, instFull, mapped, exactTSP(), "exact")
+	sol := buildSolution(p, instFull, mapped, tsp.Solve, exactTSP(), "exact")
 	sol.Exact = exact
 	return sol, nil
 }

@@ -20,7 +20,7 @@ type PlannerOptions struct {
 	// at most refinePasses rounds of them.
 	Refine bool
 	// Obs, when non-nil, receives per-phase spans (candidates, cover,
-	// refine, tsp) and planner metrics. Nil disables tracing.
+	// tour, refine, tsp) and planner metrics. Nil disables tracing.
 	Obs *obs.Trace
 }
 
@@ -38,15 +38,17 @@ func DefaultPlannerOptions() PlannerOptions {
 //
 //  1. Generate candidate stops and pick a cover greedily, breaking ties
 //     toward the sink so stops gravitate inward.
-//  2. Order sink + stops with the TSP engine.
-//  3. Refine: drop stops whose sensors are absorbed by remaining stops,
-//     and relocate each stop to the candidate that covers the same
-//     critical sensors with the smallest tour detour.
+//  2. Tour: order sink + stops once with the TSP engine.
+//  3. Refine, editing that tour: drop stops whose sensors are absorbed
+//     by remaining stops, and relocate each stop to the candidate that
+//     covers the same critical sensors with the smallest detour between
+//     its two tour neighbours.
+//  4. Improve the refined tour with the TSP engine's local search.
 //
-// Plan checks ctx at every phase boundary (candidates → cover → refine →
-// tsp) and before each refine pass, and returns ctx's error at the first
-// check that finds it done; the candidate, cover and tsp phases each run
-// to completion once started.
+// Plan checks ctx at every phase boundary (candidates → cover → tour →
+// refine → tsp) and before each refine pass, and returns ctx's error at
+// the first check that finds it done; the candidate, cover, tour and tsp
+// phases each run to completion once started.
 //
 //mdglint:hotpath
 func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, error) {
@@ -82,20 +84,35 @@ func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, erro
 	}
 	coverStops := len(chosen)
 
+	// From here on chosen lists the stops in visit order: refine edits
+	// that tour and the tsp phase improves it.
+	spTour := root.Child("tour")
+	tourOpts := opts.TSP
+	tourOpts.Obs = spTour
+	chosen = visitOrder(p, inst, chosen, tourOpts)
+	traceTour(spTour, p.Net.Sink, inst, chosen)
+	spTour.End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
 	if opts.Refine {
 		spRefine := root.Child("refine")
 		rs := newRefineScratch(inst)
-		ran := 0
+		ran, relocated := 0, 0
 		for pass := 0; pass < refinePasses && ctx.Err() == nil; pass++ {
 			ran++
-			changed := dropRedundant(inst, &chosen, rs)
-			changed = relocateStops(p, inst, chosen, rs) || changed
-			if !changed {
+			dropped := dropRedundant(inst, &chosen, rs)
+			moved := relocateStops(p, inst, chosen, rs)
+			relocated += moved
+			if !dropped && moved == 0 {
 				break
 			}
 		}
 		spRefine.SetInt("passes", int64(ran))
 		spRefine.SetInt("dropped", int64(coverStops-len(chosen)))
+		spRefine.SetInt("relocated", int64(relocated))
+		traceTour(spRefine, p.Net.Sink, inst, chosen)
 		spRefine.End()
 	}
 
@@ -103,13 +120,12 @@ func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, erro
 		return nil, err
 	}
 	spTSP := root.Child("tsp")
-	tourOpts := opts.TSP
 	tourOpts.Obs = spTSP
 	name := "shdg-greedy"
 	if opts.Refine {
 		name = "shdg-greedy+refine"
 	}
-	sol := buildSolution(p, inst, chosen, tourOpts, name)
+	sol := buildSolution(p, inst, chosen, tsp.Improve, tourOpts, name)
 	spTSP.SetInt("stops", int64(len(chosen)))
 	//mdglint:ignore unitcheck obs boundary: trace fields carry raw numbers
 	spTSP.SetFloat("tour_m", float64(sol.Length))
@@ -124,17 +140,42 @@ func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, erro
 	return sol, nil
 }
 
+// visitOrder returns chosen in the visit order of the tour opts builds
+// over the sink and chosen's candidates (tsp.Solve).
+//
+//mdglint:allow-alloc(the cover is ordered once per Plan into a fresh selection)
+func visitOrder(p *Problem, inst *cover.Instance, chosen []int, opts tsp.Options) []int {
+	_, orderPos := orderStops(p, inst, chosen, tsp.Solve, opts)
+	ordered := make([]int, len(chosen))
+	for i, c := range chosen {
+		ordered[orderPos[i]] = c
+	}
+	return ordered
+}
+
+// traceTour records on sp, as tour_m, the closed length of the tour that
+// visits chosen's candidates in order from the sink. It computes the
+// length only when sp is traced.
+func traceTour(sp *obs.Span, sink geom.Point, inst *cover.Instance, chosen []int) {
+	if sp == nil {
+		return
+	}
+	length, at := 0.0, sink
+	for _, c := range chosen {
+		length += at.Dist(inst.Candidates[c])
+		at = inst.Candidates[c]
+	}
+	sp.SetFloat("tour_m", length+at.Dist(sink))
+}
+
 // refineScratch holds the buffers the refinement passes share: coverage
-// counts, the critical-sensor scratch, the tour-neighbour arrays, and a
-// grid index over the candidates with its hit buffer. Plan builds one
-// per call and reuses it across every refinement pass, so the passes
-// themselves stay allocation-free.
+// counts, the critical-sensor scratch, and a grid index over the
+// candidates with its hit buffer. Plan builds one per call and reuses it
+// across every refinement pass, so the passes themselves stay
+// allocation-free.
 type refineScratch struct {
 	counts   []int           // counts[s] = kept stops covering sensor s
 	critical []int32         // scratch for one stop's critical sensors, ascending
-	pts      []geom.Point    // sink + stop positions for the proxy tour
-	prev     []geom.Point    // prev[i] = tour predecessor of stop i
-	next     []geom.Point    // next[i] = tour successor of stop i
 	cands    *geom.GridIndex // inst.Candidates, for the redundant-stop disc query
 	hits     []int           // scratch for one disc query's hits, sorted ascending
 }
@@ -151,20 +192,6 @@ func newRefineScratch(inst *cover.Instance) *refineScratch {
 	}
 }
 
-// ensureTour grows the proxy-tour buffers to hold k stops.
-//
-//mdglint:allow-alloc(tour-buffer growth is amortized; later passes reuse the retained arrays)
-func (rs *refineScratch) ensureTour(k int) {
-	if cap(rs.pts) < k+1 {
-		rs.pts = make([]geom.Point, 0, k+1)
-		rs.prev = make([]geom.Point, k)
-		rs.next = make([]geom.Point, k)
-	}
-	rs.pts = rs.pts[:0]
-	rs.prev = rs.prev[:k]
-	rs.next = rs.next[:k]
-}
-
 // resetCounts recomputes the coverage counts for the current selection.
 func (rs *refineScratch) resetCounts(inst *cover.Instance, chosen []int) {
 	for i := range rs.counts {
@@ -179,7 +206,8 @@ func (rs *refineScratch) resetCounts(inst *cover.Instance, chosen []int) {
 
 // dropRedundant removes chosen stops whose covered sensors are all covered
 // by the other chosen stops. Fewer stops can only shorten the tour. Stops
-// are considered in selection order. Returns whether anything was dropped.
+// are considered in visit order, and the survivors keep it, so a drop
+// splices the stop out of the tour. Returns whether anything was dropped.
 //
 // A coverage-count cache makes this a single O(k·cover) pass: stop c is
 // redundant exactly when every sensor it covers has coverage count >= 2,
@@ -220,40 +248,26 @@ func dropRedundant(inst *cover.Instance, chosen *[]int, rs *refineScratch) bool 
 // relocateStops tries to replace each chosen stop with an alternative
 // candidate that still covers the stop's critical sensors (those no other
 // chosen stop covers) while sitting closer to the tour through the
-// remaining stops. The proxy objective is the detour relative to the
-// stop's two current tour neighbours. Returns whether any stop moved.
-func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScratch) bool {
-	if len(chosen) == 0 {
-		return false
-	}
-	// Current tour order over sink + stops to know each stop's neighbours.
-	rs.ensureTour(len(chosen))
-	pts := rs.pts
-	//mdglint:allow-alloc(append stays within the capacity ensureTour reserved)
-	pts = append(pts, p.Net.Sink)
-	for _, c := range chosen {
-		//mdglint:allow-alloc(append stays within the capacity ensureTour reserved)
-		pts = append(pts, inst.Candidates[c])
-	}
-	tour := tsp.Solve(pts, tsp.Options{Construction: tsp.ConstructGreedy, TwoOpt: true})
-	tour.RotateTo(0)
-	prev, next := rs.prev, rs.next
-	for ti, idx := range tour {
-		if idx == 0 {
-			continue
-		}
-		prev[idx-1] = pts[tour[(ti-1+len(tour))%len(tour)]]
-		next[idx-1] = pts[tour[(ti+1)%len(tour)]]
-	}
-
+// remaining stops. chosen is in visit order, and the objective is the
+// detour between the stop's two tour neighbours: the stops before and
+// after it in chosen, or the sink past either end, with this pass's
+// earlier moves already in place. Returns how many stops moved.
+func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScratch) int {
 	// counts[s] = number of chosen stops covering sensor s, maintained
 	// across relocations so each stop's critical set (sensors only it
 	// covers, i.e. count exactly 1) reflects every earlier move — the
 	// same set the old per-stop O(k) bitset union produced.
 	rs.resetCounts(inst, chosen)
 	counts := rs.counts
-	moved := false
+	moved := 0
 	for i := range chosen {
+		prev, next := p.Net.Sink, p.Net.Sink
+		if i > 0 {
+			prev = inst.Candidates[chosen[i-1]]
+		}
+		if i+1 < len(chosen) {
+			next = inst.Candidates[chosen[i+1]]
+		}
 		// The critical set inherits ascending order from the cover list,
 		// so subset checks against other covers are sorted merges.
 		critical := rs.critical[:0]
@@ -265,7 +279,7 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 		}
 		rs.critical = critical
 		cur := inst.Candidates[chosen[i]]
-		bestCost := prev[i].Dist(cur) + cur.Dist(next[i])
+		bestCost := prev.Dist(cur) + cur.Dist(next)
 		bestCand := chosen[i]
 		consider := func(c int) {
 			if c == chosen[i] {
@@ -275,7 +289,7 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 				return
 			}
 			alt := inst.Candidates[c]
-			if cost := prev[i].Dist(alt) + alt.Dist(next[i]); cost < bestCost-1e-9 {
+			if cost := prev.Dist(alt) + alt.Dist(next); cost < bestCost-1e-9 {
 				bestCost = cost
 				bestCand = c
 			}
@@ -296,7 +310,7 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 			// midpoint and the distances. Scanning the disc's hits
 			// ascending makes the same moves, in the same order, as
 			// scanning every candidate.
-			mid := geom.Pt((prev[i].X+next[i].X)/2, (prev[i].Y+next[i].Y)/2)
+			mid := geom.Pt((prev.X+next.X)/2, (prev.Y+next.Y)/2)
 			r := bestCost/2 + 1e-9*(bestCost+math.Abs(mid.X)+math.Abs(mid.Y))
 			rs.hits = rs.cands.Within(mid, r, rs.hits[:0])
 			slices.Sort(rs.hits)
@@ -312,7 +326,7 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 				counts[s]++
 			}
 			chosen[i] = bestCand
-			moved = true
+			moved++
 		}
 	}
 	return moved
@@ -334,6 +348,6 @@ func PlanVisitAll(p *Problem, opts tsp.Options) (*Solution, error) {
 	}
 	// Assign every sensor to its own position, not the nearest stop: with
 	// all sensors as stops the nearest stop IS its own position.
-	sol := buildSolution(p, inst, chosen, opts, "visit-all-tsp")
+	sol := buildSolution(p, inst, chosen, tsp.Solve, opts, "visit-all-tsp")
 	return sol, nil
 }

@@ -111,18 +111,18 @@ func (s *Solution) Validate(p *Problem) error {
 	return check.RecordedLength(s.Plan, s.Length)
 }
 
-// orderStops orders the chosen candidates with the TSP engine (sink
-// included as an anchor) and rotates the sink first. It returns the stops
-// in visiting order and orderPos, where orderPos[i] is the position of
-// chosen[i] in that order.
-func orderStops(p *Problem, inst *cover.Instance, chosen []int, opts tsp.Options) (stops []geom.Point, orderPos []int) {
+// orderStops orders sink + the chosen stops with order — tsp.Solve, or
+// tsp.Improve to start from chosen's own order — and rotates the sink
+// first. It returns the stops in visiting order and orderPos, where
+// orderPos[i] is the position of chosen[i] in that order.
+func orderStops(p *Problem, inst *cover.Instance, chosen []int, order func([]geom.Point, tsp.Options) tsp.Tour, opts tsp.Options) (stops []geom.Point, orderPos []int) {
 	// Tour points: index 0 is the sink, 1..k are the stops.
 	pts := make([]geom.Point, 0, len(chosen)+1)
 	pts = append(pts, p.Net.Sink)
 	for _, c := range chosen {
 		pts = append(pts, inst.Candidates[c])
 	}
-	tour := tsp.Solve(pts, opts)
+	tour := order(pts, opts)
 	tour.RotateTo(0)
 	stops = make([]geom.Point, 0, len(chosen))
 	orderPos = make([]int, len(chosen))
@@ -134,13 +134,13 @@ func orderStops(p *Problem, inst *cover.Instance, chosen []int, opts tsp.Options
 }
 
 // buildSolution assembles a Solution from chosen candidate indices: order
-// the stops (orderStops) and assign each sensor to its nearest chosen
-// stop.
+// the stops (orderStops with order and opts) and assign each sensor to
+// its nearest chosen stop.
 //
 //mdglint:allow-alloc(solution assembly runs once per plan and owns the tour plan it returns)
-func buildSolution(p *Problem, inst *cover.Instance, chosen []int, opts tsp.Options, algorithm string) *Solution {
+func buildSolution(p *Problem, inst *cover.Instance, chosen []int, order func([]geom.Point, tsp.Options) tsp.Tour, opts tsp.Options, algorithm string) *Solution {
 	sensors := p.Net.Positions()
-	orderedStops, orderPos := orderStops(p, inst, chosen, opts)
+	orderedStops, orderPos := orderStops(p, inst, chosen, order, opts)
 	rawAssign := inst.Assign(sensors, chosen)
 	uploadAt := make([]int, len(sensors))
 	for i, a := range rawAssign {

@@ -40,7 +40,7 @@ func PlanDiverse(p *Problem, k int) ([]*Solution, error) {
 		if err != nil {
 			return nil, err
 		}
-		sol := buildSolution(p, inst, chosen, tsp.DefaultOptions(), fmt.Sprintf("shdg-diverse%d", j))
+		sol := buildSolution(p, inst, chosen, tsp.Solve, tsp.DefaultOptions(), fmt.Sprintf("shdg-diverse%d", j))
 		key := stopKey(sol)
 		if seen[key] {
 			continue

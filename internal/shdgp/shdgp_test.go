@@ -1,13 +1,17 @@
 package shdgp
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"strconv"
 	"testing"
 
 	"mobicol/internal/bitset"
 	"mobicol/internal/cover"
 	"mobicol/internal/geom"
+	"mobicol/internal/obs"
+	"mobicol/internal/obs/analyze"
 	"mobicol/internal/tsp"
 	"mobicol/internal/wsn"
 )
@@ -298,5 +302,57 @@ func TestPlanExactNotExactPastStopLimit(t *testing.T) {
 	}
 	if err := sol.Validate(p); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanBuildsOneTour: an shdg plan constructs one tour, in its tour
+// phase; refine edits that tour and the tsp phase only improves it. The
+// trace therefore holds one construct span, and the tour_m the tour,
+// refine and tsp spans record never grows from one to the next (up to
+// rounding); the tsp span's is the plan's length.
+func TestPlanBuildsOneTour(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		p := deploy(400, 300, 30, seed)
+		var buf bytes.Buffer
+		tr := obs.New(&buf)
+		opts := DefaultPlannerOptions()
+		opts.Obs = tr
+		sol, err := Plan(context.Background(), p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := analyze.Parse(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		constructs := 0
+		tourM := map[string]float64{}
+		for _, sp := range parsed.Spans {
+			if sp.Name == "construct" {
+				constructs++
+			}
+			for _, f := range sp.Fields {
+				if f.Key == "tour_m" {
+					if tourM[sp.Name], err = strconv.ParseFloat(f.Value, 64); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if constructs != 1 {
+			t.Fatalf("seed %d: %d construct spans, want 1", seed, constructs)
+		}
+		if len(tourM) != 3 {
+			t.Fatalf("seed %d: tour_m on spans %v, want tour, refine and tsp", seed, tourM)
+		}
+		if tourM["refine"] > tourM["tour"]*(1+1e-12) || tourM["tsp"] > tourM["refine"]*(1+1e-12) {
+			t.Fatalf("seed %d: tour_m grew: tour %v, refine %v, tsp %v", seed, tourM["tour"], tourM["refine"], tourM["tsp"])
+		}
+		if tourM["tsp"] != float64(sol.Length) {
+			t.Fatalf("seed %d: tsp tour_m %v, plan length %v", seed, tourM["tsp"], sol.Length)
+		}
 	}
 }

@@ -1,55 +1,25 @@
 package tsp
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// SolveMatrix plans a closed tour over an arbitrary symmetric distance
-// matrix — the obstacle-aware planner's entry point, where distances are
-// shortest obstacle-avoiding path lengths rather than Euclidean. The
-// pipeline mirrors Solve: nearest-neighbour construction from vertex 0,
-// then full 2-opt and Or-opt(1..3) local search to convergence. Infinite
-// entries mark unreachable pairs; the construction avoids them when any
-// finite alternative exists.
-func SolveMatrix(d [][]float64) (Tour, error) {
+// ImproveMatrix improves the identity order 0, 1, …, n−1 as a closed
+// tour over an arbitrary symmetric distance matrix — the obstacle-aware
+// planner's entry point, where vertex 0 is the sink, the rest are a
+// plan's stops in its visit order, and distances are shortest
+// obstacle-avoiding path lengths rather than Euclidean. It runs the
+// passes Improve runs, as full scans to convergence: 2-opt, Or-opt(1..3),
+// then 2-opt again. Every move shortens the tour, so the result is never
+// longer than the identity order. Infinite entries mark unreachable
+// pairs; a move that trades an infinite edge for finite ones is taken
+// like any other improvement.
+func ImproveMatrix(d [][]float64) (Tour, error) {
 	n := len(d)
 	for i := range d {
 		if len(d[i]) != n {
 			return nil, fmt.Errorf("tsp: distance matrix row %d has %d entries, want %d", i, len(d[i]), n)
 		}
 	}
-	if n <= 3 {
-		return trivialTour(n), nil
-	}
-	// Nearest neighbour.
-	visited := make([]bool, n)
-	tour := make(Tour, 0, n)
-	cur := 0
-	visited[0] = true
-	tour = append(tour, 0)
-	for len(tour) < n {
-		next, nd := -1, math.Inf(1)
-		for v := 0; v < n; v++ {
-			if !visited[v] && d[cur][v] < nd {
-				next, nd = v, d[cur][v]
-			}
-		}
-		if next < 0 {
-			// Everything remaining is unreachable from cur; append in
-			// index order (the caller sees +Inf in the resulting length).
-			for v := 0; v < n; v++ {
-				if !visited[v] {
-					visited[v] = true
-					tour = append(tour, v)
-				}
-			}
-			break
-		}
-		visited[next] = true
-		tour = append(tour, next)
-		cur = next
-	}
+	tour := trivialTour(n)
 	twoOptMatrix(d, tour)
 	orOptMatrix(d, tour)
 	twoOptMatrix(d, tour)

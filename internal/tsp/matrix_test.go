@@ -9,7 +9,7 @@ import (
 )
 
 // MatrixLength returns the closed tour length under the matrix metric:
-// the reference the matrix solver's tours are measured with.
+// the reference the matrix improver's tours are measured with.
 func MatrixLength(d [][]float64, tour Tour) float64 {
 	if len(tour) < 2 {
 		return 0
@@ -34,12 +34,12 @@ func euclidMatrix(pts []geom.Point) [][]float64 {
 	return m
 }
 
-func TestSolveMatrixMatchesEuclideanQuality(t *testing.T) {
+func TestImproveMatrixMatchesEuclideanQuality(t *testing.T) {
 	s := rng.New(70)
 	for trial := 0; trial < 10; trial++ {
 		pts := randPts(s, 6+s.Intn(8), 100)
 		m := euclidMatrix(pts)
-		tour, err := SolveMatrix(m)
+		tour, err := ImproveMatrix(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +61,11 @@ func TestSolveMatrixMatchesEuclideanQuality(t *testing.T) {
 	}
 }
 
-func TestSolveMatrixAgreesWithTourLength(t *testing.T) {
+func TestImproveMatrixAgreesWithTourLength(t *testing.T) {
 	s := rng.New(71)
 	pts := randPts(s, 30, 150)
 	m := euclidMatrix(pts)
-	tour, err := SolveMatrix(m)
+	tour, err := ImproveMatrix(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSolveMatrixAgreesWithTourLength(t *testing.T) {
 	}
 }
 
-func TestSolveMatrixNonEuclidean(t *testing.T) {
+func TestImproveMatrixNonEuclidean(t *testing.T) {
 	// A metric the planner actually uses: shortest-path detours make some
 	// pairs "farther" than their straight line. 4 points on a line with
 	// an inflated middle edge.
@@ -84,7 +84,7 @@ func TestSolveMatrixNonEuclidean(t *testing.T) {
 		{10, 9, 0, 1},
 		{11, 10, 1, 0},
 	}
-	tour, err := SolveMatrix(m)
+	tour, err := ImproveMatrix(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,13 @@ func TestSolveMatrixNonEuclidean(t *testing.T) {
 	}
 }
 
-func TestSolveMatrixDegenerate(t *testing.T) {
+func TestImproveMatrixDegenerate(t *testing.T) {
 	for n := 0; n <= 3; n++ {
 		m := make([][]float64, n)
 		for i := range m {
 			m[i] = make([]float64, n)
 		}
-		tour, err := SolveMatrix(m)
+		tour, err := ImproveMatrix(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,13 +113,13 @@ func TestSolveMatrixDegenerate(t *testing.T) {
 	}
 }
 
-func TestSolveMatrixRejectsRagged(t *testing.T) {
-	if _, err := SolveMatrix([][]float64{{0, 1}, {1}}); err == nil {
+func TestImproveMatrixRejectsRagged(t *testing.T) {
+	if _, err := ImproveMatrix([][]float64{{0, 1}, {1}}); err == nil {
 		t.Fatal("ragged matrix accepted")
 	}
 }
 
-func TestSolveMatrixUnreachablePairs(t *testing.T) {
+func TestImproveMatrixUnreachablePairs(t *testing.T) {
 	inf := math.Inf(1)
 	m := [][]float64{
 		{0, 1, inf, inf},
@@ -127,7 +127,7 @@ func TestSolveMatrixUnreachablePairs(t *testing.T) {
 		{inf, inf, 0, 1},
 		{inf, inf, 1, 0},
 	}
-	tour, err := SolveMatrix(m)
+	tour, err := ImproveMatrix(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,9 @@ func DefaultOptions() Options {
 	return Options{Construction: ConstructGreedy, TwoOpt: true, OrOpt: true, ExactBelow: 12}
 }
 
-// Solve returns a closed tour over pts according to opts.
+// Solve returns a closed tour over pts according to opts: the Held–Karp
+// optimum within opts.ExactBelow, else the construction followed by
+// Improve's local-search passes.
 //
 //mdglint:allow-alloc(per-solve setup: construction and neighbour lists allocate once; the improvement passes are scratch-based hot roots)
 func Solve(pts []geom.Point, opts Options) Tour {
@@ -68,7 +70,7 @@ func Solve(pts []geom.Point, opts Options) Tour {
 	if n <= 3 {
 		return trivialTour(n)
 	}
-	if opts.ExactBelow > 0 && n <= opts.ExactBelow && n <= HeldKarpMax {
+	if opts.exact(n) {
 		if t, err := HeldKarp(pts); err == nil {
 			sp := opts.Obs.Child("construct")
 			sp.SetStr("method", "held-karp")
@@ -106,8 +108,43 @@ func Solve(pts []geom.Point, opts Options) Tour {
 		sp.SetFloat("len", float64(t.Length(pts)))
 	}
 	sp.End()
-	// One scratch serves every pass: the second 2-opt pass reuses the
-	// buffers the first one grew.
+	improve(pts, t, nb, opts)
+	return t
+}
+
+// Improve returns the order pts are given in, the identity tour,
+// improved by the passes Solve runs after its construction: 2-opt,
+// Or-opt, then 2-opt again, as opts enables them. Within
+// opts.ExactBelow it returns the Held–Karp optimum instead. Every move
+// shortens the tour, so the result is never longer than the identity
+// tour. A planner that already holds a tour passes its points in visit
+// order, and Improve polishes that tour without building another.
+//
+//mdglint:allow-alloc(per-call setup: the identity tour and neighbour lists allocate once; the improvement passes are scratch-based hot roots)
+func Improve(pts []geom.Point, opts Options) Tour {
+	n := len(pts)
+	if opts.exact(n) {
+		if t, err := HeldKarp(pts); err == nil {
+			return t
+		}
+	}
+	t := trivialTour(n)
+	if opts.TwoOpt || opts.OrOpt {
+		improve(pts, t, NewNeighbors(pts), opts)
+	}
+	return t
+}
+
+// exact reports whether opts solves an n-point tour by Held–Karp.
+func (o Options) exact(n int) bool {
+	return o.ExactBelow > 0 && n <= o.ExactBelow && n <= HeldKarpMax
+}
+
+// improve runs the local-search passes opts enables on t in place:
+// 2-opt, Or-opt, and one more 2-opt after Or-opt when both are on. One
+// scratch serves every pass, so the second 2-opt pass reuses the
+// buffers the first one grew.
+func improve(pts []geom.Point, t Tour, nb *Neighbors, opts Options) {
 	var s Scratch
 	twoOpt := func(p []geom.Point, t Tour) int { return s.TwoOpt(p, t, nb) }
 	orOpt := func(p []geom.Point, t Tour) int { return s.OrOpt(p, t, nb) }
@@ -122,7 +159,6 @@ func Solve(pts []geom.Point, opts Options) Tour {
 			improvePass(pts, t, opts.Obs, "twoopt", "tsp.twoopt_moves", twoOpt)
 		}
 	}
-	return t
 }
 
 // improvePass runs one local-search pass, recording — when traced — the

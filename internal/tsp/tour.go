@@ -3,7 +3,9 @@
 // three construction heuristics (nearest neighbour, greedy edge, and
 // Christofides with the MST double tree as its fallback), 2-opt and
 // Or-opt local search, Held–Karp dynamic programming for instances of
-// at most HeldKarpMax points, and the spanning-tree lower bound.
+// at most HeldKarpMax points, and the spanning-tree lower bound. Solve
+// constructs a tour and improves it; Improve runs the same local search
+// on a tour a caller already holds, given as the order of its points.
 //
 // All tours are closed (the collector returns to the sink). A tour is a
 // permutation of point indices; its length includes the final edge back to

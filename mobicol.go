@@ -173,13 +173,14 @@ func PlanTourHetero(nw *Network, radii []float64) (*Solution, error) {
 type MultiPlan = mtsp.MultiPlan
 
 // MinCollectors covers the solution's stops with the fewest sub-tours of
-// closed length at most bound.
+// closed length at most bound, cut from the stops' visit order.
 func MinCollectors(nw *Network, sol *Solution, bound float64) (*MultiPlan, error) {
 	return mtsp.MinCollectors(nw.Sink, sol.Plan.Stops, bound)
 }
 
 // SplitTour divides the solution's stops among exactly k collectors,
-// minimising the longest sub-tour.
+// minimising the longest sub-tour; the sub-tours are cut from the stops'
+// visit order.
 func SplitTour(nw *Network, sol *Solution, k int) (*MultiPlan, error) {
 	return mtsp.MinMaxSplit(nw.Sink, sol.Plan.Stops, k)
 }
