@@ -135,7 +135,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzNetworkRead -fuzztime=$(FUZZTIME) ./internal/wsn/
 	$(GO) test -fuzz=FuzzCourseRead -fuzztime=$(FUZZTIME) ./internal/obstacle/
 	$(GO) test -fuzz=FuzzGridIndexQueries -fuzztime=$(FUZZTIME) ./internal/geom/
-	$(GO) test -fuzz=FuzzInsertionSlot -fuzztime=$(FUZZTIME) ./internal/replan/
 	$(GO) test -fuzz=FuzzRelocate -fuzztime=$(FUZZTIME) ./internal/tsp/
 	$(GO) test -fuzz=FuzzImprove -fuzztime=$(FUZZTIME) ./internal/tsp/
 

@@ -129,7 +129,7 @@ func warmTSPScratch(s *tsp.Scratch) (pts []geom.Point, tour tsp.Tour, nb *tsp.Ne
 	for i := range tour {
 		tour[i] = i
 	}
-	for s.TwoOpt(pts, tour, nb)+s.OrOpt(pts, tour, nb) > 0 {
+	for s.TwoOpt(pts, tour, nb, nil)+s.OrOpt(pts, tour, nb, nil) > 0 {
 	}
 	return pts, tour, nb
 }
@@ -142,7 +142,7 @@ func BenchmarkTwoOptSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.TwoOpt(pts, tour, nb)
+		s.TwoOpt(pts, tour, nb, nil)
 	}
 }
 
@@ -154,7 +154,7 @@ func BenchmarkOrOptSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.OrOpt(pts, tour, nb)
+		s.OrOpt(pts, tour, nb, nil)
 	}
 }
 
@@ -268,10 +268,10 @@ func BenchmarkSpanSteadyState(b *testing.B) {
 func TestHotPathSteadyStateZeroAllocs(t *testing.T) {
 	var ts tsp.Scratch
 	pts, tour, nb := warmTSPScratch(&ts)
-	if n := testing.AllocsPerRun(20, func() { ts.TwoOpt(pts, tour, nb) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { ts.TwoOpt(pts, tour, nb, nil) }); n != 0 {
 		t.Errorf("Scratch.TwoOpt steady state allocates %.1f objects/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { ts.OrOpt(pts, tour, nb) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { ts.OrOpt(pts, tour, nb, nil) }); n != 0 {
 		t.Errorf("Scratch.OrOpt steady state allocates %.1f objects/op, want 0", n)
 	}
 

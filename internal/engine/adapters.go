@@ -49,19 +49,14 @@ func solutionResult(sol *shdgp.Solution) (*Plan, Stats) {
 		Length: sol.Length,
 		Stops:  sol.Stops(),
 		Exact:  sol.Exact,
-		Cover: &CoverStats{
-			Candidates:        sol.Stats.Candidates,
-			Universe:          sol.Stats.Universe,
-			CoverStops:        sol.Stats.CoverStops,
-			MaxSensorsPerStop: sol.Stats.MaxSensorsPerStop,
-		},
+		Cover:  &sol.Stats,
 	}
 	return &Plan{Tour: sol.Plan, Algorithm: sol.Algorithm}, st
 }
 
 // runSHDG adapts the heuristic planner, which checks ctx at its phase
-// boundaries (candidates → cover → refine → tsp) and before each refine
-// pass.
+// boundaries (candidates → cover → tour → refine → tsp) and before each
+// refine pass.
 func runSHDG(ctx context.Context, sc Scenario, opts Options) (*Plan, Stats, error) {
 	po := shdgp.DefaultPlannerOptions()
 	po.Obs = opts.Obs

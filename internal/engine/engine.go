@@ -35,6 +35,7 @@ import (
 	"mobicol/internal/obs"
 	"mobicol/internal/par"
 	"mobicol/internal/replan"
+	"mobicol/internal/shdgp"
 	"mobicol/internal/wsn"
 )
 
@@ -91,19 +92,6 @@ type Event struct {
 	Done bool
 }
 
-// CoverStats summarises the covering phase of planners that select
-// polling points from a candidate set.
-type CoverStats struct {
-	// Candidates is the number of candidate stop positions generated.
-	Candidates int
-	// Universe is the number of sensors to cover.
-	Universe int
-	// CoverStops is the cover size before refinement.
-	CoverStops int
-	// MaxSensorsPerStop is the heaviest stop's assigned sensor count.
-	MaxSensorsPerStop int
-}
-
 // Stats carries the quality numbers callers report alongside a plan.
 type Stats struct {
 	// Length is the closed tour length.
@@ -114,7 +102,7 @@ type Stats struct {
 	Exact bool
 	// Cover holds covering-phase statistics, nil for planners without a
 	// covering phase (e.g. the CLA sweep baseline).
-	Cover *CoverStats
+	Cover *shdgp.PlanStats
 	// Warm holds warm-start repair statistics, nil for cold plans.
 	Warm *replan.Stats
 }

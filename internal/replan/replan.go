@@ -17,16 +17,16 @@
 // carry over every still-in-range assignment, rehome the rest onto kept
 // stops through a grid over the stop set, cover the leftovers with a
 // greedy disk cover of their own sites, eject stops that lost all their
-// sensors, splice the new stops into the previous visit order by
-// cheapest insertion, and run the seeded (bounded) 2-opt/Or-opt passes
-// around the touched tour segments only.
+// sensors, splice each new stop into the previous visit order right
+// after its nearest surviving stop, and run one seeded tsp.Improve
+// around the touched tour segments only. Its Or-opt pass moves each new
+// stop on to a cheaper slot beside its nearest stops.
 //
-// A round's cost follows the delta, not the tour. The splice prices
-// only the slots with an end near the new stop, found through the
-// rehome grid, and still picks the slot a scan of every slot would,
-// ties included. The seeded passes compute the neighbour lists of only
-// the points they examine, and an Or-opt move shifts only the stops
-// between the segment and its new place.
+// A round's cost follows the delta, not the tour. The splice finds each
+// new stop's nearest stop through the rehome grid. The seeded passes
+// compute the neighbour lists of only the points they examine, and an
+// Or-opt move shifts only the stops between the segment and its new
+// place.
 package replan
 
 import (

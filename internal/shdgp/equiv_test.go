@@ -104,23 +104,29 @@ func tourNeighbors(p *Problem, inst *cover.Instance, chosen []int, i int) (prev,
 // relocateStopsOracle is the pre-cache implementation: critical sets via
 // an O(k) bitset union per stop, replacements via a scan of every
 // candidate. chosen is in visit order, and each stop's neighbours are
-// read from it with earlier moves in place.
-func relocateStopsOracle(p *Problem, inst *cover.Instance, chosen []int) int {
+// read from it with earlier edits in place. A stop without critical
+// sensors is spliced out, as relocateStops does.
+func relocateStopsOracle(p *Problem, inst *cover.Instance, chosen *[]int) int {
 	covers := inst.CoverSets()
 	moved := 0
-	for i := range chosen {
-		prev, next := tourNeighbors(p, inst, chosen, i)
-		critical := covers[chosen[i]].Clone()
-		for j, c := range chosen {
+	for i := 0; i < len(*chosen); {
+		cur := *chosen
+		prev, next := tourNeighbors(p, inst, cur, i)
+		critical := covers[cur[i]].Clone()
+		for j, c := range cur {
 			if j != i {
 				critical.AndNot(covers[c])
 			}
 		}
-		cur := inst.Candidates[chosen[i]]
-		bestCost := prev.Dist(cur) + cur.Dist(next)
-		bestCand := chosen[i]
+		if critical.Empty() {
+			*chosen = append(cur[:i], cur[i+1:]...)
+			continue
+		}
+		at := inst.Candidates[cur[i]]
+		bestCost := prev.Dist(at) + at.Dist(next)
+		bestCand := cur[i]
 		for c := range covers {
-			if c == chosen[i] {
+			if c == cur[i] {
 				continue
 			}
 			if !subsetOf(critical, covers[c]) {
@@ -132,10 +138,11 @@ func relocateStopsOracle(p *Problem, inst *cover.Instance, chosen []int) int {
 				bestCand = c
 			}
 		}
-		if bestCand != chosen[i] {
-			chosen[i] = bestCand
+		if bestCand != cur[i] {
+			cur[i] = bestCand
 			moved++
 		}
+		i++
 	}
 	return moved
 }
@@ -154,52 +161,50 @@ func TestRelocateStopsMatchesOracle(t *testing.T) {
 		chosen = visitOrder(p, inst, chosen, tsp.DefaultOptions())
 		got := append([]int(nil), chosen...)
 		want := append([]int(nil), chosen...)
-		gotMoved := relocateStops(p, inst, got, newRefineScratch(inst))
-		wantMoved := relocateStopsOracle(p, inst, want)
+		gotMoved := relocateStops(p, inst, &got, newRefineScratch(inst))
+		wantMoved := relocateStopsOracle(p, inst, &want)
 		if gotMoved != wantMoved {
 			t.Fatalf("seed %d: moved %d, oracle %d", seed, gotMoved, wantMoved)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: stop %d relocated to %d, oracle chose %d",
-					seed, i, got[i], want[i])
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: stops %v, oracle %v", seed, got, want)
 		}
 	}
 }
 
-// relocateStopsFullScan is relocateStops with the redundant-stop branch
-// scanning every candidate, the reference the ellipse-bounded query is
-// held to. It also returns how many stops took that branch. A stop with
-// critical sensors scans the coverers of the first one, as relocateStops
-// does (TestRelocateStopsMatchesOracle pins that branch).
-func relocateStopsFullScan(p *Problem, inst *cover.Instance, chosen []int, rs *refineScratch) (moved, redundant int) {
-	rs.resetCounts(inst, chosen)
+// relocateStopsRef is the reference relocateStops is held to over whole
+// refine runs. It splices a stop without critical sensors out by index
+// and reads each stop's neighbours with tourNeighbors, and it also
+// returns how many stops it spliced out. A stop with critical sensors
+// scans the coverers of the first one, as relocateStops does
+// (TestRelocateStopsMatchesOracle holds that scan to one over every
+// candidate).
+func relocateStopsRef(p *Problem, inst *cover.Instance, chosen *[]int, rs *refineScratch) (moved, dropped int) {
+	rs.resetCounts(inst, *chosen)
 	counts := rs.counts
-	for i := range chosen {
-		prev, next := tourNeighbors(p, inst, chosen, i)
+	for i := 0; i < len(*chosen); {
+		cur := *chosen
+		prev, next := tourNeighbors(p, inst, cur, i)
 		var critical []int32
-		for _, s := range inst.Cover(chosen[i]) {
+		for _, s := range inst.Cover(cur[i]) {
 			if counts[s] == 1 {
 				critical = append(critical, s)
 			}
 		}
 		if len(critical) == 0 {
-			redundant++
+			for _, s := range inst.Cover(cur[i]) {
+				counts[s]--
+			}
+			*chosen = append(cur[:i], cur[i+1:]...)
+			dropped++
+			continue
 		}
-		cur := inst.Candidates[chosen[i]]
-		bestCost := prev.Dist(cur) + cur.Dist(next)
-		bestCand := chosen[i]
-		var scan []int32
-		for c := 0; c < inst.NumCandidates(); c++ {
-			scan = append(scan, int32(c))
-		}
-		if len(critical) > 0 {
-			scan = inst.Coverers(int(critical[0]))
-		}
-		for _, c32 := range scan {
+		at := inst.Candidates[cur[i]]
+		bestCost := prev.Dist(at) + at.Dist(next)
+		bestCand := cur[i]
+		for _, c32 := range inst.Coverers(int(critical[0])) {
 			c := int(c32)
-			if c == chosen[i] || !cover.SubsetOfSorted(critical, inst.Cover(c)) {
+			if c == cur[i] || !cover.SubsetOfSorted(critical, inst.Cover(c)) {
 				continue
 			}
 			alt := inst.Candidates[c]
@@ -208,28 +213,29 @@ func relocateStopsFullScan(p *Problem, inst *cover.Instance, chosen []int, rs *r
 				bestCand = c
 			}
 		}
-		if bestCand != chosen[i] {
-			for _, s := range inst.Cover(chosen[i]) {
+		if bestCand != cur[i] {
+			for _, s := range inst.Cover(cur[i]) {
 				counts[s]--
 			}
 			for _, s := range inst.Cover(bestCand) {
 				counts[s]++
 			}
-			chosen[i] = bestCand
+			cur[i] = bestCand
 			moved++
 		}
+		i++
 	}
-	return moved, redundant
+	return moved, dropped
 }
 
 // TestRelocateStopsMatchesFullScan runs every refine pass twice, with
-// relocateStops and with the full-candidate scan, on uniform and
-// clustered fields under each candidate strategy, and requires the same
-// stops after every pass. The redundant-stop branch, where the
-// candidate-disc query replaces the full scan, must fire under every
-// strategy. It fires only when a relocation leaves a later stop of the
-// same pass without critical sensors, so a strategy may need more than
-// one field to reach it (intersections on uniform-2k does not).
+// relocateStops and with relocateStopsRef, on uniform and clustered
+// fields under each candidate strategy, and requires the same stops
+// after every pass. (Its reference once scanned every candidate for a
+// stop without critical sensors; such a stop is now spliced out.) The
+// drop branch must fire under every strategy. It fires only when a
+// relocation leaves a later stop of the same pass without critical
+// sensors, so a strategy may need more than one field to reach it.
 func TestRelocateStopsMatchesFullScan(t *testing.T) {
 	all := []cover.CandidateStrategy{cover.SensorSites, cover.FieldGrid, cover.Intersections}
 	fields := []struct {
@@ -247,7 +253,7 @@ func TestRelocateStopsMatchesFullScan(t *testing.T) {
 	if testing.Short() {
 		fields = fields[:2]
 	}
-	redundant := map[cover.CandidateStrategy]int{}
+	dropped := map[cover.CandidateStrategy]int{}
 	for _, f := range fields {
 		nw := wsn.MustDeploy(f.cfg)
 		for _, strategy := range f.strategies {
@@ -266,19 +272,19 @@ func TestRelocateStopsMatchesFullScan(t *testing.T) {
 			for pass := 0; pass < refinePasses; pass++ {
 				dropRedundant(inst, &got, rs)
 				dropRedundant(inst, &want, ref)
-				gotMoved := relocateStops(p, inst, got, rs)
-				wantMoved, r := relocateStopsFullScan(p, inst, want, ref)
-				redundant[strategy] += r
+				gotMoved := relocateStops(p, inst, &got, rs)
+				wantMoved, d := relocateStopsRef(p, inst, &want, ref)
+				dropped[strategy] += d
 				if gotMoved != wantMoved || !slices.Equal(got, want) {
-					t.Fatalf("%s/%v pass %d: moved %d, full scan %d; stops differ: %v",
+					t.Fatalf("%s/%v pass %d: moved %d, reference %d; stops differ: %v",
 						f.name, strategy, pass, gotMoved, wantMoved, !slices.Equal(got, want))
 				}
 			}
 		}
 	}
 	for _, strategy := range all {
-		if redundant[strategy] == 0 {
-			t.Errorf("%v: the redundant-stop branch never fired", strategy)
+		if dropped[strategy] == 0 {
+			t.Errorf("%v: the drop branch never fired", strategy)
 		}
 	}
 }

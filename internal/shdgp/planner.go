@@ -3,8 +3,6 @@ package shdgp
 import (
 	"context"
 	"fmt"
-	"math"
-	"slices"
 
 	"mobicol/internal/cover"
 	"mobicol/internal/geom"
@@ -42,7 +40,8 @@ func DefaultPlannerOptions() PlannerOptions {
 //  3. Refine, editing that tour: drop stops whose sensors are absorbed
 //     by remaining stops, and relocate each stop to the candidate that
 //     covers the same critical sensors with the smallest detour between
-//     its two tour neighbours.
+//     its two tour neighbours. A last drop removes the stops the final
+//     pass's relocations left redundant.
 //  4. Improve the refined tour with the TSP engine's local search.
 //
 // Plan checks ctx at every phase boundary (candidates → cover → tour →
@@ -103,12 +102,15 @@ func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, erro
 		for pass := 0; pass < refinePasses && ctx.Err() == nil; pass++ {
 			ran++
 			dropped := dropRedundant(inst, &chosen, rs)
-			moved := relocateStops(p, inst, chosen, rs)
+			moved := relocateStops(p, inst, &chosen, rs)
 			relocated += moved
 			if !dropped && moved == 0 {
 				break
 			}
 		}
+		// A relocation can take an earlier stop's last critical sensor;
+		// after the last pass nothing else removes that stop.
+		dropRedundant(inst, &chosen, rs)
 		spRefine.SetInt("passes", int64(ran))
 		spRefine.SetInt("dropped", int64(coverStops-len(chosen)))
 		spRefine.SetInt("relocated", int64(relocated))
@@ -125,7 +127,7 @@ func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, erro
 	if opts.Refine {
 		name = "shdg-greedy+refine"
 	}
-	sol := buildSolution(p, inst, chosen, tsp.Improve, tourOpts, name)
+	sol := buildSolution(p, inst, chosen, polish, tourOpts, name)
 	spTSP.SetInt("stops", int64(len(chosen)))
 	//mdglint:ignore unitcheck obs boundary: trace fields carry raw numbers
 	spTSP.SetFloat("tour_m", float64(sol.Length))
@@ -153,6 +155,13 @@ func visitOrder(p *Problem, inst *cover.Instance, chosen []int, opts tsp.Options
 	return ordered
 }
 
+// polish returns the tour that visits pts in order, improved over its
+// whole length by tsp.Improve: the tsp phase's order function.
+func polish(pts []geom.Point, opts tsp.Options) tsp.Tour {
+	tour, _ := tsp.Improve(pts, opts, nil)
+	return tour
+}
+
 // traceTour records on sp, as tour_m, the closed length of the tour that
 // visits chosen's candidates in order from the sink. It computes the
 // length only when sp is traced.
@@ -169,27 +178,19 @@ func traceTour(sp *obs.Span, sink geom.Point, inst *cover.Instance, chosen []int
 }
 
 // refineScratch holds the buffers the refinement passes share: coverage
-// counts, the critical-sensor scratch, and a grid index over the
-// candidates with its hit buffer. Plan builds one per call and reuses it
-// across every refinement pass, so the passes themselves stay
+// counts and the critical-sensor scratch. Plan builds one per call and
+// reuses it across every refinement pass, so the passes themselves stay
 // allocation-free.
 type refineScratch struct {
-	counts   []int           // counts[s] = kept stops covering sensor s
-	critical []int32         // scratch for one stop's critical sensors, ascending
-	cands    *geom.GridIndex // inst.Candidates, for the redundant-stop disc query
-	hits     []int           // scratch for one disc query's hits, sorted ascending
+	counts   []int   // counts[s] = kept stops covering sensor s
+	critical []int32 // scratch for one stop's critical sensors, ascending
 }
 
-// newRefineScratch sizes the buffers for the instance. The candidate
-// index depends only on the instance — not on the current selection — so
-// building it here once serves every refinement pass.
+// newRefineScratch sizes the buffers for the instance.
 //
 //mdglint:allow-alloc(refine scratch is built once per Plan and reused across all passes)
 func newRefineScratch(inst *cover.Instance) *refineScratch {
-	return &refineScratch{
-		counts: make([]int, inst.Universe),
-		cands:  geom.NewGridIndexAuto(inst.Candidates, 0),
-	}
+	return &refineScratch{counts: make([]int, inst.Universe)}
 }
 
 // resetCounts recomputes the coverage counts for the current selection.
@@ -245,90 +246,75 @@ func dropRedundant(inst *cover.Instance, chosen *[]int, rs *refineScratch) bool 
 	return dropped
 }
 
-// relocateStops tries to replace each chosen stop with an alternative
-// candidate that still covers the stop's critical sensors (those no other
-// chosen stop covers) while sitting closer to the tour through the
-// remaining stops. chosen is in visit order, and the objective is the
-// detour between the stop's two tour neighbours: the stops before and
-// after it in chosen, or the sink past either end, with this pass's
-// earlier moves already in place. Returns how many stops moved.
-func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScratch) int {
+// relocateStops walks chosen in visit order and edits each stop with
+// this pass's earlier edits in place. A stop without critical sensors
+// (those no other chosen stop covers) is redundant and is spliced out.
+// Any other stop moves to the candidate that still covers its critical
+// sensors with the smallest detour between its two tour neighbours: the
+// kept stop before it and the stop after it in chosen, or the sink past
+// either end. Returns how many stops moved.
+func relocateStops(p *Problem, inst *cover.Instance, chosen *[]int, rs *refineScratch) int {
 	// counts[s] = number of chosen stops covering sensor s, maintained
-	// across relocations so each stop's critical set (sensors only it
-	// covers, i.e. count exactly 1) reflects every earlier move — the
-	// same set the old per-stop O(k) bitset union produced.
-	rs.resetCounts(inst, chosen)
+	// across edits so each stop's critical set (sensors only it covers,
+	// i.e. count exactly 1) reflects every earlier one — the same set
+	// the old per-stop O(k) bitset union produced.
+	cur := *chosen
+	rs.resetCounts(inst, cur)
 	counts := rs.counts
+	out := cur[:0]
 	moved := 0
-	for i := range chosen {
-		prev, next := p.Net.Sink, p.Net.Sink
-		if i > 0 {
-			prev = inst.Candidates[chosen[i-1]]
-		}
-		if i+1 < len(chosen) {
-			next = inst.Candidates[chosen[i+1]]
-		}
+	for i, c := range cur {
 		// The critical set inherits ascending order from the cover list,
 		// so subset checks against other covers are sorted merges.
 		critical := rs.critical[:0]
-		for _, s := range inst.Cover(chosen[i]) {
+		for _, s := range inst.Cover(c) {
 			if counts[s] == 1 {
 				//mdglint:allow-alloc(append reuses critical-set capacity retained in the scratch)
 				critical = append(critical, s)
 			}
 		}
 		rs.critical = critical
-		cur := inst.Candidates[chosen[i]]
-		bestCost := prev.Dist(cur) + cur.Dist(next)
-		bestCand := chosen[i]
-		consider := func(c int) {
-			if c == chosen[i] {
-				return
-			}
-			if !cover.SubsetOfSorted(critical, inst.Cover(c)) {
-				return
-			}
-			alt := inst.Candidates[c]
-			if cost := prev.Dist(alt) + alt.Dist(next); cost < bestCost-1e-9 {
-				bestCost = cost
-				bestCand = c
-			}
-		}
-		if len(critical) > 0 {
-			// Any replacement must cover every critical sensor, so scanning
-			// the coverers of the first one — ascending, like the full scan
-			// — preserves tie-breaks while touching a handful of candidates.
-			for _, c := range inst.Coverers(int(critical[0])) {
-				consider(int(c))
-			}
-		} else {
-			// No critical sensors (the stop is redundant): every
-			// candidate qualifies, but only one inside the ellipse with
-			// foci prev and next and major axis bestCost can win, and
-			// that ellipse lies in the disc of radius bestCost/2 about
-			// the foci's midpoint. The slack absorbs rounding in the
-			// midpoint and the distances. Scanning the disc's hits
-			// ascending makes the same moves, in the same order, as
-			// scanning every candidate.
-			mid := geom.Pt((prev.X+next.X)/2, (prev.Y+next.Y)/2)
-			r := bestCost/2 + 1e-9*(bestCost+math.Abs(mid.X)+math.Abs(mid.Y))
-			rs.hits = rs.cands.Within(mid, r, rs.hits[:0])
-			slices.Sort(rs.hits)
-			for _, c := range rs.hits {
-				consider(c)
-			}
-		}
-		if bestCand != chosen[i] {
-			for _, s := range inst.Cover(chosen[i]) {
+		if len(critical) == 0 {
+			for _, s := range inst.Cover(c) {
 				counts[s]--
 			}
-			for _, s := range inst.Cover(bestCand) {
+			continue
+		}
+		prev, next := p.Net.Sink, p.Net.Sink
+		if len(out) > 0 {
+			prev = inst.Candidates[out[len(out)-1]]
+		}
+		if i+1 < len(cur) {
+			next = inst.Candidates[cur[i+1]]
+		}
+		at := inst.Candidates[c]
+		bestCost, best := prev.Dist(at)+at.Dist(next), c
+		// Any replacement must cover every critical sensor, so scanning
+		// the coverers of the first one — ascending, like a scan of every
+		// candidate — preserves tie-breaks while touching a handful.
+		for _, alt := range inst.Coverers(int(critical[0])) {
+			a := int(alt)
+			if a == c || !cover.SubsetOfSorted(critical, inst.Cover(a)) {
+				continue
+			}
+			q := inst.Candidates[a]
+			if cost := prev.Dist(q) + q.Dist(next); cost < bestCost-1e-9 {
+				bestCost, best = cost, a
+			}
+		}
+		if best != c {
+			for _, s := range inst.Cover(c) {
+				counts[s]--
+			}
+			for _, s := range inst.Cover(best) {
 				counts[s]++
 			}
-			chosen[i] = bestCand
 			moved++
 		}
+		//mdglint:allow-alloc(out aliases cur[:0]; the append writes into the selection's own storage)
+		out = append(out, best)
 	}
+	*chosen = out
 	return moved
 }
 

@@ -112,7 +112,7 @@ func (s *Solution) Validate(p *Problem) error {
 }
 
 // orderStops orders sink + the chosen stops with order — tsp.Solve, or
-// tsp.Improve to start from chosen's own order — and rotates the sink
+// polish to start from chosen's own order — and rotates the sink
 // first. It returns the stops in visiting order and orderPos, where
 // orderPos[i] is the position of chosen[i] in that order.
 func orderStops(p *Problem, inst *cover.Instance, chosen []int, order func([]geom.Point, tsp.Options) tsp.Tour, opts tsp.Options) (stops []geom.Point, orderPos []int) {

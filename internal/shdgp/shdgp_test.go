@@ -356,3 +356,53 @@ func TestPlanBuildsOneTour(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanEveryStopServes pins refine's end state: every stop of a
+// default Plan covers a sensor that no other stop covers, so it serves
+// at least one. On each of these fields a relocation in refine's last
+// pass used to leave an earlier stop redundant; the seed-1 n=10k field
+// kept a stop on another stop's position that served no sensor.
+func TestPlanEveryStopServes(t *testing.T) {
+	side := 200 * math.Sqrt2
+	fields := []struct {
+		name     string
+		cfg      wsn.Config
+		strategy cover.CandidateStrategy
+	}{
+		{"uniform-200/seed2", wsn.Config{N: 200, FieldSide: side, Range: 30, Seed: 2}, cover.Intersections},
+		{"clustered-200/seed6", wsn.Config{N: 200, FieldSide: side, Range: 30, Placement: wsn.Clustered, Seed: 6}, cover.FieldGrid},
+		{"clustered-200/seed10", wsn.Config{N: 200, FieldSide: side, Range: 30, Placement: wsn.Clustered, Seed: 10}, cover.FieldGrid},
+		{"uniform-400/seed2", wsn.Config{N: 400, FieldSide: 400, Range: 30, Seed: 2}, cover.FieldGrid},
+		{"uniform-10k/seed1", wsn.Config{N: 10000, FieldSide: 2000, Range: 30, Seed: 1}, cover.SensorSites},
+	}
+	for _, f := range fields {
+		nw := wsn.MustDeploy(f.cfg)
+		sol, err := Plan(context.Background(), &Problem{Net: nw, Strategy: f.strategy}, DefaultPlannerOptions())
+		if err != nil {
+			t.Fatalf("%s/%v: %v", f.name, f.strategy, err)
+		}
+		stops := sol.Plan.Stops
+		grid := geom.NewGridIndexFor(stops, nw.Range)
+		bound := nw.Range*nw.Range + geom.Eps
+		sole := make([]int, len(stops)) // sensors only stop j covers
+		var near, hits []int
+		for _, node := range nw.Nodes {
+			near, hits = grid.Within(node.Pos, nw.Range+1, near[:0]), hits[:0]
+			for _, j := range near {
+				if node.Pos.Dist2(stops[j]) <= bound {
+					hits = append(hits, j)
+				}
+			}
+			if len(hits) == 1 {
+				sole[hits[0]]++
+			}
+		}
+		served := sol.Plan.SensorsAt()
+		for j := range stops {
+			if sole[j] == 0 || served[j] == 0 {
+				t.Errorf("%s/%v: stop %d at %v covers %d sensors alone and serves %d",
+					f.name, f.strategy, j, stops[j], sole[j], served[j])
+			}
+		}
+	}
+}

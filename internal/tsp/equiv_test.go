@@ -128,8 +128,8 @@ func TestLazyNeighborsMatchEager(t *testing.T) {
 		lazy := NewNeighbors(pts)
 		a, b := slices.Clone(base), slices.Clone(base)
 		var s1, s2 Scratch
-		m1 := s1.TwoOptSeeded(pts, a, eager, seeds) + s1.OrOptSeeded(pts, a, eager, seeds)
-		m2 := s2.TwoOptSeeded(pts, b, lazy, seeds) + s2.OrOptSeeded(pts, b, lazy, seeds)
+		m1 := s1.TwoOpt(pts, a, eager, seeds) + s1.OrOpt(pts, a, eager, seeds)
+		m2 := s2.TwoOpt(pts, b, lazy, seeds) + s2.OrOpt(pts, b, lazy, seeds)
 		if m1 != m2 || !slices.Equal(a, b) {
 			t.Fatalf("seed %d: lazy lists diverged from eager ones (%d vs %d moves)", seed, m2, m1)
 		}
@@ -210,7 +210,7 @@ func TestOrOptNeighborsNeverLengthens(t *testing.T) {
 		tour := NearestNeighbor(pts, 0)
 		before := tour.Length(pts)
 		var s Scratch
-		moves := s.OrOpt(pts, tour, NewNeighbors(pts))
+		moves := s.OrOpt(pts, tour, NewNeighbors(pts), nil)
 		after := tour.Length(pts)
 		if err := tour.Validate(len(pts)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -63,10 +63,10 @@ func (nb *Neighbors) List(i int) []int {
 // Scratch holds the reusable working state of the local-search passes.
 // The zero value is ready to use; buffers grow to the largest instance
 // seen and are retained, so repeated passes touch the allocator only on
-// first use. Solve threads one Scratch through all of its improvement
-// passes, and callers running many solves (the planners' refinement
-// loops, the benchmark harness) can hold their own across calls. A
-// Scratch must not be shared between concurrent passes.
+// first use. Solve and Improve thread one Scratch through all of their
+// passes, and a caller running many passes (the steady-state
+// benchmarks) can hold its own across calls. A Scratch must not be
+// shared between concurrent passes.
 type Scratch struct {
 	pos      []int  // point -> position in tour
 	dontLook []bool // don't-look bits
@@ -94,27 +94,6 @@ func (s *Scratch) ensure(n int) {
 	s.queue = s.queue[:0]
 }
 
-// TwoOpt is 2-opt over caller-supplied neighbour lists and caller-owned
-// scratch state: the steady-state pass allocates nothing once the
-// buffers have grown to the instance size.
-//
-//mdglint:hotpath
-func (s *Scratch) TwoOpt(pts []geom.Point, tour Tour, nb *Neighbors) int {
-	return s.twoOpt(pts, tour, nb, nil)
-}
-
-// TwoOptSeeded is TwoOpt with the work queue seeded from the given point
-// indices instead of the whole tour: only the seeds and points later
-// touched by improving moves are examined, so the pass cost scales with
-// the size of the disturbed region rather than the tour. Warm-start
-// repair seeds it with the stops around spliced or ejected segments. An
-// empty seed set is a no-op by construction.
-//
-//mdglint:hotpath
-func (s *Scratch) TwoOptSeeded(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
-	return s.twoOpt(pts, tour, nb, seeds)
-}
-
 // seedQueue initialises the work queue: nil seeds enqueue the whole tour
 // with every don't-look bit clear (the full pass); explicit seeds enqueue
 // only themselves, with every other point parked behind a set bit until a
@@ -139,8 +118,16 @@ func (s *Scratch) seedQueue(tour Tour, seeds []int) {
 	}
 }
 
+// TwoOpt is 2-opt over caller-supplied neighbour lists and caller-owned
+// scratch state: the steady-state pass allocates nothing once the
+// buffers have grown to the instance size. seeds picks the points the
+// pass starts from: nil examines the whole tour, and explicit seeds
+// examine only themselves and the points later touched by improving
+// moves, so the pass cost scales with the size of the disturbed region
+// rather than the tour. An empty, non-nil list makes no move.
+//
 //mdglint:hotpath
-func (s *Scratch) twoOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
+func (s *Scratch) TwoOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
 	n := len(tour)
 	if n < 4 {
 		return 0
@@ -253,28 +240,14 @@ func (s *Scratch) twoOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int
 // A good insertion splices the segment between stops a and b where a is
 // near the new head or b is near the new tail, so trying the tour edges on
 // both sides of each near neighbour of s0 and s1 covers (for either
-// orientation) the insertions the full scan would find. It returns the
-// number of improving moves applied, and allocates nothing in steady
-// state once the caller-owned buffers have grown to the instance size.
+// orientation) the insertions the full scan would find. seeds picks the
+// anchors the pass starts from, as in TwoOpt: nil is the whole tour and
+// an empty, non-nil list makes no move. It returns the number of
+// improving moves applied, and allocates nothing in steady state once
+// the caller-owned buffers have grown to the instance size.
 //
 //mdglint:hotpath
-func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, nb *Neighbors) int {
-	return s.orOpt(pts, tour, nb, nil)
-}
-
-// OrOptSeeded is OrOpt with the work queue seeded from the given point
-// indices, the relocation counterpart of TwoOptSeeded: only seeds and
-// points woken by improving moves anchor segment relocations. Warm-start
-// repair uses it to tidy the tour around spliced stops. An empty seed
-// set is a no-op by construction.
-//
-//mdglint:hotpath
-func (s *Scratch) OrOptSeeded(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
-	return s.orOpt(pts, tour, nb, seeds)
-}
-
-//mdglint:hotpath
-func (s *Scratch) orOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
+func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
 	n := len(tour)
 	if n < 5 {
 		return 0

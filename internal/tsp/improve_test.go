@@ -15,16 +15,20 @@ func noLonger(got, start geom.Meters) bool {
 	return got <= start+1e-9*(1+start)
 }
 
-// checkImprove runs Improve on pts and fails unless it returns a
-// permutation of pts no longer than the identity tour.
-func checkImprove(t *testing.T, name string, pts []geom.Point, opts Options) Tour {
+// checkImprove runs Improve on pts from seeds and fails unless it
+// returns a permutation of pts no longer than the identity tour, and for
+// an empty, non-nil seed list the identity tour itself with no moves.
+func checkImprove(t *testing.T, name string, pts []geom.Point, opts Options, seeds []int) Tour {
 	t.Helper()
-	got := Improve(pts, opts)
+	got, moves := Improve(pts, opts, seeds)
 	if err := got.Validate(len(pts)); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	if start, after := trivialTour(len(pts)).Length(pts), got.Length(pts); !noLonger(after, start) {
 		t.Fatalf("%s: Improve lengthened the identity tour %.9f -> %.9f", name, start, after)
+	}
+	if seeds != nil && len(seeds) == 0 && (moves != 0 || !slices.Equal(got, trivialTour(len(pts)))) {
+		t.Fatalf("%s: Improve with no seeds made %d moves: %v", name, moves, got)
 	}
 	return got
 }
@@ -42,18 +46,26 @@ func visitPoints(pts []geom.Point, tour Tour) []geom.Point {
 // family (uniform, a lattice with duplicates, clusters, a line,
 // coincident points, a field 1e17 m up) and on n ≤ 3, from the input
 // order and from a solved tour handed over in visit order, with Held–Karp
-// on and off: each result is a permutation no longer than its input.
+// on and off, over the whole tour, from two seeds and from none: each
+// result is a permutation no longer than its input, and no seeds leave
+// the input as it is.
 func TestImproveNeverLongerThanInput(t *testing.T) {
 	fams := neighborFamilies(rng.New(3))
 	for n := 0; n <= 3; n++ {
 		fams = append(fams, neighborFamily{fmt.Sprintf("n=%d", n), randPts(rng.New(uint64(n)), n, 100)})
 	}
 	for _, f := range fams {
-		for _, opts := range []Options{DefaultOptions(), {TwoOpt: true}, {OrOpt: true}} {
-			checkImprove(t, fmt.Sprintf("%s/exact<=%d", f.name, opts.ExactBelow), f.pts, opts)
+		seedings := [][]int{nil, {}}
+		if n := len(f.pts); n > 0 {
+			seedings = append(seedings, []int{0, n / 2})
 		}
-		solved := Solve(f.pts, Options{Construction: ConstructNN})
-		checkImprove(t, f.name+"/solved", visitPoints(f.pts, solved), DefaultOptions())
+		for _, seeds := range seedings {
+			for _, opts := range []Options{DefaultOptions(), {TwoOpt: true}, {OrOpt: true}} {
+				checkImprove(t, fmt.Sprintf("%s/exact<=%d/seeds=%v", f.name, opts.ExactBelow, seeds), f.pts, opts, seeds)
+			}
+			solved := Solve(f.pts, Options{Construction: ConstructNN})
+			checkImprove(t, fmt.Sprintf("%s/solved/seeds=%v", f.name, seeds), visitPoints(f.pts, solved), DefaultOptions(), seeds)
+		}
 	}
 }
 
@@ -67,20 +79,24 @@ func TestImproveIsHeldKarpAtExactBelow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := checkImprove(t, fmt.Sprintf("seed %d", seed), pts, opts); !slices.Equal(got, want) {
+		if got := checkImprove(t, fmt.Sprintf("seed %d", seed), pts, opts, nil); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: Improve %v, Held–Karp %v", seed, got, want)
 		}
 	}
 }
 
-// FuzzImprove decodes bytes into a point set and requires Improve to
-// return a permutation no longer than the identity tour, both in the
-// decoded order and in the visit order of Solve's tour, where a pass
-// that lengthens an already good tour shows. Byte 0 sets the mode: bit 0
-// moves the field 1e6 m out, bit 1 turns Held–Karp off so the local
-// search runs at every size. Each later pair of bytes is one point
-// (x, y) in metres, so a repeated pair is a coincident point and a
-// repeated y puts points on a line; at most 40 points.
+// FuzzImprove decodes bytes into a point set and a seed list and
+// requires Improve to return a permutation no longer than the identity
+// tour, both in the decoded order and in the visit order of Solve's
+// tour, where a pass that lengthens an already good tour shows; an empty
+// seed list must return the input order unchanged. Byte 0 sets the
+// mode: bit 0 moves the field 1e6 m out, bit 1 turns Held–Karp off so
+// the local search runs at every size, and bit 2 decodes a seed list,
+// whose length is byte 1 and whose entries (point indices mod n) are the
+// bytes after it; without bit 2 the seed list is nil, the whole tour.
+// Each later pair of bytes is one point (x, y) in metres, so a repeated
+// pair is a coincident point and a repeated y puts points on a line; at
+// most 40 points.
 func FuzzImprove(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -94,11 +110,27 @@ func FuzzImprove(f *testing.F) {
 		if data[0]&2 != 0 {
 			opts.ExactBelow = 0
 		}
-		var pts []geom.Point
-		for k := 1; k+1 < len(data) && len(pts) < 40; k += 2 {
-			pts = append(pts, geom.Pt(off+float64(data[k]), off+float64(data[k+1])))
+		rest := data[1:]
+		var raw []byte
+		if data[0]&4 != 0 && len(rest) > 0 {
+			k := min(int(rest[0]), len(rest)-1)
+			raw, rest = rest[1:1+k], rest[1+k:]
 		}
-		checkImprove(t, fmt.Sprintf("%d points", len(pts)), pts, opts)
-		checkImprove(t, fmt.Sprintf("%d points, solved", len(pts)), visitPoints(pts, Solve(pts, opts)), opts)
+		var pts []geom.Point
+		for k := 0; k+1 < len(rest) && len(pts) < 40; k += 2 {
+			pts = append(pts, geom.Pt(off+float64(rest[k]), off+float64(rest[k+1])))
+		}
+		var seeds []int
+		if data[0]&4 != 0 {
+			seeds = []int{}
+			for _, b := range raw {
+				if len(pts) > 0 {
+					seeds = append(seeds, int(b)%len(pts))
+				}
+			}
+		}
+		name := fmt.Sprintf("%d points, seeds %v", len(pts), seeds)
+		checkImprove(t, name, pts, opts, seeds)
+		checkImprove(t, name+", solved", visitPoints(pts, Solve(pts, opts)), opts, seeds)
 	})
 }

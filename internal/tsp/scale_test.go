@@ -50,9 +50,9 @@ func TestGreedyEdgeWithinMSTBound(t *testing.T) {
 }
 
 // TestSeededMatchesFullWhenSeededEverywhere pins the seeded local-search
-// variants to their full counterparts: seeding with the whole tour in
-// tour order is the same initial queue, so the move sequences — and the
-// final tours — are identical.
+// passes to the full ones: seeding with the whole tour in tour order is
+// the same initial queue as a nil seed list, so the move sequences — and
+// the final tours — are identical.
 func TestSeededMatchesFullWhenSeededEverywhere(t *testing.T) {
 	for seed := uint64(21); seed < 25; seed++ {
 		pts := randPts(rng.New(seed), 150, 400)
@@ -62,15 +62,15 @@ func TestSeededMatchesFullWhenSeededEverywhere(t *testing.T) {
 		full := slices.Clone(base)
 		seeded := slices.Clone(base)
 		var s1, s2 Scratch
-		m1 := s1.TwoOpt(pts, full, nb)
-		m2 := s2.TwoOptSeeded(pts, seeded, nb, []int(seeded))
+		m1 := s1.TwoOpt(pts, full, nb, nil)
+		m2 := s2.TwoOpt(pts, seeded, nb, slices.Clone(seeded))
 		if m1 != m2 || !slices.Equal(full, seeded) {
-			t.Fatalf("seed %d: TwoOptSeeded(all) diverged from TwoOpt (%d vs %d moves)", seed, m2, m1)
+			t.Fatalf("seed %d: TwoOpt seeded everywhere diverged from nil seeds (%d vs %d moves)", seed, m2, m1)
 		}
-		m1 = s1.OrOpt(pts, full, nb)
-		m2 = s2.OrOptSeeded(pts, seeded, nb, []int(seeded))
+		m1 = s1.OrOpt(pts, full, nb, nil)
+		m2 = s2.OrOpt(pts, seeded, nb, slices.Clone(seeded))
 		if m1 != m2 || !slices.Equal(full, seeded) {
-			t.Fatalf("seed %d: OrOptSeeded(all) diverged from OrOpt (%d vs %d moves)", seed, m2, m1)
+			t.Fatalf("seed %d: OrOpt seeded everywhere diverged from nil seeds (%d vs %d moves)", seed, m2, m1)
 		}
 	}
 }
@@ -83,11 +83,14 @@ func TestSeededEmptyIsNoop(t *testing.T) {
 	tour := GreedyEdge(pts)
 	before := slices.Clone(tour)
 	var s Scratch
-	if m := s.TwoOptSeeded(pts, tour, nb, nil2()); m != 0 || !slices.Equal(tour, before) {
-		t.Fatalf("TwoOptSeeded(empty) moved: %d", m)
+	if m := s.TwoOpt(pts, tour, nb, nil2()); m != 0 || !slices.Equal(tour, before) {
+		t.Fatalf("TwoOpt(empty seeds) moved: %d", m)
 	}
-	if m := s.OrOptSeeded(pts, tour, nb, nil2()); m != 0 || !slices.Equal(tour, before) {
-		t.Fatalf("OrOptSeeded(empty) moved: %d", m)
+	if m := s.OrOpt(pts, tour, nb, nil2()); m != 0 || !slices.Equal(tour, before) {
+		t.Fatalf("OrOpt(empty seeds) moved: %d", m)
+	}
+	if got, m := Improve(visitPoints(pts, tour), DefaultOptions(), nil2()); m != 0 || !slices.Equal(got, trivialTour(len(pts))) {
+		t.Fatalf("Improve(empty seeds) moved: %d", m)
 	}
 }
 
@@ -104,7 +107,7 @@ func TestSeededLocalises(t *testing.T) {
 	tour := NearestNeighbor(pts, 0)
 	before := tour.Length(pts)
 	var s Scratch
-	s.TwoOptSeeded(pts, tour, nb, []int{tour[10], tour[11]})
+	s.TwoOpt(pts, tour, nb, []int{tour[10], tour[11]})
 	if err := tour.Validate(len(pts)); err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +124,8 @@ func TestSeededMatchesFullOnDuplicateSeeds(t *testing.T) {
 	a := NearestNeighbor(pts, 0)
 	b := slices.Clone(a)
 	var s1, s2 Scratch
-	m1 := s1.TwoOptSeeded(pts, a, nb, []int{3, 7})
-	m2 := s2.TwoOptSeeded(pts, b, nb, []int{3, 7, 3, 7, 7})
+	m1 := s1.TwoOpt(pts, a, nb, []int{3, 7})
+	m2 := s2.TwoOpt(pts, b, nb, []int{3, 7, 3, 7, 7})
 	if m1 != m2 || !slices.Equal(a, b) {
 		t.Fatalf("duplicate seeds diverged: %d vs %d moves", m1, m2)
 	}

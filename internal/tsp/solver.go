@@ -108,31 +108,39 @@ func Solve(pts []geom.Point, opts Options) Tour {
 		sp.SetFloat("len", float64(t.Length(pts)))
 	}
 	sp.End()
-	improve(pts, t, nb, opts)
+	improve(pts, t, nb, opts, nil)
 	return t
 }
 
 // Improve returns the order pts are given in, the identity tour,
 // improved by the passes Solve runs after its construction: 2-opt,
-// Or-opt, then 2-opt again, as opts enables them. Within
-// opts.ExactBelow it returns the Held–Karp optimum instead. Every move
-// shortens the tour, so the result is never longer than the identity
-// tour. A planner that already holds a tour passes its points in visit
-// order, and Improve polishes that tour without building another.
+// Or-opt, then 2-opt again, as opts enables them, and the number of
+// moves they made. seeds picks the points every pass starts from, as
+// in Scratch.TwoOpt: nil polishes the whole tour, explicit seeds only
+// the region around them, and an empty, non-nil list returns the
+// identity tour untouched. Otherwise, within opts.ExactBelow, it returns
+// the Held–Karp optimum and no moves. Every move shortens the tour, so
+// the result is never longer than the identity tour. A planner that
+// already holds a tour passes its points in visit order, and Improve
+// polishes that tour without building another.
 //
 //mdglint:allow-alloc(per-call setup: the identity tour and neighbour lists allocate once; the improvement passes are scratch-based hot roots)
-func Improve(pts []geom.Point, opts Options) Tour {
+func Improve(pts []geom.Point, opts Options, seeds []int) (Tour, int) {
 	n := len(pts)
+	t := trivialTour(n)
+	if seeds != nil && len(seeds) == 0 {
+		return t, 0
+	}
 	if opts.exact(n) {
-		if t, err := HeldKarp(pts); err == nil {
-			return t
+		if hk, err := HeldKarp(pts); err == nil {
+			return hk, 0
 		}
 	}
-	t := trivialTour(n)
+	moves := 0
 	if opts.TwoOpt || opts.OrOpt {
-		improve(pts, t, NewNeighbors(pts), opts)
+		moves = improve(pts, t, NewNeighbors(pts), opts, seeds)
 	}
-	return t
+	return t, moves
 }
 
 // exact reports whether opts solves an n-point tour by Held–Karp.
@@ -140,34 +148,36 @@ func (o Options) exact(n int) bool {
 	return o.ExactBelow > 0 && n <= o.ExactBelow && n <= HeldKarpMax
 }
 
-// improve runs the local-search passes opts enables on t in place:
-// 2-opt, Or-opt, and one more 2-opt after Or-opt when both are on. One
-// scratch serves every pass, so the second 2-opt pass reuses the
-// buffers the first one grew.
-func improve(pts []geom.Point, t Tour, nb *Neighbors, opts Options) {
+// improve runs the local-search passes opts enables on t in place, each
+// starting from seeds: 2-opt, Or-opt, and one more 2-opt after Or-opt
+// when both are on. One scratch serves every pass, so the second 2-opt
+// pass reuses the buffers the first one grew. It returns the moves made.
+func improve(pts []geom.Point, t Tour, nb *Neighbors, opts Options, seeds []int) int {
 	var s Scratch
-	twoOpt := func(p []geom.Point, t Tour) int { return s.TwoOpt(p, t, nb) }
-	orOpt := func(p []geom.Point, t Tour) int { return s.OrOpt(p, t, nb) }
+	twoOpt := func(p []geom.Point, t Tour) int { return s.TwoOpt(p, t, nb, seeds) }
+	orOpt := func(p []geom.Point, t Tour) int { return s.OrOpt(p, t, nb, seeds) }
+	moves := 0
 	if opts.TwoOpt {
-		improvePass(pts, t, opts.Obs, "twoopt", "tsp.twoopt_moves", twoOpt)
+		moves += improvePass(pts, t, opts.Obs, "twoopt", "tsp.twoopt_moves", twoOpt)
 	}
 	if opts.OrOpt {
-		improvePass(pts, t, opts.Obs, "oropt", "tsp.oropt_moves", orOpt)
+		moves += improvePass(pts, t, opts.Obs, "oropt", "tsp.oropt_moves", orOpt)
 		if opts.TwoOpt {
 			// Or-opt moves can open new 2-opt improvements; one more
 			// pass is cheap and usually closes them.
-			improvePass(pts, t, opts.Obs, "twoopt", "tsp.twoopt_moves", twoOpt)
+			moves += improvePass(pts, t, opts.Obs, "twoopt", "tsp.twoopt_moves", twoOpt)
 		}
 	}
+	return moves
 }
 
-// improvePass runs one local-search pass, recording — when traced — the
-// pass's span with its move count and the tour-length delta it bought,
-// plus a running counter of improvement moves per neighbourhood.
-func improvePass(pts []geom.Point, t Tour, parent *obs.Span, name, counter string, pass func([]geom.Point, Tour) int) {
+// improvePass runs one local-search pass and returns its move count,
+// recording — when traced — the pass's span with its move count and the
+// tour-length delta it bought, plus a running counter of improvement
+// moves per neighbourhood.
+func improvePass(pts []geom.Point, t Tour, parent *obs.Span, name, counter string, pass func([]geom.Point, Tour) int) int {
 	if parent == nil {
-		pass(pts, t)
-		return
+		return pass(pts, t)
 	}
 	sp := parent.Child(name)
 	before := t.Length(pts)
@@ -180,4 +190,5 @@ func improvePass(pts []geom.Point, t Tour, parent *obs.Span, name, counter strin
 	sp.SetFloat("len", float64(after))
 	sp.Count(counter, int64(moves))
 	sp.End()
+	return moves
 }

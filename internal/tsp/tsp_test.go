@@ -42,12 +42,12 @@ func GreedyEdge(pts []geom.Point) Tour {
 // k-nearest lists, the one-call form the invariant tests drive.
 func twoOpt(pts []geom.Point, tour Tour) int {
 	var s Scratch
-	return s.TwoOpt(pts, tour, NewNeighbors(pts))
+	return s.TwoOpt(pts, tour, NewNeighbors(pts), nil)
 }
 
 func orOpt(pts []geom.Point, tour Tour) int {
 	var s Scratch
-	return s.OrOpt(pts, tour, NewNeighbors(pts))
+	return s.OrOpt(pts, tour, NewNeighbors(pts), nil)
 }
 
 // OneTreeLowerBound returns the best 1-tree bound over all choices of the
