@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json lint-dataflow lint-fix-hints vet fmt fmt-check bench planbench-test check conformance cover cover-update fuzz-smoke escape escape-update alloc-bench perf perf-update results trace
+.PHONY: all build test race lint lint-json lint-dataflow lint-fix-hints vet fmt fmt-check bench planbench-test check conformance cover cover-update fuzz-smoke escape escape-update alloc-bench results trace
 
 all: check
 
@@ -72,7 +72,7 @@ planbench-test:
 conformance:
 	$(GO) test -race -count=1 ./internal/engine/...
 
-# The three ratchets share one tool, cmd/mdgratchet: each kind compares
+# The two ratchets share one tool, cmd/mdgratchet: each kind compares
 # a fresh measurement against its committed baseline (exit 0 holds, 1
 # regression, 2 operational error), and -update rewrites the baseline.
 #
@@ -101,22 +101,11 @@ escape-update:
 alloc-bench:
 	$(GO) test -run=^$$ -bench=SteadyState -benchmem .
 
-# perf enforces the committed planner perf baseline (PERF_baseline.json):
-# quality fields and span counts bit-identical, allocs_per_op may not
-# grow, bytes/wall-clock within noise-aware tolerances (median of three
-# runs), and the n=10k/100k scale rows (tour, stops, warm ratio, warm
-# dirty count) bit-identical, every scale plan oracle-checked. About 4 s.
-# perf-update regenerates the baseline after a deliberate change.
-perf:
-	$(GO) run ./cmd/mdgratchet perf
-
-perf-update:
-	$(GO) run ./cmd/mdgratchet perf -update
-
-# results regenerates RESULTS.txt, the committed snapshot of all sixteen
-# experiment tables at 20 trials/point, in place and fails on any
-# difference from the committed file, with no tolerance. After a
-# deliberate change, commit the regenerated file.
+# results regenerates RESULTS.txt, the committed snapshot of all
+# seventeen experiment tables at 20 trials/point, in place and fails on
+# any difference from the committed file, with no tolerance. E17's scale
+# rows print every number in shortest round-trip form, so this pins them
+# bit for bit. After a deliberate change, commit the regenerated file.
 results:
 	$(GO) run ./cmd/mdgbench -trials 20 > RESULTS.txt
 	git diff --exit-code RESULTS.txt
@@ -144,4 +133,4 @@ fuzz-smoke:
 # zero-alloc and sample-trace steps mostly print: the test suite
 # enforces the zero-alloc bound (TestHotPathSteadyStateZeroAllocs), and
 # make trace records the same sample trace.
-check: build vet fmt-check lint test race cover escape perf results planbench-test
+check: build vet fmt-check lint test race cover escape results planbench-test

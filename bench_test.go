@@ -7,6 +7,7 @@ package mobicol
 // a custom unit so shapes are visible straight from the bench output.
 
 import (
+	"context"
 	"io"
 	"strconv"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"mobicol/internal/bench"
 	"mobicol/internal/cover"
+	"mobicol/internal/engine"
 	"mobicol/internal/geom"
 	"mobicol/internal/obs"
 	"mobicol/internal/tsp"
@@ -116,6 +118,10 @@ func BenchmarkPlannerOnly(b *testing.B) {
 // BenchmarkE16Rotation regenerates E16 (plan rotation); reports the
 // rotated lifetime on the multi-plan row.
 func BenchmarkE16Rotation(b *testing.B) { runExperiment(b, "E16", 1, 1, "rounds") }
+
+// BenchmarkE17Scale regenerates E17 (scale at paper density); reports the
+// shdg tour length on the largest field (n = 1 000 at the quick size).
+func BenchmarkE17Scale(b *testing.B) { runExperiment(b, "E17", 3, 2, "m_tour") }
 
 // warmTSPScratch builds a 200-point instance, converges both local
 // searches into the given scratch, and returns the shared state: after
@@ -293,5 +299,32 @@ func TestHotPathSteadyStateZeroAllocs(t *testing.T) {
 	tr := warmSpanTrace()
 	if n := testing.AllocsPerRun(20, func() { spanRoundTrip(tr) }); n != 0 {
 		t.Errorf("obs span round trip steady state allocates %.1f objects/op, want 0", n)
+	}
+}
+
+// TestPlanAllocsCeiling caps the heap allocations of one plan of the
+// seed-1 paper field (100 sensors, 200 m square, 30 m range) for each
+// planner at the counts measured when the caps were set. The count does
+// not depend on the host's speed or load, so a plan that allocates more
+// has gained an allocation site; lower the cap when a change removes one.
+func TestPlanAllocsCeiling(t *testing.T) {
+	nw := MustDeploy(DeployConfig{N: 100, FieldSide: 200, Range: 30, Seed: 1})
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+	}{{"shdg", 394}, {"visit-all", 358}, {"cla", 13}} {
+		p, err := engine.Select(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(5, func() {
+			if _, _, err := p.Plan(context.Background(), engine.Scenario{Net: nw}, engine.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per plan", c.name, n)
+		if n > c.ceiling {
+			t.Errorf("%s: one plan allocates %.0f objects, above its ceiling of %.0f", c.name, n, c.ceiling)
+		}
 	}
 }

@@ -83,7 +83,7 @@ func TestCLILifetimeCheck(t *testing.T) {
 // TestCLIReportSingleExperiment pins mdgbench's markdown report: the
 // document header, then one "## <id> — <title>" section per table.
 func TestCLIReportSingleExperiment(t *testing.T) {
-	out, _ := runCLI(t, nil, "mdgbench", "-format", "md", "-e", "E2", "-trials", "1", "-check")
+	out, _ := runCLI(t, nil, "mdgbench", "-format", "md", "-e", "E2", "-trials", "1")
 	for _, want := range []string{"# mobicol reproduction report", "## E2 — tour length vs number of sensors", "|---|"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("mdgbench -format md output missing %q:\n%s", want, out)

@@ -1,20 +1,16 @@
 package mobicol
 
 // End-to-end tests of mdgratchet, one kind at a time. Coverage is fed
-// canned `go test -cover` output on stdin, escape runs against a
-// throwaway module, and perf compares pre-recorded artifacts (-current)
-// so no wall-clock measurement can flake the exit codes.
+// canned `go test -cover` output on stdin and escape runs against a
+// throwaway module.
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"mobicol/internal/bench"
 )
 
 // runRatchet runs the built mdgratchet binary with stdin (nil for none)
@@ -171,7 +167,6 @@ func Leak() *int {
 // cover an empty stdin or a FAIL line in the piped `go test` output.
 func TestCLIRatchetOperationalErrors(t *testing.T) {
 	escDir, _ := writeEscapeModule(t)
-	clean := writePerfArtifact(t, t.TempDir(), "clean.json", perfFixture())
 	missing := filepath.Join(t.TempDir(), "nope")
 	cases := []struct {
 		name, dir, stdin, want string
@@ -179,7 +174,6 @@ func TestCLIRatchetOperationalErrors(t *testing.T) {
 	}{
 		{"cover-missing-baseline", "", healthyCover, "-update", []string{"cover", "-baseline", missing}},
 		{"escape-missing-baseline", escDir, "", "-update", []string{"escape", "-baseline", missing, "./p"}},
-		{"perf-missing-baseline", "", "", "-update", []string{"perf", "-baseline", missing, "-current", clean}},
 		{"cover-empty-stdin", "", "", "no coverage lines", []string{"cover"}},
 		{"cover-fail-line", "", healthyCover + "FAIL\tmobicol/internal/geom\t0.1s\n", "failing test run", []string{"cover"}},
 	}
@@ -196,124 +190,11 @@ func TestCLIRatchetOperationalErrors(t *testing.T) {
 	}
 }
 
-// perfFixture returns a small artifact used as both baseline and
-// (perturbed) current run.
-func perfFixture() *bench.PlannerBenchResult {
-	return &bench.PlannerBenchResult{
-		Schema: bench.PlannerBenchSchema,
-		Trials: 5, Seed: 1, N: 100, SideM: 200, RangeM: 30,
-		Meta: bench.PlannerBenchMeta{Workers: 1, TrialsPerPhase: 5},
-		Algos: []bench.PlannerAlgoBench{{
-			Algo:        "shdg",
-			MeanTourM:   779.4097257411898,
-			MeanStops:   18,
-			PhaseNs:     map[string]int64{"plan": 2_000_000, "tsp": 700_000},
-			Spans:       map[string]int{"plan": 5, "tsp": 5},
-			AllocsPerOp: 1000, BytesPerOp: 50_000,
-		}},
-	}
-}
-
-func writePerfArtifact(t *testing.T, dir, name string, res *bench.PlannerBenchResult) string {
-	t.Helper()
-	raw, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCLIPerfRatchetGolden(t *testing.T) {
-	dir := t.TempDir()
-	baseline := writePerfArtifact(t, dir, "baseline.json", perfFixture())
-
-	// Clean compare: identical artifact holds.
-	clean := writePerfArtifact(t, dir, "clean.json", perfFixture())
-	out, errOut, code := runRatchet(t, "", nil, "perf", "-baseline", baseline, "-current", clean)
-	if code != 0 || !strings.Contains(out, "hold against") {
-		t.Fatalf("clean compare: code %d, out %q, stderr %q", code, out, errOut)
-	}
-
-	// Wall-time regression beyond tolerance trips the gate.
-	slow := perfFixture()
-	slow.Algos[0].PhaseNs["plan"] = 200_000_000
-	slowPath := writePerfArtifact(t, dir, "slow.json", slow)
-	_, errOut, code = runRatchet(t, "", nil, "perf", "-baseline", baseline, "-current", slowPath)
-	if code != 1 || !strings.Contains(errOut, `phase "plan"`) {
-		t.Fatalf("phase regression: code %d, want 1; stderr %q", code, errOut)
-	}
-
-	// Any allocs_per_op increase trips the exact gate.
-	alloc := perfFixture()
-	alloc.Algos[0].AllocsPerOp++
-	allocPath := writePerfArtifact(t, dir, "alloc.json", alloc)
-	_, errOut, code = runRatchet(t, "", nil, "perf", "-baseline", baseline, "-current", allocPath)
-	if code != 1 || !strings.Contains(errOut, "allocs_per_op") {
-		t.Fatalf("alloc regression: code %d, want 1; stderr %q", code, errOut)
-	}
-}
-
-// TestCLIPerfScaleRowsGolden drives the scale-row gate through the CLI:
-// the committed rows hold against themselves, and a change to the
-// n=100k row's tour or dirty count exits 1 naming that row.
-func TestCLIPerfScaleRowsGolden(t *testing.T) {
-	withScale := func() *bench.PlannerBenchResult {
-		res := perfFixture()
-		res.Scale = []bench.ScaleBench{
-			{N: 10_000, Algo: "shdg", TourM: 68895.0038619324, Stops: 1632, WarmRatio: 1.0019733594567222, WarmDirty: 59},
-			{N: 10_000, Algo: "visit-all", TourM: 147933.15509452185, Stops: 10000},
-			{N: 100_000, Algo: "shdg", TourM: 678844.9116999542, Stops: 16271, WarmRatio: 1.0068371470725626, WarmDirty: 534},
-		}
-		return res
-	}
-	dir := t.TempDir()
-	baseline := writePerfArtifact(t, dir, "baseline.json", withScale())
-	out, errOut, code := runRatchet(t, "", nil, "perf", "-baseline", baseline, "-current", baseline)
-	if code != 0 || !strings.Contains(out, "3 scale row(s) hold") {
-		t.Fatalf("clean compare: code %d, out %q, stderr %q", code, out, errOut)
-	}
-
-	tour := withScale()
-	tour.Scale[2].TourM += 1e-9
-	dirty := withScale()
-	dirty.Scale[2].WarmDirty = 535
-	for name, cur := range map[string]*bench.PlannerBenchResult{"tour_m": tour, "warm_dirty": dirty} {
-		path := writePerfArtifact(t, dir, name+".json", cur)
-		_, errOut, code := runRatchet(t, "", nil, "perf", "-baseline", baseline, "-current", path)
-		if code != 1 || !strings.Contains(errOut, "scale shdg@100000: "+name+" changed") {
-			t.Errorf("%s change: code %d, want 1 naming the row; stderr %q", name, code, errOut)
-		}
-	}
-}
-
-func TestCLIPerfUpdateWritesBaseline(t *testing.T) {
-	dir := t.TempDir()
-	cur := writePerfArtifact(t, dir, "cur.json", perfFixture())
-	baseline := filepath.Join(dir, "new-baseline.json")
-	out, errOut, code := runRatchet(t, "", nil, "perf", "-baseline", baseline, "-current", cur, "-update")
-	if code != 0 || !strings.Contains(out, "wrote baseline") {
-		t.Fatalf("-update: code %d, out %q, stderr %q", code, out, errOut)
-	}
-	f, err := os.Open(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	res, err := bench.ReadPlannerBench(f)
-	if err != nil || len(res.Algos) != 1 {
-		t.Fatalf("written baseline unreadable: %v, %+v", err, res)
-	}
-}
-
-// TestCLIPerfCommittedBaseline validates the artifact this repo ships:
-// it must parse at the current schema and hold against itself.
-func TestCLIPerfCommittedBaseline(t *testing.T) {
-	out, errOut, code := runRatchet(t, "", nil, "perf", "-baseline", "PERF_baseline.json", "-current", "PERF_baseline.json")
-	if code != 0 {
-		t.Fatalf("committed PERF_baseline.json does not hold against itself: code %d\n%s%s", code, out, errOut)
+// TestCLIRatchetUnknownKind pins that a kind the tool does not know,
+// such as the retired perf ratchet, is a usage error (exit 2).
+func TestCLIRatchetUnknownKind(t *testing.T) {
+	_, errOut, code := runRatchet(t, "", nil, "perf")
+	if code != 2 || !strings.Contains(errOut, `unknown kind "perf"`) {
+		t.Fatalf("mdgratchet perf: exit %d, want 2 naming the kind; stderr:\n%s", code, errOut)
 	}
 }

@@ -62,16 +62,27 @@ func runCLI(t *testing.T, stdin []byte, name string, args ...string) (stdout, st
 	return outBuf.String(), errBuf.String()
 }
 
-// TestNoDanglingToolNames checks that every cmd/<tool> the build, CI and
-// docs name exists, so a deleted or renamed binary cannot linger in a
-// Makefile target, a CI step or a documented command.
+// TestNoDanglingToolNames checks that every cmd/<tool>, `make <target>`
+// and UPPER_CASE.json or .txt file the build, CI and docs name exists,
+// so a deleted or renamed binary, Makefile target or committed artifact
+// cannot linger in a Makefile target, a CI step or a documented command.
 func TestNoDanglingToolNames(t *testing.T) {
 	files, err := filepath.Glob(".github/workflows/*.yml")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no CI workflows found: %v", err)
 	}
 	files = append(files, "Makefile", "README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
 	toolRE := regexp.MustCompile(`cmd/([a-z][a-z0-9_-]*)`)
+	makeRE := regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
+	fileRE := regexp.MustCompile(`\b[A-Z][A-Z0-9]*(?:_[A-Za-z0-9]+)*\.(?:json|txt)\b`)
 	for _, name := range files {
 		raw, err := os.ReadFile(name)
 		if err != nil {
@@ -80,6 +91,16 @@ func TestNoDanglingToolNames(t *testing.T) {
 		for _, m := range toolRE.FindAllStringSubmatch(string(raw), -1) {
 			if st, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !st.IsDir() {
 				t.Errorf("%s names %s, which is not a directory", name, m[0])
+			}
+		}
+		for _, m := range makeRE.FindAllStringSubmatch(string(raw), -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s names %q, which is not a Makefile target", name, m[0])
+			}
+		}
+		for _, f := range fileRE.FindAllString(string(raw), -1) {
+			if _, err := os.Stat(f); err != nil {
+				t.Errorf("%s names %s, which is not a file at the repository root", name, f)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
-// mdgbench regenerates the paper-reproduction experiment tables E1–E16
+// mdgbench regenerates the paper-reproduction experiment tables E1–E17
 // documented in DESIGN.md and EXPERIMENTS.md, as aligned text, CSV, or
-// one markdown report.
+// one markdown report. The tour tables (E2–E4, E8 and E17) verify every
+// plan they report; no flag turns that off.
 //
 // Usage:
 //
@@ -44,12 +45,11 @@ func usage(format string, args ...any) {
 
 func run() (err error) {
 	var (
-		exps    = flag.String("e", "all", "comma-separated experiment IDs (E1..E16), or all")
+		exps    = flag.String("e", "all", "comma-separated experiment IDs (E1..E17), or all")
 		trials  = flag.Int("trials", 30, "random topologies per parameter point (paper: 500)")
 		seed    = flag.Uint64("seed", 1, "base seed")
 		workers = flag.Int("workers", 0, "worker pool size for per-trial fan-out (0 = one per CPU, 1 = sequential; results are identical either way)")
 		format  = flag.String("format", "text", "output format: text (aligned tables), csv, or md (one markdown report)")
-		doCheck = flag.Bool("check", false, "verify every harness-produced plan against the invariant oracles; abort on violation")
 		trace   = flag.String("trace", "", "write a JSONL span/metric trace to this path")
 		metrics = flag.Bool("metrics", false, "print a span/metric summary table to stderr")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -68,7 +68,7 @@ func run() (err error) {
 	default:
 		usage("unknown -format %q (want text, csv or md)", *format)
 	}
-	ids := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"}
+	ids := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17"}
 	if *exps != "all" {
 		ids = nil
 		for _, id := range strings.Split(*exps, ",") {
@@ -100,7 +100,7 @@ func run() (err error) {
 		fmt.Printf("Generated by `mdgbench -format md -trials %d -seed %d`. ", *trials, *seed)
 		fmt.Printf("Experiment definitions and paper-vs-measured analysis: DESIGN.md, EXPERIMENTS.md.\n\n")
 	}
-	cfg := bench.Config{Trials: *trials, Seed: *seed, Workers: *workers, Check: *doCheck}
+	cfg := bench.Config{Trials: *trials, Seed: *seed, Workers: *workers}
 	for _, id := range ids {
 		runExp, _ := bench.ByID(id) // ids were validated up front
 		sp := tr.Start("experiment")

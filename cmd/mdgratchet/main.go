@@ -1,4 +1,4 @@
-// Command mdgratchet enforces the repository's three ratchets against
+// Command mdgratchet enforces the repository's two ratchets against
 // their committed baselines, so each measured quantity can only move in
 // its good direction:
 //
@@ -7,27 +7,22 @@
 //   - escape: per-file heap-escape counts from `go build -gcflags='-m -m'`
 //     over the planner hot packages (ESCAPE_baseline.txt). alloccheck
 //     flags allocation sites syntactically; this pins what the compiler
-//     actually decided about them;
-//   - perf: the planner benchmark (PERF_baseline.json), median of three
-//     runs at the baseline's trials and seed, plus one run of the n=10k
-//     and n=100k scale rows, whose every plan passes the check.Plan
-//     oracle. Quality fields, span counts and every scale column must be
-//     bit-identical and allocs_per_op may not grow; bytes_per_op and
-//     phase wall times get tolerance bands (bench.ComparePerf).
+//     actually decided about them.
+//
+// Plans are pinned elsewhere: RESULTS.txt (`make results`) holds every
+// experiment table, the scale rows included, bit for bit.
 //
 // Usage:
 //
 //	go test -cover ./... | mdgratchet cover [-baseline file] [-update]
 //	mdgratchet escape [-baseline file] [-update] [packages]
-//	mdgratchet perf [-baseline file] [-update] [-current run.json] [-phase-tol 0.5] [-bytes-tol 0.2]
 //
 // -update rewrites the baseline from the current measurement instead of
 // comparing; cover floors sit check.FloorMargin points below the
-// measurement. escape's package arguments and perf's -current (a
-// recorded artifact compared instead of a fresh run) substitute the
-// measured input. The tool exits 0 when the baseline holds or was
-// rewritten, 1 on a regression, and 2 on an operational error: bad
-// usage, a missing or unreadable baseline, empty or failing `go test`
+// measurement. escape's package arguments substitute the measured
+// packages. The tool exits 0 when the baseline holds or was rewritten, 1
+// on a regression, and 2 on an operational error: bad usage, an unknown
+// kind, a missing or unreadable baseline, empty or failing `go test`
 // output, or a failed build.
 package main
 
@@ -42,24 +37,18 @@ import (
 	"os/exec"
 	"strings"
 
-	"mobicol/internal/bench"
 	"mobicol/internal/check"
 )
 
 const usage = `usage:
   go test -cover ./... | mdgratchet cover [-baseline file] [-update]
   mdgratchet escape [-baseline file] [-update] [packages]
-  mdgratchet perf [-baseline file] [-update] [-current run.json] [-phase-tol f] [-bytes-tol f]
 `
 
 // hotPackages is escape's default analysis set: the planning hot path
 // plus the data structures it leans on.
 const hotPackages = "./internal/tsp ./internal/cover ./internal/shdgp ./internal/replan " +
 	"./internal/par ./internal/bitset ./internal/geom ./internal/obs"
-
-// perfRuns is how many fresh benchmark runs perf takes the median of, to
-// shed scheduler spikes.
-const perfRuns = 3
 
 // measurement is one kind's current state.
 type measurement interface {
@@ -82,21 +71,14 @@ func run(args []string) int {
 	kind := args[0]
 	flags := flag.NewFlagSet("mdgratchet "+kind, flag.ContinueOnError)
 	var file string
-	var measure func(base []byte) (measurement, error)
+	var measure func() (measurement, error)
 	switch kind {
 	case "cover":
 		file = "COVERAGE_ratchet.txt"
-		measure = func([]byte) (measurement, error) { return measureCover(os.Stdin) }
+		measure = func() (measurement, error) { return measureCover(os.Stdin) }
 	case "escape":
 		file = "ESCAPE_baseline.txt"
-		measure = func([]byte) (measurement, error) { return measureEscapes(flags.Args()) }
-	case "perf":
-		file = "PERF_baseline.json"
-		current := flags.String("current", "", "compare this recorded artifact instead of running the benchmark")
-		pol := bench.DefaultPerfPolicy()
-		flags.Float64Var(&pol.PhaseTol, "phase-tol", pol.PhaseTol, "relative phase_ns tolerance")
-		flags.Float64Var(&pol.BytesTol, "bytes-tol", pol.BytesTol, "relative bytes_per_op tolerance")
-		measure = func(base []byte) (measurement, error) { return measurePerf(*current, base, pol) }
+		measure = func() (measurement, error) { return measureEscapes(flags.Args()) }
 	default:
 		fmt.Fprintf(os.Stderr, "mdgratchet: unknown kind %q\n%s", kind, usage)
 		return 2
@@ -121,7 +103,7 @@ func run(args []string) int {
 	case err != nil && !errors.Is(err, fs.ErrNotExist):
 		return fail(err)
 	}
-	cur, err := measure(base)
+	cur, err := measure()
 	if err != nil {
 		return fail(err)
 	}
@@ -219,68 +201,4 @@ func (e escapes) compare(base []byte) ([]string, string, error) {
 		return bad, fmt.Sprintf("%d file(s) above the escape baseline", len(bad)), nil
 	}
 	return nil, fmt.Sprintf("%d escape record(s) hold against the baseline", len(e)), nil
-}
-
-// perf is one planner benchmark result and the policy it is judged by.
-type perf struct {
-	res *bench.PlannerBenchResult
-	pol bench.PerfPolicy
-}
-
-// measurePerf reads the recorded artifact at current or, without one,
-// takes the median of perfRuns fresh sequential runs at the baseline's
-// trials and seed (5 trials at seed 1 when -update writes a first
-// baseline). The scale rows carry no timing, so they are measured once,
-// after the timed runs.
-func measurePerf(current string, base []byte, pol bench.PerfPolicy) (measurement, error) {
-	if current != "" {
-		raw, err := os.ReadFile(current)
-		if err != nil {
-			return nil, err
-		}
-		res, err := bench.ReadPlannerBench(bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		return perf{res, pol}, nil
-	}
-	cfg := bench.Config{Trials: 5, Seed: 1, Workers: 1}
-	if base != nil {
-		b, err := bench.ReadPlannerBench(bytes.NewReader(base))
-		if err != nil {
-			return nil, err
-		}
-		cfg.Trials, cfg.Seed = b.Trials, b.Seed
-	}
-	runs := make([]*bench.PlannerBenchResult, perfRuns)
-	for i := range runs {
-		res, err := bench.PlannerBenchmarks(cfg)
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = res
-	}
-	res, err := bench.MedianPerf(runs)
-	if err != nil {
-		return nil, err
-	}
-	if res.Scale, err = bench.ScaleBenchmarks(cfg, bench.ScaleSizes()); err != nil {
-		return nil, err
-	}
-	return perf{res, pol}, nil
-}
-
-func (p perf) write(w io.Writer) (string, error) {
-	return fmt.Sprintf("baseline for %d algorithm(s) and %d scale row(s)", len(p.res.Algos), len(p.res.Scale)), bench.WriteBenchResult(w, p.res)
-}
-
-func (p perf) compare(base []byte) ([]string, string, error) {
-	b, err := bench.ReadPlannerBench(bytes.NewReader(base))
-	if err != nil {
-		return nil, "", err
-	}
-	if bad := bench.ComparePerf(b, p.res, p.pol); len(bad) > 0 {
-		return bad, fmt.Sprintf("%d regression(s) against the baseline", len(bad)), nil
-	}
-	return nil, fmt.Sprintf("%d algorithm(s) and %d scale row(s) hold against the baseline", len(p.res.Algos), len(p.res.Scale)), nil
 }

@@ -16,6 +16,7 @@ func All(cfg Config) ([]*Table, error) {
 		E5MultiCollector, E6Lifetime, E7Latency, E8Ablations,
 		E9BufferCapacity, E10DESLatency,
 		E11Obstacles, E12LossyLinks, E13Scheduling, E14Hetero, E15Adaptive, E16Rotation,
+		E17Scale,
 	}
 	var out []*Table
 	for _, run := range runs {
@@ -42,7 +43,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 16 {
+	if len(tables) != 17 {
 		t.Fatalf("got %d tables", len(tables))
 	}
 	for _, tbl := range tables {
@@ -141,7 +142,7 @@ func TestE7StaticFasterThanMobile(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17"} {
 		if _, ok := ByID(id); !ok {
 			t.Fatalf("ByID(%s) missing", id)
 		}

@@ -7,7 +7,6 @@ import (
 	"mobicol/internal/baselines"
 	"mobicol/internal/check"
 	"mobicol/internal/collector"
-	"mobicol/internal/engine"
 	"mobicol/internal/par"
 	"mobicol/internal/shdgp"
 	"mobicol/internal/wsn"
@@ -26,15 +25,9 @@ type Config struct {
 	Quick bool
 	// Workers bounds the harness's per-trial fan-out: 1 runs trials
 	// sequentially, n > 1 uses n workers, and <= 0 selects one worker
-	// per CPU. Every value produces identical tables and quality fields
-	// (trial seeds are fixed per index and reductions are ordered).
+	// per CPU. Every value produces identical tables (trial seeds are
+	// fixed per index and reductions are ordered).
 	Workers int
-	// Check verifies every plan the experiment tables and the planner
-	// benchmark produce against the internal/check invariant oracles and
-	// aborts on the first violation. The equivalence tests run with it
-	// on; cmd/mdgbench exposes it as -check. ScaleBenchmarks checks every
-	// plan whatever its value.
-	Check bool
 }
 
 func (c Config) trials() int {
@@ -57,27 +50,11 @@ func planSHDG(nw *wsn.Network) (*shdgp.Solution, error) {
 	return shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 }
 
-// checkEnginePlan verifies an engine-produced plan against the invariant
-// oracles when cfg.Check is set; the plan's own UploadDist hook covers
-// planners (CLA) whose recorded stops are not the physical upload points.
-func (c Config) checkEnginePlan(name string, nw *wsn.Network, pl *engine.Plan) error {
-	if !c.Check {
-		return nil
-	}
-	if err := check.Plan(nw, pl.Tour, check.Options{UploadDist: pl.UploadDist}); err != nil {
-		return fmt.Errorf("bench: %s: %w", name, err)
-	}
-	return nil
-}
-
 // checkPlan verifies one harness-produced plan against the invariant
-// oracles when cfg.Check is set. algo selects the oracle options: CLA
-// plans record sweep-line endpoints as stops, so their single-hop check
-// uses the perpendicular upload distance.
-func (c Config) checkPlan(algo string, nw *wsn.Network, plan *collector.TourPlan) error {
-	if !c.Check {
-		return nil
-	}
+// oracles. algo selects the oracle options: CLA plans record sweep-line
+// endpoints as stops, so their single-hop check uses the perpendicular
+// upload distance.
+func checkPlan(algo string, nw *wsn.Network, plan *collector.TourPlan) error {
 	opts := check.Options{}
 	if algo == "cla" {
 		opts.UploadDist = func(i int) float64 {

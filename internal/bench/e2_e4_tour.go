@@ -28,21 +28,21 @@ func tourRow(cfg Config, n int, side, r float64, tag uint64) (shdg, visitAll, cl
 		if err != nil {
 			return trialOut{err: err}
 		}
-		if err := cfg.checkPlan("shdg", nw, sol.Plan); err != nil {
+		if err := checkPlan("shdg", nw, sol.Plan); err != nil {
 			return trialOut{err: err}
 		}
 		all, err := shdgp.PlanVisitAll(shdgp.NewProblem(nw), tsp.Options{Construction: tsp.ConstructGreedy, TwoOpt: true})
 		if err != nil {
 			return trialOut{err: err}
 		}
-		if err := cfg.checkPlan("visit-all", nw, all.Plan); err != nil {
+		if err := checkPlan("visit-all", nw, all.Plan); err != nil {
 			return trialOut{err: err}
 		}
 		claPlan, err := baselines.PlanCLA(nw)
 		if err != nil {
 			return trialOut{err: err}
 		}
-		if err := cfg.checkPlan("cla", nw, claPlan); err != nil {
+		if err := checkPlan("cla", nw, claPlan); err != nil {
 			return trialOut{err: err}
 		}
 		return trialOut{shdg: sol.Length, visitAll: all.Length, cla: claPlan.Length(), stops: float64(sol.Stops())}

@@ -97,6 +97,7 @@ func ByID(id string) (func(Config) (*Table, error), bool) {
 		"E5": E5MultiCollector, "E6": E6Lifetime, "E7": E7Latency, "E8": E8Ablations,
 		"E9": E9BufferCapacity, "E10": E10DESLatency,
 		"E11": E11Obstacles, "E12": E12LossyLinks, "E13": E13Scheduling, "E14": E14Hetero, "E15": E15Adaptive, "E16": E16Rotation,
+		"E17": E17Scale,
 	}
 	f, ok := m[id]
 	return f, ok

@@ -2,53 +2,33 @@ package bench
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
-// TestPlannerBenchmarksWorkerEquivalence pins the tentpole contract for
-// the harness layer: the planner benchmark's quality fields must be
-// bit-identical whether trials run sequentially or fanned out.
-func TestPlannerBenchmarksWorkerEquivalence(t *testing.T) {
-	seqRes, err := PlannerBenchmarks(Config{Trials: 4, Seed: 3, Workers: 1, Check: true})
-	if err != nil {
-		t.Fatal(err)
+// TestE17WorkerEquivalence pins the harness's fan-out contract on the
+// table RESULTS.txt gates bit for bit: E17 prints the same cells whether
+// its trials and plans run sequentially or on eight workers.
+func TestE17WorkerEquivalence(t *testing.T) {
+	get := func(workers int) *Table {
+		tbl, err := E17Scale(Config{Trials: 4, Seed: 3, Quick: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
 	}
-	parRes, err := PlannerBenchmarks(Config{Trials: 4, Seed: 3, Workers: 8, Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqRes.Algos) != len(parRes.Algos) {
-		t.Fatalf("algo counts differ: %d vs %d", len(seqRes.Algos), len(parRes.Algos))
-	}
-	for i, sa := range seqRes.Algos {
-		pa := parRes.Algos[i]
-		if sa.Algo != pa.Algo {
-			t.Fatalf("algo %d: %q vs %q", i, sa.Algo, pa.Algo)
-		}
-		if math.Float64bits(sa.MeanTourM) != math.Float64bits(pa.MeanTourM) {
-			t.Fatalf("%s: mean_tour_m %v (seq) vs %v (par)", sa.Algo, sa.MeanTourM, pa.MeanTourM)
-		}
-		if math.Float64bits(sa.MeanStops) != math.Float64bits(pa.MeanStops) {
-			t.Fatalf("%s: mean_stops %v (seq) vs %v (par)", sa.Algo, sa.MeanStops, pa.MeanStops)
-		}
-		if len(sa.Spans) != len(pa.Spans) {
-			t.Fatalf("%s: span name counts differ", sa.Algo)
-		}
-		for name, n := range sa.Spans {
-			if pa.Spans[name] != n {
-				t.Fatalf("%s: span %q recorded %d times parallel, %d sequential",
-					sa.Algo, name, pa.Spans[name], n)
-			}
-		}
+	one, eight := get(1), get(8)
+	if !slices.EqualFunc(one.Rows, eight.Rows, slices.Equal[[]string]) {
+		t.Fatalf("E17 rows differ across worker counts:\n%v (1 worker)\n%v (8 workers)", one.Rows, eight.Rows)
 	}
 }
 
-// TestTourRowWorkerEquivalence does the same for the experiment tables'
-// per-trial fan-out.
+// TestTourRowWorkerEquivalence does the same for E2–E4's per-trial
+// fan-out.
 func TestTourRowWorkerEquivalence(t *testing.T) {
 	type row struct{ shdg, visitAll, cla, stops float64 }
 	get := func(workers int) row {
-		s, v, c, st, err := tourRow(Config{Trials: 3, Seed: 5, Workers: workers, Check: true}, 100, 200, 30, 7)
+		s, v, c, st, err := tourRow(Config{Trials: 3, Seed: 5, Workers: workers}, 100, 200, 30, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,17 +1,16 @@
 // Package bench regenerates the paper's evaluation: every experiment
-// E1–E16 documented in DESIGN.md and EXPERIMENTS.md is a function that
+// E1–E17 documented in DESIGN.md and EXPERIMENTS.md is a function that
 // sweeps the relevant parameter, runs repeated seeded trials, and returns
 // a Table whose rows mirror the corresponding figure's series. cmd/mdgbench
 // prints the tables; root-level testing.B benchmarks wrap the same
-// functions so `go test -bench` regenerates everything. The package also
-// holds the planner benchmark and scale rows that cmd/mdgratchet perf
-// measures and gates (planner.go, scale.go, perf.go).
+// functions so `go test -bench` regenerates everything.
 package bench
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -116,6 +115,10 @@ func f1[F ~float64](v F) string { return fmt.Sprintf("%.1f", float64(v)) }
 
 // f2 formats a float with two decimals.
 func f2[F ~float64](v F) string { return fmt.Sprintf("%.2f", float64(v)) }
+
+// exact formats a float in its shortest round-trip form: parsing the
+// cell gives back the value's every bit.
+func exact[F ~float64](v F) string { return strconv.FormatFloat(float64(v), 'f', -1, 64) }
 
 // d formats an int (of any int-underlying dimension, e.g. sim.Rounds).
 func d[I ~int](v I) string { return fmt.Sprintf("%d", int(v)) }

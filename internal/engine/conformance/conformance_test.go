@@ -166,6 +166,39 @@ func TestCancelUnderLoad(t *testing.T) {
 	})
 }
 
+// TestPhaseSequences pins the span structure of the three planners the
+// paper's evaluation compares: on five seeded paper fields (100 sensors,
+// 200 m square, 30 m range), the spans each plan starts, in order, as
+// Options.Progress reports them. A pass added to or dropped from a phase
+// changes the sequence; no timing is read.
+func TestPhaseSequences(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"shdg", "plan candidates cover tour construct twoopt oropt twoopt refine tsp twoopt oropt twoopt"},
+		{"visit-all", "plan tsp construct twoopt oropt twoopt"},
+		{"cla", "plan"},
+	} {
+		p, ok := engine.Lookup(tc.name)
+		if !ok {
+			t.Fatalf("%s not registered", tc.name)
+		}
+		for seed := uint64(1); seed <= 5; seed++ {
+			nw := wsn.MustDeploy(wsn.Config{N: 100, FieldSide: 200, Range: 30, Seed: seed})
+			var phases []string
+			opts := engine.Options{Progress: func(ev engine.Event) {
+				if !ev.Done {
+					phases = append(phases, ev.Phase)
+				}
+			}}
+			if _, _, err := p.Plan(context.Background(), engine.Scenario{Net: nw}, opts); err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+			}
+			if got := strings.Join(phases, " "); got != tc.want {
+				t.Errorf("%s seed %d: started spans %q, want %q", tc.name, seed, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestAdversarialNetworks runs every registered planner on networks at
 // the edges of the model: ranges far below the sensor spacing (a grid
 // index sized by the range, or one CLA sweep line per 2R, would need

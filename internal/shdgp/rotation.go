@@ -1,9 +1,12 @@
 package shdgp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
+	"mobicol/internal/geom"
 	"mobicol/internal/tsp"
 )
 
@@ -29,7 +32,7 @@ func PlanDiverse(p *Problem, k int) ([]*Solution, error) {
 	}
 	spread := p.Net.Field.Width() / 4
 	var out []*Solution
-	seen := map[string]bool{}
+	var seen [][]geom.Point
 	for j := 0; j < k; j++ {
 		tieBreak := p.Net.Sink
 		if j > 0 {
@@ -42,31 +45,19 @@ func PlanDiverse(p *Problem, k int) ([]*Solution, error) {
 		}
 		sol := buildSolution(p, inst, chosen, tsp.Solve, tsp.DefaultOptions(), fmt.Sprintf("shdg-diverse%d", j))
 		key := stopKey(sol)
-		if seen[key] {
+		if slices.ContainsFunc(seen, func(s []geom.Point) bool { return slices.Equal(s, key) }) {
 			continue
 		}
-		seen[key] = true
+		seen = append(seen, key)
 		out = append(out, sol)
 	}
 	return out, nil
 }
 
-// stopKey canonically fingerprints a solution's stop set.
-func stopKey(sol *Solution) string {
-	// Stops are few; an order-insensitive fingerprint via sorted strings.
-	keys := make([]string, len(sol.Plan.Stops))
-	for i, s := range sol.Plan.Stops {
-		keys[i] = s.String()
-	}
-	// Insertion sort: n is tiny.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	out := ""
-	for _, k := range keys {
-		out += k + ";"
-	}
-	return out
+// stopKey returns a solution's stops sorted by (x, y): two solutions
+// share a key exactly when their stop multisets are identical.
+func stopKey(sol *Solution) []geom.Point {
+	key := append([]geom.Point(nil), sol.Plan.Stops...)
+	slices.SortFunc(key, func(a, b geom.Point) int { return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y)) })
+	return key
 }

@@ -2,10 +2,12 @@ package shdgp
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"mobicol/internal/collector"
 	"mobicol/internal/geom"
+	"mobicol/internal/wsn"
 )
 
 func TestPlanDiverseInPackage(t *testing.T) {
@@ -22,14 +24,31 @@ func TestPlanDiverseInPackage(t *testing.T) {
 			t.Fatalf("plan %d: %v", i, err)
 		}
 	}
-	// Fingerprints must be pairwise distinct (duplicates are filtered).
-	seen := map[string]bool{}
-	for _, s := range sols {
-		k := stopKey(s)
-		if seen[k] {
-			t.Fatal("duplicate plan survived filtering")
+	// Stop sets must be pairwise distinct (duplicates are filtered).
+	for i := range sols {
+		for j := range i {
+			if slices.Equal(stopKey(sols[i]), stopKey(sols[j])) {
+				t.Fatalf("plans %d and %d share a stop set", j, i)
+			}
 		}
-		seen[k] = true
+	}
+}
+
+// TestPlanDiverseKeepsNearbyStops pins that the duplicate filter compares
+// exact stop sets. Two sensors 1 mm apart: the tie-breaks at the sink and
+// east of it pick the eastern sensor's site, the one west of the sink the
+// western site. Both plans print as "(100.00, 100.00)" at two decimals,
+// yet they are different plans.
+func TestPlanDiverseKeepsNearbyStops(t *testing.T) {
+	nw := wsn.New([]geom.Point{geom.Pt(100, 100), geom.Pt(100.001, 100)}, geom.Pt(150, 100), 30, geom.Square(200))
+	sols, err := PlanDiverse(NewProblem(nw), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sols) != 2 ||
+		!slices.Equal(sols[0].Plan.Stops, []geom.Point{geom.Pt(100.001, 100)}) ||
+		!slices.Equal(sols[1].Plan.Stops, []geom.Point{geom.Pt(100, 100)}) {
+		t.Fatalf("got %d plans, want one stopping at x = 100.001 and then one at x = 100", len(sols))
 	}
 }
 
@@ -47,11 +66,11 @@ func TestPlanDiverseKOne(t *testing.T) {
 func TestStopKeyOrderInsensitive(t *testing.T) {
 	a := &Solution{Plan: planWithStops(geom.Pt(1, 1), geom.Pt(2, 2))}
 	b := &Solution{Plan: planWithStops(geom.Pt(2, 2), geom.Pt(1, 1))}
-	if stopKey(a) != stopKey(b) {
+	if !slices.Equal(stopKey(a), stopKey(b)) {
 		t.Fatal("stopKey depends on stop order")
 	}
 	c := &Solution{Plan: planWithStops(geom.Pt(3, 3), geom.Pt(1, 1))}
-	if stopKey(a) == stopKey(c) {
+	if slices.Equal(stopKey(a), stopKey(c)) {
 		t.Fatal("different stop sets share a key")
 	}
 }
