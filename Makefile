@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json lint-dataflow lint-fix-hints vet fmt fmt-check bench planbench-test check conformance cover cover-update fuzz-smoke escape escape-update alloc-bench results trace
+.PHONY: all build test race lint lint-json lint-dataflow lint-fix-hints vet fmt fmt-check bench planbench-test check conformance cover cover-update fuzz-smoke alloc-bench results trace
 
 all: check
 
@@ -72,32 +72,20 @@ planbench-test:
 conformance:
 	$(GO) test -race -count=1 ./internal/engine/...
 
-# The two ratchets share one tool, cmd/mdgratchet: each kind compares
-# a fresh measurement against its committed baseline (exit 0 holds, 1
-# regression, 2 operational error), and -update rewrites the baseline.
-#
 # cover enforces the committed per-package coverage floors
-# (COVERAGE_ratchet.txt); cover-update regenerates them (measured minus
-# a 1-point jitter margin).
+# (COVERAGE_ratchet.txt) through cmd/mdgratchet (exit 0 holds, 1
+# regression, 2 operational error); cover-update regenerates them
+# (measured minus a 1-point jitter margin).
 cover:
 	$(GO) test -cover ./... | $(GO) run ./cmd/mdgratchet cover
 
 cover-update:
 	$(GO) test -cover ./... | $(GO) run ./cmd/mdgratchet cover -update
 
-# escape enforces the committed heap-escape baseline for the hot
-# packages (ESCAPE_baseline.txt): `go build -gcflags='-m -m'` diagnostics
-# may not grow per file. escape-update regenerates the baseline after a
-# deliberate change.
-escape:
-	$(GO) run ./cmd/mdgratchet escape
-
-escape-update:
-	$(GO) run ./cmd/mdgratchet escape -update
-
 # alloc-bench runs the steady-state hot-path benchmarks with allocation
-# reporting; the SteadyState benchmarks must show 0 allocs/op (the test
-# suite enforces this via TestHotPathSteadyStateZeroAllocs).
+# reporting, to read their numbers; the test suite enforces 0 allocs/op
+# (TestHotPathSteadyStateZeroAllocs) and each registered planner's
+# allocations per plan (TestPlanAllocsCeiling).
 alloc-bench:
 	$(GO) test -run=^$$ -bench=SteadyState -benchmem .
 
@@ -130,7 +118,6 @@ fuzz-smoke:
 # check runs the CI pipeline's gates locally. It skips the fuzz-smoke
 # job (make fuzz-smoke) and the benchmark smoke step, which runs every
 # benchmark once (go test -run=NONE -bench=. -benchtime=1x ./...). CI's
-# zero-alloc and sample-trace steps mostly print: the test suite
-# enforces the zero-alloc bound (TestHotPathSteadyStateZeroAllocs), and
-# make trace records the same sample trace.
-check: build vet fmt-check lint test race cover escape results planbench-test
+# sample-trace step only prints: make trace records the same sample
+# trace.
+check: build vet fmt-check lint test race cover results planbench-test

@@ -18,6 +18,7 @@ import (
 	"mobicol/internal/engine"
 	"mobicol/internal/geom"
 	"mobicol/internal/obs"
+	"mobicol/internal/replan"
 	"mobicol/internal/tsp"
 )
 
@@ -302,29 +303,66 @@ func TestHotPathSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPlanAllocsCeiling caps the heap allocations of one plan of the
-// seed-1 paper field (100 sensors, 200 m square, 30 m range) for each
-// planner at the counts measured when the caps were set. The count does
-// not depend on the host's speed or load, so a plan that allocates more
-// has gained an allocation site; lower the cap when a change removes one.
+// TestPlanAllocsCeiling caps the heap allocations of one plan of every
+// registered planner at the count measured when its cap was set, so any
+// allocation a plan executes, including a value the compiler moves to
+// the heap, is pinned at run time. The covering heuristics and the
+// baselines plan the seed-1 paper field (100 sensors, 200 m square,
+// 30 m range); warm repairs that field's shdg plan after a 5 % delta;
+// exact plans an E1-sized field (15 sensors, 70 m, 25 m), since on the
+// paper field it runs to its node cap. The count does not depend on the
+// host's speed or load, so a plan that allocates more has gained an
+// allocation site; lower the cap when a change removes one. A planner
+// registered without a cap fails.
 func TestPlanAllocsCeiling(t *testing.T) {
-	nw := MustDeploy(DeployConfig{N: 100, FieldSide: 200, Range: 30, Seed: 1})
-	for _, c := range []struct {
-		name    string
+	ctx := context.Background()
+	paper := MustDeploy(DeployConfig{N: 100, FieldSide: 200, Range: 30, Seed: 1})
+	shdg, err := engine.Select("shdg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := shdg.Plan(ctx, engine.Scenario{Net: paper}, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, carried, err := replan.Perturb(paper, 0.05, 2).Apply(paper, base.Tour.UploadAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := MustDeploy(DeployConfig{N: 15, FieldSide: 70, Range: 25, Seed: 1})
+	ceilings := map[string]struct {
+		sc      engine.Scenario
 		ceiling float64
-	}{{"shdg", 394}, {"visit-all", 358}, {"cla", 13}} {
-		p, err := engine.Select(c.name)
+	}{
+		"shdg":      {engine.Scenario{Net: paper}, 394},
+		"visit-all": {engine.Scenario{Net: paper}, 358},
+		"cla":       {engine.Scenario{Net: paper}, 13},
+		"sweep":     {engine.Scenario{Net: paper}, 485},
+		"warm":      {engine.Scenario{Net: moved, Prev: base.Tour, Carried: carried}, 70},
+		"exact":     {engine.Scenario{Net: small}, 503},
+	}
+	for _, name := range engine.Names() {
+		c, ok := ceilings[name]
+		if !ok {
+			t.Errorf("%s: registered planner has no allocation ceiling", name)
+			continue
+		}
+		p, err := engine.Select(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var st engine.Stats
 		n := testing.AllocsPerRun(5, func() {
-			if _, _, err := p.Plan(context.Background(), engine.Scenario{Net: nw}, engine.Options{}); err != nil {
+			if _, st, err = p.Plan(ctx, c.sc, engine.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %.0f allocations per plan", c.name, n)
+		t.Logf("%s: %.0f allocations per plan", name, n)
 		if n > c.ceiling {
-			t.Errorf("%s: one plan allocates %.0f objects, above its ceiling of %.0f", c.name, n, c.ceiling)
+			t.Errorf("%s: one plan allocates %.0f objects, above its ceiling of %.0f", name, n, c.ceiling)
+		}
+		if name == "exact" && !st.Exact {
+			t.Errorf("exact: plan hit its node cap; the ceiling assumes a certified optimum")
 		}
 	}
 }

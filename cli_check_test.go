@@ -1,8 +1,8 @@
 package mobicol
 
-// End-to-end tests for the verification surface of the CLIs: the -check
-// flag on the planning/simulation tools, mdgbench's experiment selector
-// and markdown report, and wsngen's placement families. Companion to
+// End-to-end tests for the verification surface of the CLIs: the oracle
+// checks the planning/simulation tools always run, mdgbench's experiment
+// selector and markdown report, and wsngen's placement families. Companion to
 // cli_test.go, sharing its buildCLIs/runCLI helpers.
 
 import (
@@ -46,7 +46,7 @@ func TestCLIWsngenPlacements(t *testing.T) {
 			t.Fatalf("%s: missing deployment summary on stderr:\n%s", placement, stderr)
 		}
 		// Every placement's output must feed straight into the planner.
-		runCLI(t, []byte(net), "mdgplan", "-algo", "shdg", "-check")
+		runCLI(t, []byte(net), "mdgplan", "-algo", "shdg")
 	}
 }
 
@@ -60,23 +60,23 @@ func TestCLIWsngenUnknownPlacement(t *testing.T) {
 	}
 }
 
-// TestCLIPlanCheck pins the -check contract on mdgplan: every algorithm
-// passes the oracle on a healthy deployment and says so in the report.
+// TestCLIPlanCheck pins mdgplan's oracle check: every algorithm passes
+// it on a healthy deployment and says so in the report.
 func TestCLIPlanCheck(t *testing.T) {
 	net, _ := runCLI(t, nil, "wsngen", "-n", "60", "-side", "150", "-range", "30", "-seed", "5")
 	for _, algo := range []string{"shdg", "visit-all", "cla"} {
-		out, _ := runCLI(t, []byte(net), "mdgplan", "-algo", algo, "-check")
+		out, _ := runCLI(t, []byte(net), "mdgplan", "-algo", algo)
 		if !strings.Contains(out, "check:      ok") {
-			t.Fatalf("%s: -check run missing confirmation line:\n%s", algo, out)
+			t.Fatalf("%s: mdgplan output missing the check confirmation line:\n%s", algo, out)
 		}
 	}
 }
 
 func TestCLILifetimeCheck(t *testing.T) {
 	net, _ := runCLI(t, nil, "wsngen", "-n", "60", "-seed", "6")
-	out, _ := runCLI(t, []byte(net), "mdglife", "-battery", "0.01", "-check")
+	out, _ := runCLI(t, []byte(net), "mdglife", "-battery", "0.01")
 	if !strings.Contains(out, "check: ok") {
-		t.Fatalf("mdglife -check missing confirmation line:\n%s", out)
+		t.Fatalf("mdglife output missing the check confirmation line:\n%s", out)
 	}
 }
 

@@ -62,7 +62,6 @@ func run() error {
 		trace   = flag.String("trace", "", "write a JSONL span/metric trace to this path")
 		metrics = flag.Bool("metrics", false, "print a span/metric summary table to stderr")
 		workers = flag.Int("workers", 0, "planner worker pool size (0 = one per CPU, 1 = sequential; the plan is identical either way)")
-		doCheck = flag.Bool("check", false, "verify plans and energy ledgers against the invariant oracles; fail loudly on violation")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf = flag.String("memprofile", "", "write a heap profile to this path")
 	)
@@ -133,16 +132,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *doCheck {
-		if err := check.Plan(nw, shdgPl.Tour, check.Options{}); err != nil {
-			return fmt.Errorf("shdg: %w", err)
-		}
-		if err := check.RecordedLength(shdgPl.Tour, shdgSt.Length); err != nil {
-			return fmt.Errorf("shdg: %w", err)
-		}
-		if err := check.Plan(nw, claPl.Tour, check.Options{UploadDist: claPl.UploadDist}); err != nil {
-			return fmt.Errorf("cla: %w", err)
-		}
+	// Every plan and energy ledger is held to the oracles.
+	if err := check.Plan(nw, shdgPl.Tour, check.Options{}); err != nil {
+		return fmt.Errorf("shdg: %w", err)
+	}
+	if err := check.RecordedLength(shdgPl.Tour, shdgSt.Length); err != nil {
+		return fmt.Errorf("shdg: %w", err)
+	}
+	if err := check.Plan(nw, claPl.Tour, check.Options{UploadDist: claPl.UploadDist}); err != nil {
+		return fmt.Errorf("cla: %w", err)
 	}
 	schemes := []sim.Scheme{
 		sim.NewMobile("shdg", nw, shdgPl.Tour),
@@ -163,11 +161,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if *doCheck {
-			//mdglint:ignore unitcheck oracle boundary: conservation is checked against the raw round count
-			if err := check.Ledger(res.Ledger, int(res.Rounds)); err != nil {
-				return fmt.Errorf("%s: %w", s.Name(), err)
-			}
+		//mdglint:ignore unitcheck oracle boundary: conservation is checked against the raw round count
+		if err := check.Ledger(res.Ledger, int(res.Rounds)); err != nil {
+			return fmt.Errorf("%s: %w", s.Name(), err)
 		}
 		lat := sim.MeasureLatency(s, spec, *relay)
 		life := fmt.Sprintf("%d", res.Rounds)
@@ -181,9 +177,7 @@ func run() error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if *doCheck {
-		fmt.Printf("\ncheck: ok (plan invariants + energy conservation, all schemes)\n")
-	}
+	fmt.Printf("\ncheck: ok (plan invariants + energy conservation, all schemes)\n")
 
 	// One packet-granularity DES round over the planned tour: buffer
 	// occupancy at the busiest stop is the paper's motivation for

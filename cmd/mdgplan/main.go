@@ -61,7 +61,6 @@ func run() error {
 		metrics    = flag.Bool("metrics", false, "print a span/metric summary table to stderr")
 		workers    = flag.Int("workers", 0, "planner worker pool size (0 = one per CPU, 1 = sequential; the plan is identical either way)")
 		warmStart  = flag.String("warm-start", "", "previous plan JSON (mdgplan -json output); repair it for the new deployment instead of planning cold")
-		doCheck    = flag.Bool("check", false, "verify the plan against the single-hop invariants and fail loudly on violation")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this path")
 	)
@@ -154,15 +153,14 @@ func run() error {
 			st.Warm.Kept, st.Warm.Rehomed, st.Warm.Recovered, st.Warm.NewStops, st.Warm.Ejected, st.Warm.Moves)
 	}
 
-	if *doCheck {
-		// Planners whose recorded stops are not the physical upload
-		// points (CLA) carry their true upload distance on the plan.
-		if err := check.Plan(nw, plan, check.Options{UploadDist: pl.UploadDist}); err != nil {
-			return err
-		}
-		if err := check.RecordedLength(plan, st.Length); err != nil {
-			return err
-		}
+	// Every plan is held to the oracle. Planners whose recorded stops are
+	// not the physical upload points (CLA) carry their true upload
+	// distance on the plan.
+	if err := check.Plan(nw, plan, check.Options{UploadDist: pl.UploadDist}); err != nil {
+		return err
+	}
+	if err := check.RecordedLength(plan, st.Length); err != nil {
+		return err
 	}
 
 	spec := collector.Spec{Speed: geom.MetersPerSecond(*speed), UploadTime: 0.1}
@@ -178,9 +176,7 @@ func run() error {
 	fmt.Printf("tour:       %.1f m\n", plan.Length())
 	fmt.Printf("served:     %d/%d sensors\n", plan.Served(), nw.N())
 	fmt.Printf("round time: %.1f s at %.1f m/s\n", plan.RoundTime(spec), *speed)
-	if *doCheck {
-		fmt.Printf("check:      ok (single-hop coverage, sink anchor, finite geometry)\n")
-	}
+	fmt.Printf("check:      ok (single-hop coverage, sink anchor, finite geometry)\n")
 
 	if *k > 1 || *bound > 0 {
 		var mp *mtsp.MultiPlan

@@ -1,29 +1,21 @@
-// Command mdgratchet enforces the repository's two ratchets against
-// their committed baselines, so each measured quantity can only move in
-// its good direction:
+// Command mdgratchet enforces the repository's coverage ratchet: the
+// per-package `go test -cover` floors in COVERAGE_ratchet.txt, measured
+// from the test output piped in on stdin, may only move up.
 //
-//   - cover: per-package `go test -cover` floors (COVERAGE_ratchet.txt),
-//     measured from the test output piped in on stdin;
-//   - escape: per-file heap-escape counts from `go build -gcflags='-m -m'`
-//     over the planner hot packages (ESCAPE_baseline.txt). alloccheck
-//     flags allocation sites syntactically; this pins what the compiler
-//     actually decided about them.
-//
-// Plans are pinned elsewhere: RESULTS.txt (`make results`) holds every
-// experiment table, the scale rows included, bit for bit.
+// The other pinned quantities have their own gates: RESULTS.txt
+// (`make results`) holds every experiment table, the scale rows
+// included, bit for bit, and TestPlanAllocsCeiling counts the heap
+// allocations of one plan of every registered planner.
 //
 // Usage:
 //
 //	go test -cover ./... | mdgratchet cover [-baseline file] [-update]
-//	mdgratchet escape [-baseline file] [-update] [packages]
 //
 // -update rewrites the baseline from the current measurement instead of
-// comparing; cover floors sit check.FloorMargin points below the
-// measurement. escape's package arguments substitute the measured
-// packages. The tool exits 0 when the baseline holds or was rewritten, 1
-// on a regression, and 2 on an operational error: bad usage, an unknown
-// kind, a missing or unreadable baseline, empty or failing `go test`
-// output, or a failed build.
+// comparing, with floors check.FloorMargin points below the measurement.
+// The tool exits 0 when the baseline holds or was rewritten, 1 on a
+// regression, and 2 on an operational error: bad usage, an unknown kind,
+// a missing or unreadable baseline, or empty or failing `go test` output.
 package main
 
 import (
@@ -31,33 +23,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
-	"os/exec"
-	"strings"
 
 	"mobicol/internal/check"
 )
 
-const usage = `usage:
-  go test -cover ./... | mdgratchet cover [-baseline file] [-update]
-  mdgratchet escape [-baseline file] [-update] [packages]
-`
-
-// hotPackages is escape's default analysis set: the planning hot path
-// plus the data structures it leans on.
-const hotPackages = "./internal/tsp ./internal/cover ./internal/shdgp ./internal/replan " +
-	"./internal/par ./internal/bitset ./internal/geom ./internal/obs"
-
-// measurement is one kind's current state.
-type measurement interface {
-	// write renders the measurement as a baseline and says what it wrote.
-	write(w io.Writer) (string, error)
-	// compare checks the measurement against the committed baseline and
-	// returns one line per regression plus a summary of the verdict.
-	compare(base []byte) (bad []string, summary string, err error)
-}
+const usage = "usage: go test -cover ./... | mdgratchet cover [-baseline file] [-update]\n"
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -68,137 +40,62 @@ func run(args []string) int {
 		fmt.Fprint(os.Stderr, usage)
 		return 2
 	}
-	kind := args[0]
-	flags := flag.NewFlagSet("mdgratchet "+kind, flag.ContinueOnError)
-	var file string
-	var measure func() (measurement, error)
-	switch kind {
-	case "cover":
-		file = "COVERAGE_ratchet.txt"
-		measure = func() (measurement, error) { return measureCover(os.Stdin) }
-	case "escape":
-		file = "ESCAPE_baseline.txt"
-		measure = func() (measurement, error) { return measureEscapes(flags.Args()) }
-	default:
+	if kind := args[0]; kind != "cover" {
 		fmt.Fprintf(os.Stderr, "mdgratchet: unknown kind %q\n%s", kind, usage)
 		return 2
 	}
-	baseline := flags.String("baseline", file, "committed baseline file")
+	flags := flag.NewFlagSet("mdgratchet cover", flag.ContinueOnError)
+	baseline := flags.String("baseline", "COVERAGE_ratchet.txt", "committed baseline file")
 	update := flags.Bool("update", false, "rewrite the baseline from the current measurement instead of comparing")
 	if err := flags.Parse(args[1:]); err != nil {
 		return 2
 	}
 
 	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "mdgratchet %s: %v\n", kind, err)
+		fmt.Fprintf(os.Stderr, "mdgratchet cover: %v\n", err)
 		return 2
 	}
-	if kind != "escape" && flags.NArg() > 0 {
+	if flags.NArg() > 0 {
 		return fail(fmt.Errorf("unexpected arguments %q", flags.Args()))
 	}
-	base, err := os.ReadFile(*baseline)
-	switch {
-	case errors.Is(err, fs.ErrNotExist) && !*update:
-		return fail(fmt.Errorf("no baseline at %s (run mdgratchet %s -update to create it)", *baseline, kind))
-	case err != nil && !errors.Is(err, fs.ErrNotExist):
-		return fail(err)
-	}
-	cur, err := measure()
+	cov, err := check.ParseCover(os.Stdin)
 	if err != nil {
 		return fail(err)
+	}
+	if len(cov) == 0 {
+		return fail(errors.New("no coverage lines on stdin (pipe `go test -cover ./...` output in)"))
 	}
 
 	if *update {
 		var buf bytes.Buffer
-		what, err := cur.write(&buf)
+		err := check.WriteRatchet(&buf, check.Floors(cov))
 		if err == nil {
 			err = os.WriteFile(*baseline, buf.Bytes(), 0o644)
 		}
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Printf("mdgratchet %s: wrote %s to %s\n", kind, what, *baseline)
+		fmt.Printf("mdgratchet cover: wrote %d floors to %s\n", len(cov), *baseline)
 		return 0
 	}
-	bad, summary, err := cur.compare(base)
+	base, err := os.ReadFile(*baseline)
+	if errors.Is(err, fs.ErrNotExist) {
+		return fail(fmt.Errorf("no baseline at %s (run mdgratchet cover -update to create it)", *baseline))
+	}
+	if err != nil {
+		return fail(err)
+	}
+	floors, err := check.ReadRatchet(bytes.NewReader(base))
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", *baseline, err))
 	}
-	if len(bad) > 0 {
+	if bad := check.CompareRatchet(cov, floors); len(bad) > 0 {
 		for _, b := range bad {
-			fmt.Fprintf(os.Stderr, "mdgratchet %s: %s\n", kind, b)
+			fmt.Fprintf(os.Stderr, "mdgratchet cover: %s\n", b)
 		}
-		fmt.Fprintf(os.Stderr, "mdgratchet %s: %s\n", kind, summary)
+		fmt.Fprintf(os.Stderr, "mdgratchet cover: %d package(s) below the coverage ratchet\n", len(bad))
 		return 1
 	}
-	fmt.Printf("mdgratchet %s: %s\n", kind, summary)
+	fmt.Printf("mdgratchet cover: %d measured packages hold against %d floors\n", len(cov), len(floors))
 	return 0
-}
-
-// coverage is per-package statement coverage, in percent.
-type coverage map[string]float64
-
-func measureCover(r io.Reader) (measurement, error) {
-	cov, err := check.ParseCover(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(cov) == 0 {
-		return nil, errors.New("no coverage lines on stdin (pipe `go test -cover ./...` output in)")
-	}
-	return coverage(cov), nil
-}
-
-func (c coverage) write(w io.Writer) (string, error) {
-	return fmt.Sprintf("%d floors", len(c)), check.WriteRatchet(w, check.Floors(c))
-}
-
-func (c coverage) compare(base []byte) ([]string, string, error) {
-	floors, err := check.ReadRatchet(bytes.NewReader(base))
-	if err != nil {
-		return nil, "", err
-	}
-	if bad := check.CompareRatchet(c, floors); len(bad) > 0 {
-		return bad, fmt.Sprintf("%d package(s) below the coverage ratchet", len(bad)), nil
-	}
-	return nil, fmt.Sprintf("%d measured packages hold against %d floors", len(c), len(floors)), nil
-}
-
-// escapes is the compiler's escape diagnostics for the measured packages.
-type escapes []check.EscapeRecord
-
-// measureEscapes builds pkgs with escape diagnostics enabled and parses
-// the compiler output. The -gcflags value applies only to the packages
-// named on the command line, so dependencies stay quiet, and the
-// diagnostics replay from the build cache, so repeat runs are cheap.
-func measureEscapes(pkgs []string) (measurement, error) {
-	if len(pkgs) == 0 {
-		pkgs = strings.Fields(hotPackages)
-	}
-	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m -m"}, pkgs...)...)
-	var out bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &out
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go build failed: %v\n%s", err, out.String())
-	}
-	recs, err := check.ParseEscapes(&out)
-	if err != nil {
-		return nil, err
-	}
-	return escapes(recs), nil
-}
-
-func (e escapes) write(w io.Writer) (string, error) {
-	return fmt.Sprintf("%d escape record(s)", len(e)), check.WriteEscapeBaseline(w, check.CountEscapes(e))
-}
-
-func (e escapes) compare(base []byte) ([]string, string, error) {
-	baseline, err := check.ReadEscapeBaseline(bytes.NewReader(base))
-	if err != nil {
-		return nil, "", err
-	}
-	if bad := check.CompareEscapes(e, baseline); len(bad) > 0 {
-		return bad, fmt.Sprintf("%d file(s) above the escape baseline", len(bad)), nil
-	}
-	return nil, fmt.Sprintf("%d escape record(s) hold against the baseline", len(e)), nil
 }

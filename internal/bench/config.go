@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"fmt"
 
-	"mobicol/internal/baselines"
 	"mobicol/internal/check"
-	"mobicol/internal/collector"
+	"mobicol/internal/engine"
 	"mobicol/internal/par"
 	"mobicol/internal/shdgp"
 	"mobicol/internal/wsn"
@@ -50,19 +48,13 @@ func planSHDG(nw *wsn.Network) (*shdgp.Solution, error) {
 	return shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
 }
 
-// checkPlan verifies one harness-produced plan against the invariant
-// oracles. algo selects the oracle options: CLA plans record sweep-line
-// endpoints as stops, so their single-hop check uses the perpendicular
-// upload distance.
-func checkPlan(algo string, nw *wsn.Network, plan *collector.TourPlan) error {
-	opts := check.Options{}
-	if algo == "cla" {
-		opts.UploadDist = func(i int) float64 {
-			return baselines.CLAUploadDistance(nw, plan, i)
-		}
+// planChecked plans nw with the registered planner p and holds the plan
+// to the check.Plan oracle. Planners whose stops are not the upload
+// points (CLA) carry their upload distance on the plan.
+func planChecked(p engine.Planner, nw *wsn.Network) (engine.Stats, error) {
+	pl, st, err := p.Plan(context.Background(), engine.Scenario{Net: nw}, engine.Options{})
+	if err == nil {
+		err = check.Plan(nw, pl.Tour, check.Options{UploadDist: pl.UploadDist})
 	}
-	if err := check.Plan(nw, plan, opts); err != nil {
-		return fmt.Errorf("bench: %s: %w", algo, err)
-	}
-	return nil
+	return st, err
 }

@@ -3,49 +3,38 @@ package bench
 import (
 	"fmt"
 
-	"mobicol/internal/baselines"
+	"mobicol/internal/engine"
 	"mobicol/internal/geom"
 	"mobicol/internal/par"
-	"mobicol/internal/shdgp"
 	"mobicol/internal/stats"
-	"mobicol/internal/tsp"
 )
 
 // tourRow gathers the three schemes' tour lengths for one parameter
-// point. Trials fan out across the config's pool; per-trial seeds are
+// point, each planned through the engine registry and held to the plan
+// oracle. Trials fan out across the config's pool; per-trial seeds are
 // fixed by trial index and the means fold in index order, so the row is
 // identical for every pool size.
 func tourRow(cfg Config, n int, side, r float64, tag uint64) (shdg, visitAll, cla geom.Meters, stops float64, err error) {
-	type trialOut struct {
-		shdg, visitAll, cla geom.Meters
-		stops               float64
-		err                 error
+	names := [3]string{"shdg", "visit-all", "cla"}
+	var planners [3]engine.Planner
+	for i, name := range names {
+		if planners[i], err = engine.Select(name); err != nil {
+			return 0, 0, 0, 0, fmt.Errorf("bench: %w", err)
+		}
 	}
-	outs := par.Map(cfg.pool(), cfg.trials(), func(trial int) trialOut {
-		seed := cfg.Seed + uint64(trial)*7919 + tag
-		nw := deploy(n, side, r, seed)
-		sol, err := planSHDG(nw)
-		if err != nil {
-			return trialOut{err: err}
+	type trialOut struct {
+		st  [3]engine.Stats
+		err error
+	}
+	outs := par.Map(cfg.pool(), cfg.trials(), func(trial int) (o trialOut) {
+		nw := deploy(n, side, r, cfg.Seed+uint64(trial)*7919+tag)
+		for i, p := range planners {
+			if o.st[i], o.err = planChecked(p, nw); o.err != nil {
+				o.err = fmt.Errorf("bench: %s: %w", names[i], o.err)
+				break
+			}
 		}
-		if err := checkPlan("shdg", nw, sol.Plan); err != nil {
-			return trialOut{err: err}
-		}
-		all, err := shdgp.PlanVisitAll(shdgp.NewProblem(nw), tsp.Options{Construction: tsp.ConstructGreedy, TwoOpt: true})
-		if err != nil {
-			return trialOut{err: err}
-		}
-		if err := checkPlan("visit-all", nw, all.Plan); err != nil {
-			return trialOut{err: err}
-		}
-		claPlan, err := baselines.PlanCLA(nw)
-		if err != nil {
-			return trialOut{err: err}
-		}
-		if err := checkPlan("cla", nw, claPlan); err != nil {
-			return trialOut{err: err}
-		}
-		return trialOut{shdg: sol.Length, visitAll: all.Length, cla: claPlan.Length(), stops: float64(sol.Stops())}
+		return o
 	})
 	var sl, vl, cl []geom.Meters
 	var st []float64
@@ -53,10 +42,10 @@ func tourRow(cfg Config, n int, side, r float64, tag uint64) (shdg, visitAll, cl
 		if o.err != nil {
 			return 0, 0, 0, 0, o.err
 		}
-		sl = append(sl, o.shdg)
-		vl = append(vl, o.visitAll)
-		cl = append(cl, o.cla)
-		st = append(st, o.stops)
+		sl = append(sl, o.st[0].Length)
+		vl = append(vl, o.st[1].Length)
+		cl = append(cl, o.st[2].Length)
+		st = append(st, float64(o.st[0].Stops))
 	}
 	return stats.Mean(sl), stats.Mean(vl), stats.Mean(cl), stats.Mean(st), nil
 }

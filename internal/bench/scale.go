@@ -73,11 +73,7 @@ func engineMeans(cfg Config, name string) (tour geom.Meters, stops float64, err 
 		err error
 	}
 	outs := par.Map(cfg.pool(), cfg.trials(), func(i int) trialOut {
-		nw := deploy(100, 200, 30, cfg.Seed+uint64(i))
-		pl, st, err := p.Plan(context.Background(), engine.Scenario{Net: nw}, engine.Options{})
-		if err == nil {
-			err = check.Plan(nw, pl.Tour, check.Options{UploadDist: pl.UploadDist})
-		}
+		st, err := planChecked(p, deploy(100, 200, 30, cfg.Seed+uint64(i)))
 		return trialOut{st, err}
 	})
 	sumStops := 0

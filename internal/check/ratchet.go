@@ -12,8 +12,7 @@ import (
 // This file implements the coverage ratchet: CI runs `go test -cover`,
 // parses the per-package percentages, and compares them against committed
 // floors so coverage can only move up. `mdgratchet cover` is the CLI
-// front end. It also holds the line reader and writer the coverage and
-// escape baselines share.
+// front end.
 
 // FloorMargin is the percentage points Floors subtracts from a
 // measurement, so ordinary run-to-run jitter does not fail CI.
@@ -73,32 +72,47 @@ func coverPercent(fields []string) (pct float64, found bool, err error) {
 }
 
 // ReadRatchet parses a ratchet file: one "import/path minimum-percent" pair
-// per line, '#' comments and blank lines ignored.
+// per line, '#' comments and blank lines ignored. Errors cite the line.
 func ReadRatchet(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
-	err := readBaseline(r, "ratchet", "package percent", func(f []string) error {
+	sc := bufio.NewScanner(r)
+	for lineno := 1; sc.Scan(); lineno++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			return nil, fmt.Errorf("check: ratchet line %d: want \"package percent\", got %q", lineno, line)
+		}
 		v, err := strconv.ParseFloat(f[1], 64)
 		if err != nil || v < 0 || v > 100 {
-			return fmt.Errorf("bad percentage %q", f[1])
+			return nil, fmt.Errorf("check: ratchet line %d: bad percentage %q", lineno, f[1])
 		}
 		out[f[0]] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("check: reading ratchet: %w", err)
 	}
 	return out, nil
 }
 
-// WriteRatchet writes floors in the format ReadRatchet parses, packages
-// sorted for stable diffs.
+// WriteRatchet writes floors in the format ReadRatchet parses, after a
+// '#' header, packages sorted for stable diffs.
 func WriteRatchet(w io.Writer, floors map[string]float64) error {
-	lines := make([]string, 0, len(floors))
-	for p, v := range floors {
-		lines = append(lines, fmt.Sprintf("%s %.1f", p, v))
+	pkgs := make([]string, 0, len(floors))
+	for p := range floors {
+		pkgs = append(pkgs, p)
 	}
-	return writeBaseline(w, "Per-package `go test -cover` floors. CI fails if a package drops below\n"+
-		"its floor. Regenerate with: make cover-update (mdgratchet cover -update).", lines)
+	sort.Strings(pkgs)
+	var b strings.Builder
+	b.WriteString("# Per-package `go test -cover` floors. CI fails if a package drops below\n" +
+		"# its floor. Regenerate with: make cover-update (mdgratchet cover -update).\n")
+	for _, p := range pkgs {
+		fmt.Fprintf(&b, "%s %.1f\n", p, floors[p])
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // CompareRatchet checks measured coverage against committed floors and
@@ -141,47 +155,4 @@ func Floors(cov map[string]float64) map[string]float64 {
 		out[p] = float64(int(f*10)) / 10
 	}
 	return out
-}
-
-// readBaseline is the line reader both text baselines share: '#'
-// comments and blank lines are skipped, every other line must split into
-// exactly as many fields as format names, and parse converts one line's
-// fields. Errors cite the baseline (what) and the line number.
-func readBaseline(r io.Reader, what, format string, parse func(fields []string) error) error {
-	want := len(strings.Fields(format))
-	sc := bufio.NewScanner(r)
-	for lineno := 1; sc.Scan(); lineno++ {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != want {
-			return fmt.Errorf("check: %s line %d: want %q, got %q", what, lineno, format, line)
-		}
-		if err := parse(fields); err != nil {
-			return fmt.Errorf("check: %s line %d: %v", what, lineno, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("check: reading %s: %w", what, err)
-	}
-	return nil
-}
-
-// writeBaseline is readBaseline's writer: the header as '#' comment
-// lines, then the data lines sorted. Data lines start with their key
-// fields and names never contain a byte below the separating space, so
-// the byte order of the lines is the order of their keys.
-func writeBaseline(w io.Writer, header string, lines []string) error {
-	sort.Strings(lines)
-	var b strings.Builder
-	for _, h := range strings.Split(header, "\n") {
-		b.WriteString("# " + h + "\n")
-	}
-	for _, l := range lines {
-		b.WriteString(l + "\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }

@@ -28,9 +28,9 @@ import (
 //     parameter is expected;
 //   - string <-> []byte conversions, which copy.
 //
-// Escapes are approximated syntactically — the compiler's exact verdict
-// is what mdgratchet escape ratchets — so the audited suppression carries
-// the judgement call: //mdglint:allow-alloc(reason) on the line (or the
+// Escapes are approximated syntactically — what a plan actually
+// allocates is counted at run time by TestPlanAllocsCeiling — so the
+// audited suppression carries the judgement call: //mdglint:allow-alloc(reason) on the line (or the
 // line above) excuses a site, and on a function declaration it marks an
 // allocation boundary hotness does not propagate through. Test files
 // are exempt.

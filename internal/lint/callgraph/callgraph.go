@@ -38,8 +38,9 @@
 // would drag every same-signature closure in the module into the hot
 // set, however unrelated. The trade-off: a function value stashed by
 // cold setup code and invoked from hot code is missed — acceptable for
-// a lint whose edges are otherwise over-approximate, and the escape
-// ratchet (mdgratchet escape) catches what the static view cannot see.
+// a lint whose edges are otherwise over-approximate, and the
+// per-planner allocation ceilings (TestPlanAllocsCeiling) count what
+// such a call allocates once a plan makes it.
 package callgraph
 
 import (

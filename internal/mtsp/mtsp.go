@@ -15,8 +15,8 @@
 // segment through the sink. The master tour is the stops in the order
 // they arrive, which is a single-collector plan's visit order. Splitting
 // an optimal master tour with bound-respecting cuts is a constant-factor
-// approximation for both objectives; each sub-tour is then re-optimised
-// with local search.
+// approximation for both objectives; each sub-tour is then polished with
+// local search from the order it was cut in.
 package mtsp
 
 import (
@@ -113,8 +113,11 @@ func splitByBound(sink geom.Point, stops []geom.Point, bound float64) [][]int {
 	return segments
 }
 
-// assemble turns index segments into a MultiPlan, re-optimising each
-// sub-tour with the TSP engine (sink anchored).
+// assemble turns index segments into a MultiPlan, polishing each
+// sub-tour (sink anchored) from the order it was cut in. tsp.Improve never
+// lengthens the order it is given, so a sub-tour keeps the splitter's
+// length bound, and a segment that is already a converged tour, such as
+// the whole plan with one collector, comes back unchanged.
 func assemble(sink geom.Point, stops []geom.Point, segments [][]int) *MultiPlan {
 	mp := &MultiPlan{Sink: sink, StopTour: make([]int, len(stops))}
 	for i := range mp.StopTour {
@@ -126,18 +129,11 @@ func assemble(sink geom.Point, stops []geom.Point, segments [][]int) *MultiPlan 
 		for _, s := range seg {
 			segPts = append(segPts, stops[s])
 		}
-		tour := tsp.Solve(segPts, tsp.DefaultOptions())
+		tour, _ := tsp.Improve(segPts, tsp.DefaultOptions(), nil)
 		tour.RotateTo(0)
 		ordered := make([]geom.Point, 0, len(seg))
 		for _, idx := range tour[1:] {
 			ordered = append(ordered, segPts[idx])
-		}
-		// Local search is not guaranteed to beat the master-tour order
-		// this segment was cut from, and the splitter's length bound was
-		// proved against that order — keep whichever is shorter.
-		master := segPts[1:]
-		if closedLength(sink, master) < closedLength(sink, ordered) {
-			ordered = append(ordered[:0], master...)
 		}
 		for _, s := range seg {
 			mp.StopTour[s] = t
@@ -165,7 +161,7 @@ func MinCollectors(sink geom.Point, stops []geom.Point, bound float64) (*MultiPl
 			worstRoundTrip(sink, stops), bound)
 	}
 	mp := assemble(sink, stops, segments)
-	// Re-optimisation can only shorten sub-tours, so the bound still holds;
+	// Polishing can only shorten sub-tours, so the bound still holds;
 	// verify defensively.
 	for _, l := range mp.Lengths() {
 		if l > bound+1e-6 {

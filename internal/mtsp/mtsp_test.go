@@ -1,12 +1,16 @@
 package mtsp
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mobicol/internal/geom"
 	"mobicol/internal/rng"
+	"mobicol/internal/shdgp"
+	"mobicol/internal/wsn"
 )
 
 var sink = geom.Pt(100, 100)
@@ -122,6 +126,31 @@ func TestMinMaxSplitKOne(t *testing.T) {
 	}
 	if err := validateSplit(mp, stops); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMinMaxSplitKOneKeepsPlanTour pins that one collector drives the
+// plan's own tour. The sub-tour is polished from the plan's visit order,
+// which the planner's last local search has already converged, so it
+// comes back stop for stop; a re-solve would build a tour no planner
+// produced. The fields are E5's first k=1 trials (N=300, L=300 m,
+// R=30 m), on two of which a re-solve finds a shorter tour.
+func TestMinMaxSplitKOneKeepsPlanTour(t *testing.T) {
+	for trial := uint64(0); trial < 8; trial++ {
+		seed := 2 + trial*104729
+		nw := wsn.MustDeploy(wsn.Config{N: 300, FieldSide: 300, Range: 30, Seed: seed})
+		sol, err := shdgp.Plan(context.Background(), shdgp.NewProblem(nw), shdgp.DefaultPlannerOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, err := MinMaxSplit(nw.Sink, sol.Plan.Stops, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mp.K() != 1 || !slices.Equal(mp.Tours[0], sol.Plan.Stops) {
+			t.Errorf("seed %d: k=1 sub-tours %v are not the plan's tour %v (%.3f m vs %.3f m)",
+				seed, mp.Tours, sol.Plan.Stops, mp.MaxLength(), sol.Length)
+		}
 	}
 }
 

@@ -26,8 +26,9 @@
 //     ended spans return to a per-trace free list, field slices and the
 //     JSONL line buffer are reused, and the encoder never touches fmt
 //     or encoding/json. Once the pools have grown, a Start/Child/Set*/
-//     End round trip allocates nothing — pinned by
-//     BenchmarkSpanSteadyState and the alloccheck/escape gates.
+//     End round trip allocates nothing — pinned by alloccheck and
+//     TestHotPathSteadyStateZeroAllocs (BenchmarkSpanSteadyState
+//     prints the count).
 //     The flip side is an ownership rule: a *Span is dead after End —
 //     using it afterwards is a no-op at best and, once the trace has
 //     recycled it, would write into an unrelated span.
