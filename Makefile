@@ -114,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzGridIndexQueries -fuzztime=$(FUZZTIME) ./internal/geom/
 	$(GO) test -fuzz=FuzzRelocate -fuzztime=$(FUZZTIME) ./internal/tsp/
 	$(GO) test -fuzz=FuzzImprove -fuzztime=$(FUZZTIME) ./internal/tsp/
+	$(GO) test -fuzz=FuzzOrOpt -fuzztime=$(FUZZTIME) ./internal/tsp/
 
 # check runs the CI pipeline's gates locally. It skips the fuzz-smoke
 # job (make fuzz-smoke) and the benchmark smoke step, which runs every

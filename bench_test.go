@@ -334,12 +334,12 @@ func TestPlanAllocsCeiling(t *testing.T) {
 		sc      engine.Scenario
 		ceiling float64
 	}{
-		"shdg":      {engine.Scenario{Net: paper}, 394},
-		"visit-all": {engine.Scenario{Net: paper}, 358},
+		"shdg":      {engine.Scenario{Net: paper}, 84},
+		"visit-all": {engine.Scenario{Net: paper}, 47},
 		"cla":       {engine.Scenario{Net: paper}, 13},
-		"sweep":     {engine.Scenario{Net: paper}, 485},
-		"warm":      {engine.Scenario{Net: moved, Prev: base.Tour, Carried: carried}, 70},
-		"exact":     {engine.Scenario{Net: small}, 503},
+		"sweep":     {engine.Scenario{Net: paper}, 174},
+		"warm":      {engine.Scenario{Net: moved, Prev: base.Tour, Carried: carried}, 69},
+		"exact":     {engine.Scenario{Net: small}, 151},
 	}
 	for _, name := range engine.Names() {
 		c, ok := ceilings[name]

@@ -12,7 +12,6 @@ package cover
 
 import (
 	"fmt"
-	"slices"
 
 	"mobicol/internal/bitset"
 	"mobicol/internal/geom"
@@ -155,11 +154,15 @@ func NewInstanceRadii(sensors []geom.Point, radii []float64, candidates []geom.P
 	return NewInstanceRadiiPool(sensors, radii, candidates, par.Seq())
 }
 
-// NewInstanceRadiiPool is NewInstanceRadii across a worker pool: the
-// per-candidate cover computations are embarrassingly parallel, and the
-// ordered reduction keeps the candidate numbering byte-identical to the
-// sequential construction. Each cover list is sorted ascending, so the
-// instance is also independent of the grid index's cell iteration order.
+// NewInstanceRadiiPool is NewInstanceRadii across a worker pool. It
+// builds the instance sensor-major: each sensor queries a grid index over
+// the candidates for those within its own range, in sensor chunks spread
+// across the pool whose hit runs concatenate in sensor order. Counting
+// the hits per candidate numbers the kept candidates in input order and
+// sizes their cover lists, and scattering each sensor into its
+// candidates' lists in sensor order leaves every list ascending without
+// a sort. Neither step depends on how the sensors were chunked, so the
+// instance is identical for any pool size.
 func NewInstanceRadiiPool(sensors []geom.Point, radii []float64, candidates []geom.Point, pool par.Pool) *Instance {
 	if len(radii) != len(sensors) {
 		return &Instance{Universe: len(sensors), off: []int32{0},
@@ -175,52 +178,79 @@ func NewInstanceRadiiPool(sensors []geom.Point, radii []float64, candidates []ge
 			maxR = r
 		}
 	}
-	inst := &Instance{Universe: len(sensors), off: []int32{0}}
 	if len(sensors) == 0 {
-		return inst
+		return &Instance{off: []int32{0}}
 	}
-	// Occupancy-aware sizing keeps per-query work flat when the field is
-	// dense relative to the range; the query results are exact either way.
-	sidx := geom.NewGridIndexFor(sensors, maxR)
-	// Each chunk owns a reusable query buffer and writes only its own
-	// slots of lists; the grid index is read-only and safe to share.
-	lists := make([][]int32, len(candidates))
-	pool.ForChunks(len(candidates), func(lo, hi int) {
-		//mdglint:allow-alloc(one query buffer per worker chunk, reused across its candidates)
+	// Occupancy-aware sizing keeps per-query work flat when the
+	// candidates are dense relative to the range; the query results are
+	// exact either way.
+	cidx := geom.NewGridIndexFor(candidates, maxR)
+	n := len(sensors)
+	// count[s] is sensor s's hit count; count[n+c] is candidate c's, and
+	// then its list's write cursor.
+	count := make([]int32, n+len(candidates))
+	chunks := min(pool.Size(), n)
+	runs := make([][]int32, chunks)
+	// Chunk k queries sensors [k·n/chunks, (k+1)·n/chunks) into runs[k]
+	// and its slots of count; the grid index is read-only and safe to
+	// share. The pool splits the chunk indices, one per worker.
+	pool.ForChunks(chunks, func(lo, hi int) {
+		//mdglint:allow-alloc(one query buffer per worker, reused across its sensors)
 		buf := make([]int, 0, 64)
-		for ci := lo; ci < hi; ci++ {
-			c := candidates[ci]
-			buf = sidx.Within(c, maxR, buf[:0])
-			var list []int32
-			for _, s := range buf {
-				if sensors[s].Dist2(c) <= radii[s]*radii[s]+geom.Eps {
-					//mdglint:allow-alloc(cover lists outlive the chunk — they are the instance being built)
-					list = append(list, int32(s))
+		for k := lo; k < hi; k++ {
+			first, end := k*n/chunks, (k+1)*n/chunks
+			// At the paper's density a sensor reaches about 8 sensor
+			// sites and 7 grid points; the run grows past that when
+			// it must.
+			//mdglint:allow-alloc(one hit run per sensor chunk; the scatter below reads it once)
+			run := make([]int32, 0, 16*(end-first))
+			for s := first; s < end; s++ {
+				// Within's inclusive test, a squared distance of at
+				// most r²+geom.Eps, is the pair test: sensor s reaches
+				// the candidate over its own range.
+				buf = cidx.Within(sensors[s], radii[s], buf[:0])
+				for _, c := range buf {
+					//mdglint:allow-alloc(amortized growth of the chunk's hit run)
+					run = append(run, int32(c))
 				}
+				count[s] = int32(len(buf))
 			}
-			slices.Sort(list)
-			lists[ci] = list
+			runs[k] = run
 		}
 	})
-	// Ordered reduction: keep useful candidates in input order, exactly as
-	// the sequential append loop did, folding the lists into one CSR pair.
-	kept, total := 0, 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			kept++
-			total += len(l)
+	cand := count[n:]
+	for _, run := range runs {
+		for _, c := range run {
+			cand[c]++
 		}
 	}
-	inst.Candidates = make([]geom.Point, 0, kept)
-	inst.off = make([]int32, 1, kept+1)
-	inst.idx = make([]int32, 0, total)
-	for ci, l := range lists {
-		if len(l) == 0 {
-			continue
+	kept, total := 0, 0
+	for _, k := range cand {
+		if k > 0 {
+			kept++
+			total += int(k)
 		}
-		inst.Candidates = append(inst.Candidates, candidates[ci])
-		inst.idx = append(inst.idx, l...)
-		inst.off = append(inst.off, int32(len(inst.idx)))
+	}
+	// The offsets and the cover lists share one allocation.
+	csr := make([]int32, kept+1+total)
+	inst := &Instance{Universe: n, Candidates: make([]geom.Point, 0, kept),
+		off: csr[: kept+1 : kept+1], idx: csr[kept+1:]}
+	for c, k := range cand {
+		if k > 0 {
+			start := inst.off[len(inst.Candidates)]
+			inst.Candidates = append(inst.Candidates, candidates[c])
+			inst.off[len(inst.Candidates)] = start + k
+			cand[c] = start
+		}
+	}
+	for k, run := range runs {
+		for s := k * n / chunks; s < (k+1)*n/chunks; s++ {
+			for _, c := range run[:count[s]] {
+				inst.idx[cand[c]] = int32(s)
+				cand[c]++
+			}
+			run = run[count[s]:]
+		}
 	}
 	return inst
 }

@@ -95,3 +95,23 @@ func TestPlanExactCancelsMidEnumeration(t *testing.T) {
 		t.Fatalf("ctx checked %d times, want the enumeration to stop at check %d", ctx.calls, ctx.failAt)
 	}
 }
+
+// TestPlanExactCancelsAtLeaf: every complete cover's Held–Karp tour is
+// preceded by a ctx check, so a search that ends before its first
+// periodic check still stops at its first leaf. On this field the search
+// tours 510 leaves in 1,490 nodes, fewer than exactCheckEvery.
+func TestPlanExactCancelsAtLeaf(t *testing.T) {
+	p := deploy(22, 90, 25, 4)
+	heur := &failingCtx{Context: context.Background()}
+	if _, err := Plan(heur, p, DefaultPlannerOptions()); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &failingCtx{Context: context.Background(), failAt: heur.calls + 1}
+	sol, err := PlanExact(ctx, p)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if sol != nil {
+		t.Fatal("canceled exact plan returned a solution")
+	}
+}

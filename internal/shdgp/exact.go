@@ -48,8 +48,9 @@ func exactTSP() tsp.Options {
 // PlanExact solves the SHDGP to optimality over the dominance-pruned
 // candidates (within the exact limits above) by enumerating covers and
 // solving each leaf's TSP exactly. It checks ctx inside the heuristic
-// incumbent's phases and every exactCheckEvery enumeration nodes, and
-// returns ctx's error at the first check that finds it done.
+// incumbent's phases, every exactCheckEvery enumeration nodes and before
+// each leaf's tour, and returns ctx's error at the first check that
+// finds it done.
 //
 // Exact=true certifies that optimum over the pruned candidates only.
 // Dominance is a set-cover notion: a candidate whose sensors another
@@ -145,9 +146,11 @@ func searchCovers(ctx context.Context, inst *cover.Instance, sink geom.Point, in
 	nodes := 0
 	var canceled error
 
+	// tourPoints rebuilds the sink plus cur's stops in one buffer that
+	// every bound and leaf reuses.
+	pts := make([]geom.Point, 0, exactMaxStops+1)
 	tourPoints := func() []geom.Point {
-		pts := make([]geom.Point, 0, len(cur)+1)
-		pts = append(pts, sink)
+		pts = append(pts[:0], sink)
 		for _, c := range cur {
 			pts = append(pts, inst.Candidates[c])
 		}
@@ -192,8 +195,13 @@ func searchCovers(ctx context.Context, inst *cover.Instance, sink geom.Point, in
 			}
 		}
 		if uncovered.Empty() {
-			pts := tourPoints()
-			if l := tsp.Solve(pts, exactTSP()).Length(pts); l < bestLen-1e-9 {
+			// A leaf's Held–Karp tour can take milliseconds, far longer
+			// than exactCheckEvery nodes, so every leaf checks ctx.
+			if canceled = ctx.Err(); canceled != nil {
+				return
+			}
+			leaf := tourPoints()
+			if l := tsp.Solve(leaf, exactTSP()).Length(leaf); l < bestLen-1e-9 {
 				bestLen = l
 				bestChosen = append(bestChosen[:0], cur...)
 			}

@@ -309,3 +309,199 @@ func FuzzRelocate(f *testing.F) {
 		checkRelocate(t, tour, i, segLen, j, rev)
 	})
 }
+
+// orOptRef is the Or-opt pass the once-priced scan replaced, kept as its
+// oracle: for every segment length it scans s0's list and then s1's
+// (the same list at length 1), prices both tour edges beside each
+// neighbour in both orientations, and applies the first improving
+// insertion.
+func orOptRef(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
+	n := len(tour)
+	if n < 5 {
+		return 0
+	}
+	var s Scratch
+	s.ensure(n)
+	d := func(a, b int) float64 { return pts[a].Dist(pts[b]) }
+	pos, dontLook := s.pos, s.dontLook
+	for i, v := range tour {
+		pos[v] = i
+	}
+	s.seedQueue(tour, seeds)
+	moves := 0
+	maxSeg := min(3, n-3)
+	improveAt := func(s0 int) bool {
+		i := pos[s0]
+		for segLen := 1; segLen <= maxSeg; segLen++ {
+			p0 := tour[(i-1+n)%n]
+			s1 := tour[(i+segLen-1)%n]
+			p1 := tour[(i+segLen)%n]
+			removed := d(p0, s0) + d(s1, p1) - d(p0, p1)
+			if removed <= 1e-12 {
+				continue
+			}
+			for _, list := range [2][]int{nb.List(s0), nb.List(s1)} {
+				for _, c := range list {
+					for _, j := range [2]int{pos[c], (pos[c] - 1 + n) % n} {
+						if within(i, segLen, j, n) || (j+1)%n == i {
+							continue
+						}
+						a, b := tour[j], tour[(j+1)%n]
+						forward := d(a, s0) + d(s1, b) - d(a, b)
+						backward := d(a, s1) + d(s0, b) - d(a, b)
+						rev := backward < forward
+						added := forward
+						if rev {
+							added = backward
+						}
+						if added < removed-1e-12 {
+							relocate(tour, pos, i, segLen, j, rev, s.reloc)
+							for _, v := range [6]int{p0, p1, s0, s1, a, b} {
+								if dontLook[v] {
+									dontLook[v] = false
+									s.queue = append(s.queue, v)
+								}
+							}
+							moves++
+							return true
+						}
+					}
+				}
+			}
+		}
+		return false
+	}
+	for head := 0; head < len(s.queue); head++ {
+		if s0 := s.queue[head]; !dontLook[s0] {
+			if improveAt(s0) {
+				s.queue = append(s.queue, s0)
+			} else {
+				dontLook[s0] = true
+			}
+		}
+	}
+	return moves
+}
+
+// checkOrOpt runs OrOpt in s and orOptRef on copies of tour from seeds
+// and fails unless both make the same moves to the same tour. It
+// returns the move count.
+func checkOrOpt(t *testing.T, name string, s *Scratch, pts []geom.Point, tour Tour, seeds []int) int {
+	t.Helper()
+	got, want := slices.Clone(tour), slices.Clone(tour)
+	m := s.OrOpt(pts, got, NewNeighbors(pts), seeds)
+	wm := orOptRef(pts, want, NewNeighbors(pts), seeds)
+	if m != wm || !slices.Equal(got, want) {
+		t.Fatalf("%s: %d moves to %v, reference %d moves to %v", name, m, got, wm, want)
+	}
+	return m
+}
+
+// orOptFamilies returns n-point sets of the shapes Or-opt is pinned on:
+// uniform, clustered, an integer lattice with duplicates (equal costs),
+// one coincident spot, a line, and a uniform field 1e6 m out.
+func orOptFamilies(s *rng.Source, n int) []neighborFamily {
+	lattice := make([]geom.Point, n)
+	clustered := make([]geom.Point, n)
+	line := make([]geom.Point, n)
+	far := make([]geom.Point, n)
+	for i := range lattice {
+		lattice[i] = geom.Pt(float64(s.Intn(6)), float64(s.Intn(6)))
+		if i%25 == 0 {
+			clustered[i] = geom.Pt(s.Uniform(0, 2000), s.Uniform(0, 2000))
+		} else {
+			c := clustered[i-i%25]
+			clustered[i] = geom.Pt(c.X+s.Uniform(-3, 3), c.Y+s.Uniform(-3, 3))
+		}
+		line[i] = geom.Pt(s.Uniform(0, 500), 7)
+		far[i] = geom.Pt(1e6+s.Uniform(0, 300), 1e6+s.Uniform(0, 300))
+	}
+	return []neighborFamily{
+		{"uniform", randPts(s, n, 300)}, {"clustered", clustered}, {"lattice", lattice},
+		{"coincident", randPts(s, n, 0)}, {"collinear", line}, {"offset-1e6", far},
+	}
+}
+
+// TestOrOptMatchesReference pins the once-priced Or-opt to orOptRef:
+// the same moves and the same final tour on every family at n from 5
+// to 3000, from a random order and from a greedy-edge tour, over the
+// whole tour, from no seeds, and from seeds at both array ends, so
+// segments wrap it. One scratch serves every case, so stamps carry over
+// between passes and tours of other sizes, and one case starts with the
+// stamp about to wrap.
+func TestOrOptMatchesReference(t *testing.T) {
+	s := rng.New(71)
+	var sc Scratch
+	moved := 0
+	for _, n := range []int{5, 6, 7, 13, 200, 3000} {
+		for _, fam := range orOptFamilies(s, n) {
+			for _, start := range []string{"random", "greedy"} {
+				tour := Tour(s.Perm(n))
+				if start == "greedy" {
+					tour = GreedyEdge(fam.pts)
+				}
+				ends := []int{tour[n-1], tour[n-2], tour[0], tour[n/2]}
+				for _, seeds := range [][]int{nil, {}, ends} {
+					name := fmt.Sprintf("n=%d/%s/%s/seeds=%v", n, fam.name, start, seeds)
+					moved += checkOrOpt(t, name, &sc, fam.pts, tour, seeds)
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no case made a move")
+	}
+	sc.stamp = math.MaxUint32 - 1
+	pts := randPts(s, 200, 300)
+	if checkOrOpt(t, "stamp wrap", &sc, pts, Tour(s.Perm(200)), nil) == 0 || sc.stamp >= math.MaxUint32-1 {
+		t.Fatalf("the stamp did not wrap in a pass that moved (stamp %d)", sc.stamp)
+	}
+}
+
+// FuzzOrOpt holds OrOpt to orOptRef on decoded inputs. Byte 0 sets the
+// mode: bit 0 moves the field 1e6 m out and bit 1 decodes a seed list,
+// whose length is byte 2 and whose entries (point indices mod n) are the
+// bytes after it; without bit 1 the seed list is nil, the whole tour.
+// Byte 1 rotates the starting tour, the points in their decoded order,
+// so segments cross the array end at different places. Each later pair
+// of bytes is one point (x, y) in metres, so a repeated pair is a
+// coincident point and a repeated y puts points on a line; at most 64
+// points.
+func FuzzOrOpt(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		off := 0.0
+		if data[0]&1 != 0 {
+			off = 1e6
+		}
+		rot, rest := int(data[1]), data[2:]
+		var raw []byte
+		if data[0]&2 != 0 && len(rest) > 0 {
+			k := min(int(rest[0]), len(rest)-1)
+			raw, rest = rest[1:1+k], rest[1+k:]
+		}
+		var pts []geom.Point
+		for k := 0; k+1 < len(rest) && len(pts) < 64; k += 2 {
+			pts = append(pts, geom.Pt(off+float64(rest[k]), off+float64(rest[k+1])))
+		}
+		n := len(pts)
+		if n == 0 {
+			return
+		}
+		var seeds []int
+		if data[0]&2 != 0 {
+			seeds = []int{}
+			for _, b := range raw {
+				seeds = append(seeds, int(b)%n)
+			}
+		}
+		tour := make(Tour, n)
+		for k := range tour {
+			tour[k] = (k + rot) % n
+		}
+		var s Scratch
+		checkOrOpt(t, fmt.Sprintf("%d points, rotation %d, seeds %v", n, rot%n, seeds), &s, pts, tour, seeds)
+	})
+}

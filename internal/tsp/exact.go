@@ -3,12 +3,14 @@ package tsp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mobicol/internal/geom"
 )
 
 // HeldKarpMax is the largest instance HeldKarp accepts: the DP table holds
-// n·2^n float64s, so 18 points cost ~38 MB — the practical ceiling.
+// n·2^(n-1) float64s and as many int8s, so 18 points cost ~21 MB — the
+// practical ceiling.
 const HeldKarpMax = 18
 
 // HeldKarp solves the TSP exactly by Bellman–Held–Karp dynamic programming
@@ -22,62 +24,61 @@ func HeldKarp(pts []geom.Point) (Tour, error) {
 	if n <= 3 {
 		return trivialTour(n), nil
 	}
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		for j := range d[i] {
-			d[i][j] = pts[i].Dist(pts[j])
+	d := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			d[i*n+j] = pts[i].Dist(pts[j])
 		}
 	}
-	// dp[mask][v]: shortest path visiting exactly the set mask (which must
-	// contain 0 and v), starting at 0 and ending at v.
-	size := 1 << uint(n)
-	dp := make([][]float64, size)
-	parent := make([][]int8, size)
-	for m := range dp {
-		dp[m] = make([]float64, n)
-		parent[m] = make([]int8, n)
-		for v := range dp[m] {
-			dp[m][v] = math.Inf(1)
-			parent[m][v] = -1
-		}
+	// Every partial path starts at 0, so the table covers only the masks
+	// that contain it: dp[m*n+v] is the shortest path from 0 through
+	// exactly the set mask = m<<1|1, ending at v, and parent[m*n+v] the
+	// point before v on it (-1 at the start). The relaxation runs in
+	// ascending mask, then v, then w order with a strict <, so a tie
+	// keeps the first path found.
+	half := 1 << uint(n-1)
+	dp := make([]float64, half*n)
+	for k := range dp {
+		dp[k] = math.Inf(1)
 	}
-	dp[1][0] = 0
-	for mask := 1; mask < size; mask++ {
-		if mask&1 == 0 {
-			continue // every partial path starts at 0
-		}
-		for v := 0; v < n; v++ {
-			if mask&(1<<uint(v)) == 0 || math.IsInf(dp[mask][v], 1) {
+	parent := make([]int8, half*n)
+	dp[0], parent[0] = 0, -1
+	for m := 0; m < half; m++ {
+		// The set bits of in are the path's points (0 and m's), those of
+		// out the points it can extend to; both are walked ascending.
+		in, out := uint(m)<<1|1, uint(half-1-m)<<1
+		for vs := in; vs != 0; vs &= vs - 1 {
+			v := bits.TrailingZeros(vs)
+			base := dp[m*n+v]
+			if math.IsInf(base, 1) {
 				continue
 			}
-			base := dp[mask][v]
-			for w := 1; w < n; w++ {
-				if mask&(1<<uint(w)) != 0 {
-					continue
-				}
-				nm := mask | 1<<uint(w)
-				if nd := base + d[v][w]; nd < dp[nm][w] {
-					dp[nm][w] = nd
-					parent[nm][w] = int8(v)
+			dv := d[v*n : v*n+n]
+			for ws := out; ws != 0; ws &= ws - 1 {
+				w := bits.TrailingZeros(ws)
+				k := (m|1<<uint(w-1))*n + w
+				if nd := base + dv[w]; nd < dp[k] {
+					dp[k] = nd
+					parent[k] = int8(v)
 				}
 			}
 		}
 	}
-	full := size - 1
+	full := half - 1
 	bestV, best := -1, math.Inf(1)
 	for v := 1; v < n; v++ {
-		if c := dp[full][v] + d[v][0]; c < best {
+		if c := dp[full*n+v] + d[v*n]; c < best {
 			bestV, best = v, c
 		}
 	}
-	// Reconstruct.
+	// Reconstruct; clearing point v from the mask clears bit v-1 of m
+	// (nothing for v = 0, the start).
 	tour := make(Tour, 0, n)
-	mask, v := full, bestV
+	m, v := full, bestV
 	for v != -1 {
 		tour = append(tour, v)
-		pv := parent[mask][v]
-		mask &^= 1 << uint(v)
+		pv := parent[m*n+v]
+		m &^= 1 << uint(v) >> 1
 		v = int(pv)
 	}
 	// tour is reversed and ends at 0.

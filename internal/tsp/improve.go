@@ -72,6 +72,12 @@ type Scratch struct {
 	dontLook []bool // don't-look bits
 	queue    []int  // work queue of points to (re-)examine
 	reloc    Tour   // relocation splice buffer for wrapping segments
+	// priced[j] == stamp: Or-opt has priced the insertion into the tour
+	// edge after position j for the current anchor and segment length.
+	// stamp only grows, and every entry is cleared when it wraps, so a
+	// stale entry never matches.
+	priced []uint32
+	stamp  uint32
 }
 
 // ensure sizes the buffers for an n-stop tour and resets per-pass state.
@@ -82,6 +88,7 @@ func (s *Scratch) ensure(n int) {
 		s.pos = make([]int, n)
 		s.dontLook = make([]bool, n)
 		s.reloc = make(Tour, 0, n)
+		s.priced = make([]uint32, n)
 	}
 	if cap(s.queue) < n {
 		s.queue = make([]int, 0, n)
@@ -246,6 +253,16 @@ func (s *Scratch) TwoOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int
 // improving moves applied, and allocates nothing in steady state once
 // the caller-owned buffers have grown to the instance size.
 //
+// Each insertion is priced once per anchor and segment length, in the
+// order the edges come from s0's list and then s1's: an edge reached
+// again through another neighbour is skipped, since the tour has not
+// changed since it was priced and found not improving. At length 1 the
+// tail is the head, so its list is scanned once and the two orientations
+// cost the same. The distances from s0 to the ends of the edges its own
+// list names, and their lengths, do not depend on the segment length and
+// are computed once per anchor. The first improving insertion, and so
+// every move and every tour, is the one the full double scan finds.
+//
 //mdglint:hotpath
 func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int) int {
 	n := len(tour)
@@ -254,7 +271,7 @@ func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int)
 	}
 	s.ensure(n)
 	d := func(a, b int) float64 { return pts[a].Dist(pts[b]) }
-	pos, dontLook := s.pos, s.dontLook
+	pos, dontLook, priced := s.pos, s.dontLook, s.priced
 	for i, v := range tour {
 		pos[v] = i
 	}
@@ -265,30 +282,84 @@ func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int)
 
 	improveAt := func(s0 int) bool {
 		i := pos[s0]
+		p0 := tour[n-1]
+		if i > 0 {
+			p0 = tour[i-1]
+		}
+		dp0s0 := d(p0, s0)
+		near := nb.List(s0)
+		// cost[2k+side] holds d(a,s0), d(s0,b) and d(a,b) for the edge
+		// (a,b) after (side 0) or before (side 1) near[k], once known.
+		var known [2 * neighborK]bool
+		var cost [2 * neighborK][3]float64
 		for segLen := 1; segLen <= maxSeg; segLen++ {
-			p0 := tour[(i-1+n)%n]
-			s1 := tour[(i+segLen-1)%n]
-			p1 := tour[(i+segLen)%n]
-			removed := d(p0, s0) + d(s1, p1) - d(p0, p1)
+			e := i + segLen - 1
+			if e >= n {
+				e -= n
+			}
+			s1 := tour[e]
+			if e++; e == n {
+				e = 0
+			}
+			p1 := tour[e]
+			removed := dp0s0 + d(s1, p1) - d(p0, p1)
 			if removed <= 1e-12 {
 				continue
 			}
-			for _, list := range [2][]int{nb.List(s0), nb.List(s1)} {
-				for _, c := range list {
+			if s.stamp++; s.stamp == 0 {
+				clear(s.priced[:cap(s.priced)])
+				s.stamp = 1
+			}
+			lists := [2][]int{near}
+			if segLen > 1 {
+				lists[1] = nb.List(s1)
+			}
+			for l, list := range lists {
+				for k, c := range list {
 					// Anchor on the tour edge after c and the one before
 					// it, so c can serve as either endpoint of the broken
 					// edge.
-					for _, j := range [2]int{pos[c], (pos[c] - 1 + n) % n} {
-						if within(i, segLen, j, n) || (j+1)%n == i {
+					before := pos[c] - 1
+					if before < 0 {
+						before = n - 1
+					}
+					for side, j := range [2]int{pos[c], before} {
+						if priced[j] == s.stamp {
 							continue
 						}
-						a, b := tour[j], tour[(j+1)%n]
-						forward := d(a, s0) + d(s1, b) - d(a, b)
-						backward := d(a, s1) + d(s0, b) - d(a, b)
-						rev := backward < forward
-						added := forward
-						if rev {
-							added = backward
+						priced[j] = s.stamp
+						// Skip an edge inside the segment or just
+						// before it.
+						off := j - i
+						if off < 0 {
+							off += n
+						}
+						if off < segLen || off == n-1 {
+							continue
+						}
+						jb := j + 1
+						if jb == n {
+							jb = 0
+						}
+						a, b := tour[j], tour[jb]
+						var as0, s0b, ab float64
+						if x := 2*k + side; l == 0 && known[x] {
+							as0, s0b, ab = cost[x][0], cost[x][1], cost[x][2]
+						} else {
+							as0, s0b, ab = d(a, s0), d(s0, b), d(a, b)
+							if l == 0 {
+								cost[x], known[x] = [3]float64{as0, s0b, ab}, true
+							}
+						}
+						added, rev := as0+s0b-ab, false
+						if segLen > 1 {
+							forward := as0 + d(s1, b) - ab
+							backward := d(a, s1) + s0b - ab
+							rev = backward < forward
+							added = forward
+							if rev {
+								added = backward
+							}
 						}
 						if added < removed-1e-12 {
 							relocate(tour, pos, i, segLen, j, rev, s.reloc)

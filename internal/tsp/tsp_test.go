@@ -3,6 +3,7 @@ package tsp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -278,6 +279,89 @@ func TestHeldKarpMatchesBruteForce(t *testing.T) {
 		want := bruteForceOpt(pts)
 		if got := hk.Length(pts); math.Abs(float64(got)-want) > 1e-6 {
 			t.Fatalf("HeldKarp %v != brute force %v (n=%d)", got, want, n)
+		}
+	}
+}
+
+// heldKarpRef is the row-per-mask Held–Karp the flat table replaced,
+// kept as its oracle: a [][]float64 and a [][]int8 over every mask.
+func heldKarpRef(pts []geom.Point) Tour {
+	n := len(pts)
+	if n <= 3 {
+		return trivialTour(n)
+	}
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+		for j := range d[i] {
+			d[i][j] = pts[i].Dist(pts[j])
+		}
+	}
+	size := 1 << uint(n)
+	dp := make([][]float64, size)
+	parent := make([][]int8, size)
+	for m := range dp {
+		dp[m] = make([]float64, n)
+		parent[m] = make([]int8, n)
+		for v := range dp[m] {
+			dp[m][v] = math.Inf(1)
+			parent[m][v] = -1
+		}
+	}
+	dp[1][0] = 0
+	for mask := 1; mask < size; mask += 2 {
+		for v := 0; v < n; v++ {
+			if mask&(1<<uint(v)) == 0 || math.IsInf(dp[mask][v], 1) {
+				continue
+			}
+			for w := 1; w < n; w++ {
+				if mask&(1<<uint(w)) != 0 {
+					continue
+				}
+				nm := mask | 1<<uint(w)
+				if nd := dp[mask][v] + d[v][w]; nd < dp[nm][w] {
+					dp[nm][w] = nd
+					parent[nm][w] = int8(v)
+				}
+			}
+		}
+	}
+	full := size - 1
+	bestV, best := -1, math.Inf(1)
+	for v := 1; v < n; v++ {
+		if c := dp[full][v] + d[v][0]; c < best {
+			bestV, best = v, c
+		}
+	}
+	var tour Tour
+	for mask, v := full, bestV; v != -1; {
+		tour = append(tour, v)
+		pv := parent[mask][v]
+		mask &^= 1 << uint(v)
+		v = int(pv)
+	}
+	slices.Reverse(tour)
+	return tour
+}
+
+// TestHeldKarpMatchesReference pins the flat table to the row-per-mask
+// oracle tour for tour, on uniform points and on lattices with
+// duplicates, where equal path lengths make the tie-breaking decide.
+func TestHeldKarpMatchesReference(t *testing.T) {
+	s := rng.New(55)
+	for n := 1; n <= 12; n++ {
+		lattice := make([]geom.Point, n)
+		for i := range lattice {
+			lattice[i] = geom.Pt(float64(s.Intn(3)), float64(s.Intn(3)))
+		}
+		for _, pts := range [][]geom.Point{randPts(s, n, 100), lattice} {
+			got, err := HeldKarp(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := heldKarpRef(pts); !slices.Equal(got, want) {
+				t.Fatalf("n=%d %v: flat table %v, reference %v", n, pts, got, want)
+			}
 		}
 	}
 }
