@@ -82,12 +82,15 @@ cover:
 cover-update:
 	$(GO) test -cover ./... | $(GO) run ./cmd/mdgratchet cover -update
 
-# alloc-bench runs the steady-state hot-path benchmarks with allocation
-# reporting, to read their numbers; the test suite enforces 0 allocs/op
-# (TestHotPathSteadyStateZeroAllocs) and each registered planner's
-# allocations per plan (TestPlanAllocsCeiling).
+# alloc-bench runs the steady-state hot-path benchmarks and one warm
+# round (BenchmarkWarmRound) with allocation reporting, to read their
+# numbers; the test suite enforces 0 allocs/op
+# (TestHotPathSteadyStateZeroAllocs), each registered planner's
+# allocations per plan (TestPlanAllocsCeiling) and the bytes of a warm
+# round and of an shdg plan (TestWarmRoundBytesCeiling,
+# TestPlanBytesCeiling).
 alloc-bench:
-	$(GO) test -run=^$$ -bench=SteadyState -benchmem .
+	$(GO) test -run=^$$ -bench='SteadyState|WarmRound' -benchmem .
 
 # results regenerates RESULTS.txt, the committed snapshot of all
 # seventeen experiment tables at 20 trials/point, in place and fails on

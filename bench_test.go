@@ -188,7 +188,7 @@ func newGridQueries() *gridQueries {
 
 func (g *gridQueries) run() {
 	for i, p := range g.pts {
-		g.idx.NearestK(p, i, g.nbr, g.d2)
+		g.idx.NearestK(p, i, nil, g.nbr, g.d2)
 		g.hits = g.idx.Within(p, 30, g.hits[:0])
 	}
 }
@@ -336,12 +336,12 @@ func TestPlanAllocsCeiling(t *testing.T) {
 		sc      engine.Scenario
 		ceiling float64
 	}{
-		"shdg":      {engine.Scenario{Net: paper}, 84},
-		"visit-all": {engine.Scenario{Net: paper}, 47},
+		"shdg":      {engine.Scenario{Net: paper}, 78},
+		"visit-all": {engine.Scenario{Net: paper}, 43},
 		"cla":       {engine.Scenario{Net: paper}, 13},
-		"sweep":     {engine.Scenario{Net: paper}, 174},
-		"warm":      {engine.Scenario{Net: moved, Prev: base.Tour, Carried: carried}, 69},
-		"exact":     {engine.Scenario{Net: small}, 151},
+		"sweep":     {engine.Scenario{Net: paper}, 169},
+		"warm":      {engine.Scenario{Net: moved, Prev: base.Tour, Carried: carried}, 64},
+		"exact":     {engine.Scenario{Net: small}, 148},
 	}
 	for _, name := range engine.Names() {
 		c, ok := ceilings[name]
@@ -384,44 +384,92 @@ func bytesPerRun(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestWarmRoundBytesCeiling caps the heap bytes of one warm round, as
-// planbench's warm-100k workload runs it: Delta.Apply of a 1 % delta,
-// then the engine's warm plan repairing the base shdg plan, on the
-// seed-1 n = 20k paper-density field (2,828 m square, 30 m range). The
-// ceiling is the count measured when it was set, 1,527,274 to 1,527,301
-// bytes across runs, rounded up past the few bytes the runtime
-// allocates on its own meanwhile; the smallest O(n) array of a round,
-// one byte per stop, is 3.3 KB. TestPlanAllocsCeiling counts objects,
-// so an array that grows or comes back keeps its count; this gate sees
-// its bytes. Lower the ceiling when a change frees bytes.
-func TestWarmRoundBytesCeiling(t *testing.T) {
-	const ceiling = 1_528_000
+// paperField20k is the seed-1 n = 20k paper-density field (2,828 m
+// square, 30 m range) the byte gates and BenchmarkWarmRound plan on.
+func paperField20k() *Network {
+	return MustDeploy(DeployConfig{N: 20_000, FieldSide: 200 * math.Sqrt(200), Range: 30, Seed: 1})
+}
+
+// warmRound returns one warm round as planbench's warm-100k workload
+// runs it, on paperField20k: Delta.Apply of a 1 % delta, then the
+// engine's warm plan repairing the field's base shdg plan.
+func warmRound(tb testing.TB) func() {
+	tb.Helper()
 	ctx := context.Background()
-	nw := MustDeploy(DeployConfig{N: 20_000, FieldSide: 200 * math.Sqrt(200), Range: 30, Seed: 1})
+	nw := paperField20k()
+	shdg, err := engine.Select("shdg")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	warm, err := engine.Select("warm")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base, _, err := shdg.Plan(ctx, engine.Scenario{Net: nw}, engine.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := replan.Perturb(nw, 0.01, 2)
+	return func() {
+		moved, carried, err := d.Apply(nw, base.Tour.UploadAt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, _, err := warm.Plan(ctx, engine.Scenario{Net: moved, Prev: base.Tour, Carried: carried}, engine.Options{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarmRound reports one warm round's time, bytes and
+// allocations (warmRound), so a round's B/op can be read without
+// planbench.
+func BenchmarkWarmRound(b *testing.B) {
+	round := warmRound(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+// TestWarmRoundBytesCeiling caps the heap bytes of one warm round
+// (warmRound). The ceiling is the count measured when it was set,
+// 1,003,906 to 1,003,917 bytes across runs, rounded up past the few
+// bytes the runtime allocates on its own meanwhile; the smallest O(n)
+// array of a round, one byte per stop, is 3.3 KB. TestPlanAllocsCeiling
+// counts objects, so an array that grows or comes back keeps its count;
+// this gate sees its bytes. Lower the ceiling when a change frees bytes.
+func TestWarmRoundBytesCeiling(t *testing.T) {
+	const ceiling = 1_005_000
+	b := bytesPerRun(3, warmRound(t))
+	t.Logf("one warm round allocates %d bytes", b)
+	if b > ceiling {
+		t.Errorf("one warm round allocates %d bytes, above its ceiling of %d", b, ceiling)
+	}
+}
+
+// TestPlanBytesCeiling caps the heap bytes of one zero-option shdg
+// engine plan on paperField20k, as TestWarmRoundBytesCeiling caps a
+// round's: a plan copies the sensor positions once, and every grid it
+// builds has one cell table. The ceiling is the count measured when it
+// was set, 7,954,834 to 7,954,840 bytes, rounded up past the bytes the
+// runtime allocates meanwhile.
+func TestPlanBytesCeiling(t *testing.T) {
+	const ceiling = 7_956_000
+	ctx := context.Background()
+	nw := paperField20k()
 	shdg, err := engine.Select("shdg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := engine.Select("warm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _, err := shdg.Plan(ctx, engine.Scenario{Net: nw}, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := replan.Perturb(nw, 0.01, 2)
 	b := bytesPerRun(3, func() {
-		moved, carried, err := d.Apply(nw, base.Tour.UploadAt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := warm.Plan(ctx, engine.Scenario{Net: moved, Prev: base.Tour, Carried: carried}, engine.Options{}); err != nil {
+		if _, _, err := shdg.Plan(ctx, engine.Scenario{Net: nw}, engine.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("one warm round allocates %d bytes", b)
+	t.Logf("one shdg plan allocates %d bytes", b)
 	if b > ceiling {
-		t.Errorf("one warm round allocates %d bytes, above its ceiling of %d", b, ceiling)
+		t.Errorf("one shdg plan allocates %d bytes, above its ceiling of %d", b, ceiling)
 	}
 }

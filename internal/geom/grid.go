@@ -9,14 +9,13 @@ import "math"
 // lists of an N-sensor field costs O(N) with a cell size equal to the
 // transmission range, versus O(N²) for the naive double loop.
 //
-// Internally the index stores the points twice: once as the caller's
-// []Point (for identity) and once as flat xs/ys coordinate slices
-// grouped by cell in CSR layout (cellStart/order). Cells are numbered
-// row-major, so a row of cells is one contiguous coordinate range that
-// a query scans in one loop, allocation-free.
+// Internally the index holds its own copy of the coordinates, as flat
+// xs/ys slices grouped by cell in CSR layout (cellStart/order), and no
+// reference to the caller's points. Cells are numbered row-major, so a
+// row of cells is one contiguous coordinate range that a query scans in
+// one loop, allocation-free.
 type GridIndex struct {
 	cell float64
-	pts  []Point
 	minX float64
 	minY float64
 	cols int
@@ -34,15 +33,15 @@ type GridIndex struct {
 // is capped near 4 cells per point (plus slack for tiny n): a cell size
 // far below the points' spacing grows the cell instead, so the table
 // stays O(n) for any cell size and extent. Queries return the same
-// point sets whatever the cell size. The index keeps a reference to
-// pts; callers must not mutate the slice afterwards.
+// point sets whatever the cell size. The index copies the coordinates
+// it needs, so pts stays the caller's.
 func NewGridIndex(pts []Point, cell float64) *GridIndex {
 	if !(cell > 0) {
 		//mdglint:ignore nopanic documented precondition; cell sizes are positive literals or ranges in all callers
 		panic("geom: NewGridIndex with non-positive cell size")
 	}
 	if len(pts) == 0 {
-		return &GridIndex{cell: cell, pts: pts, cols: 1, rows: 1, cellStart: make([]int32, 2)}
+		return &GridIndex{cell: cell, cols: 1, rows: 1, cellStart: make([]int32, 2)}
 	}
 	return newGridIndex(pts, cell, Bound(pts))
 }
@@ -50,34 +49,34 @@ func NewGridIndex(pts []Point, cell float64) *GridIndex {
 // newGridIndex is NewGridIndex over non-empty pts whose bounding box b
 // the caller has computed, so a builder that sized the cell from b does
 // not scan the points for it again.
-//
-//mdglint:allow-mut(initializes only the index's freshly allocated CSR arrays; pts is retained read-only by NewGridIndex's documented contract)
 func newGridIndex(pts []Point, cell float64, b Rect) *GridIndex {
-	g := &GridIndex{cell: cell, pts: pts}
+	g := &GridIndex{cell: cell}
 	span := math.Max(b.Max.X-b.Min.X, b.Max.Y-b.Min.Y)
 	g.cell = math.Max(cell, span/math.Sqrt(4*float64(len(pts))+64))
 	g.minX, g.minY = b.Min.X, b.Min.Y
 	g.cols = int(math.Floor((b.Max.X-b.Min.X)/g.cell)) + 1
 	g.rows = int(math.Floor((b.Max.Y-b.Min.Y)/g.cell)) + 1
-	// Counting sort by cell key. Appending point indices in input order
-	// keeps each cell's bucket ascending, matching the map-of-slices
-	// construction this replaces bit for bit.
+	// Counting sort by cell key. Each cell's slot first counts its
+	// points, then, after running sums, holds the cell's end; placing
+	// the points in reverse input order, each at its cell's slot less
+	// one, leaves every slot at its cell's start and every bucket
+	// ascending by point index.
 	cells := g.cols * g.rows
 	g.cellStart = make([]int32, cells+1)
 	for _, p := range pts {
-		g.cellStart[g.key(p)+1]++
+		g.cellStart[g.key(p)]++
 	}
-	for k := 0; k < cells; k++ {
-		g.cellStart[k+1] += g.cellStart[k]
+	for k := 1; k <= cells; k++ {
+		g.cellStart[k] += g.cellStart[k-1]
 	}
 	g.order = make([]int32, len(pts))
 	g.xs = make([]float64, len(pts))
 	g.ys = make([]float64, len(pts))
-	fill := make([]int32, cells)
-	for i, p := range pts {
+	for i := len(pts) - 1; i >= 0; i-- {
+		p := pts[i]
 		k := g.key(p)
-		at := g.cellStart[k] + fill[k]
-		fill[k]++
+		g.cellStart[k]--
+		at := g.cellStart[k]
 		g.order[at] = int32(i)
 		g.xs[at] = p.X
 		g.ys[at] = p.Y
@@ -228,16 +227,17 @@ func (g *GridIndex) Nearest(q Point, skip func(i int) bool) int {
 }
 
 // NearestK writes to nbr the indices of the len(nbr) indexed points
-// nearest q, leaving out self (-1 leaves out none), in ascending
-// (squared distance, index) order, and their squared distances to the
-// same slots of d2, which must be at least as long. It returns how many
-// it wrote: len(nbr), or every other indexed point when there are
-// fewer. The query walks cell rings outward from q's cell and touches
-// only rings that could still hold a point beating the k-th.
+// nearest q, leaving out self (-1 leaves out none) and, when skip is
+// non-nil, every point it reports, in ascending (squared distance,
+// index) order, and their squared distances to the same slots of d2,
+// which must be at least as long. It returns how many it wrote:
+// len(nbr), or every point not left out when there are fewer. The query
+// walks cell rings outward from q's cell and touches only rings that
+// could still hold a point beating the k-th.
 //
 //mdglint:hotpath
-func (g *GridIndex) NearestK(q Point, self int, nbr []int, d2 []float64) int {
-	return g.nearest(q, self, nil, nbr, d2)
+func (g *GridIndex) NearestK(q Point, self int, skip func(i int) bool, nbr []int, d2 []float64) int {
+	return g.nearest(q, self, skip, nbr, d2)
 }
 
 // nearest is NearestK with an optional skip predicate (Nearest's). It
@@ -299,6 +299,8 @@ func (g *GridIndex) scanK(q Point, self int, skip func(int) bool, s, e int32, m 
 		if j == self || (skip != nil && skip(j)) {
 			continue
 		}
+		// InsertNearest's merge, inline: a call here costs
+		// BenchmarkGridIndexNearestKSteadyState about 3 %.
 		at := m
 		if m < k {
 			m++
@@ -311,6 +313,32 @@ func (g *GridIndex) scanK(q Point, self int, skip func(int) bool, s, e int32, m 
 		}
 		nbr[at], d2[at] = j, dd
 	}
+	return m
+}
+
+// InsertNearest merges point j at squared distance dd into the m
+// entries of nbr/d2, which hold at most len(nbr) points ascending by
+// (squared distance, index) as NearestK writes them, and returns the
+// new count. A point that does not beat the last of a full list is
+// left out. A caller that merges points from several sources into one
+// list computes dd as NearestK does, dx*dx + dy*dy over the coordinate
+// differences, so equal distances tie exactly.
+func InsertNearest(nbr []int, d2 []float64, m, j int, dd float64) int {
+	k := len(nbr)
+	if m == k && (dd > d2[k-1] || (dd == d2[k-1] && j > nbr[k-1])) {
+		return m
+	}
+	at := m
+	if m < k {
+		m++
+	} else {
+		at = k - 1
+	}
+	for at > 0 && (d2[at-1] > dd || (d2[at-1] == dd && nbr[at-1] > j)) {
+		nbr[at], d2[at] = nbr[at-1], d2[at-1]
+		at--
+	}
+	nbr[at], d2[at] = j, dd
 	return m
 }
 
@@ -343,4 +371,4 @@ func (g *GridIndex) NearestWithin(q Point, r float64) (int, float64) {
 }
 
 // Len returns the number of indexed points.
-func (g *GridIndex) Len() int { return len(g.pts) }
+func (g *GridIndex) Len() int { return len(g.order) }

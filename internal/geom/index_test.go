@@ -1,7 +1,9 @@
 package geom
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -241,6 +243,90 @@ func TestGridIndexForDense(t *testing.T) {
 	sparse := randPoints(s, 20, 200)
 	if g := NewGridIndexFor(sparse, 30); g.cell != 30 {
 		t.Fatalf("sparse field should keep radius-sized cell, got %v", g.cell)
+	}
+}
+
+// newGridIndexRef is NewGridIndex as it was built before the grid
+// dropped its per-cell fill table: a counting sort whose second pass
+// fills each cell front to back, in input order. It is the reference
+// the build is held to, field for field.
+func newGridIndexRef(pts []Point, cell float64) *GridIndex {
+	if len(pts) == 0 {
+		return &GridIndex{cell: cell, cols: 1, rows: 1, cellStart: make([]int32, 2)}
+	}
+	b := Bound(pts)
+	g := &GridIndex{cell: cell}
+	span := math.Max(b.Max.X-b.Min.X, b.Max.Y-b.Min.Y)
+	g.cell = math.Max(cell, span/math.Sqrt(4*float64(len(pts))+64))
+	g.minX, g.minY = b.Min.X, b.Min.Y
+	g.cols = int(math.Floor((b.Max.X-b.Min.X)/g.cell)) + 1
+	g.rows = int(math.Floor((b.Max.Y-b.Min.Y)/g.cell)) + 1
+	cells := g.cols * g.rows
+	g.cellStart = make([]int32, cells+1)
+	for _, p := range pts {
+		g.cellStart[g.key(p)+1]++
+	}
+	for k := 0; k < cells; k++ {
+		g.cellStart[k+1] += g.cellStart[k]
+	}
+	g.order = make([]int32, len(pts))
+	g.xs = make([]float64, len(pts))
+	g.ys = make([]float64, len(pts))
+	fill := make([]int32, cells)
+	for i, p := range pts {
+		k := g.key(p)
+		at := g.cellStart[k] + fill[k]
+		fill[k]++
+		g.order[at] = int32(i)
+		g.xs[at] = p.X
+		g.ys[at] = p.Y
+	}
+	return g
+}
+
+// sameGrid fails unless got and want have the same cell geometry and
+// CSR arrays, coordinates bit for bit.
+func sameGrid(t *testing.T, got, want *GridIndex, what string) {
+	t.Helper()
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	switch {
+	case math.Float64bits(got.cell) != math.Float64bits(want.cell):
+		t.Fatalf("%s: cell %v, reference %v", what, got.cell, want.cell)
+	case math.Float64bits(got.minX) != math.Float64bits(want.minX) || math.Float64bits(got.minY) != math.Float64bits(want.minY):
+		t.Fatalf("%s: origin (%v, %v), reference (%v, %v)", what, got.minX, got.minY, want.minX, want.minY)
+	case got.cols != want.cols || got.rows != want.rows:
+		t.Fatalf("%s: %dx%d cells, reference %dx%d", what, got.cols, got.rows, want.cols, want.rows)
+	case !slices.Equal(got.cellStart, want.cellStart):
+		t.Fatalf("%s: cellStart %v, reference %v", what, got.cellStart, want.cellStart)
+	case !slices.Equal(got.order, want.order):
+		t.Fatalf("%s: order %v, reference %v", what, got.order, want.order)
+	case !slices.Equal(bits(got.xs), bits(want.xs)) || !slices.Equal(bits(got.ys), bits(want.ys)):
+		t.Fatalf("%s: coordinates differ from the reference", what)
+	}
+}
+
+// TestGridIndexMatchesReference holds every constructor's build to
+// newGridIndexRef at the cell size the constructor chose, on uniform,
+// lattice (integer points with duplicates, many on cell borders),
+// clustered, collinear, coincident and offset points (1e6 and 1e17 m
+// from the origin), one point and no points.
+func TestGridIndexMatchesReference(t *testing.T) {
+	s := rng.New(44)
+	offset := make([]Point, 200)
+	for i := range offset {
+		offset[i] = Pt(1e6+s.Uniform(0, 150), -1e6+s.Uniform(0, 150))
+	}
+	fams := append(queryFamilies(s), queryFamily{"offset-1e6", offset}, queryFamily{"single", []Point{Pt(3, 4)}}, queryFamily{"empty", nil})
+	for _, fam := range fams {
+		for gi, g := range indexesFor(fam.pts) {
+			sameGrid(t, g, newGridIndexRef(fam.pts, g.cell), fmt.Sprintf("%s/index %d", fam.name, gi))
+		}
 	}
 }
 

@@ -129,7 +129,7 @@ func TestNearestKMatchesBrute(t *testing.T) {
 				for _, k := range []int{1, 5, 12, n - 1, n, n + 3} {
 					nbr := make([]int, k)
 					d2 := make([]float64, k)
-					m := g.NearestK(q, selves[qi], nbr, d2)
+					m := g.NearestK(q, selves[qi], nil, nbr, d2)
 					want := bruteNearestK(fam.pts, q, selves[qi], k)
 					what := fmt.Sprintf("%s/index %d (cell %v) query %d %v self %d k=%d", fam.name, gi, g.cell, qi, q, selves[qi], k)
 					if !slices.Equal(nbr[:m], want) {
@@ -138,6 +138,59 @@ func TestNearestKMatchesBrute(t *testing.T) {
 					for j, i := range want {
 						if d2[j] != fam.pts[i].Dist2(q) {
 							t.Fatalf("%s: d2[%d] = %v, want %v", what, j, d2[j], fam.pts[i].Dist2(q))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNearestKSkipThenInsertMatchesBrute pins the pattern tsp's shared
+// neighbour lists follow: NearestK with a skip predicate equals brute
+// force over the points it keeps, and merging the skipped points back
+// with InsertNearest, in shuffled order, gives brute force over all of
+// them, on every family, cell size and query.
+func TestNearestKSkipThenInsertMatchesBrute(t *testing.T) {
+	s := rng.New(32)
+	for _, fam := range queryFamilies(s) {
+		qs, selves := queriesFor(s, fam.pts)
+		n := len(fam.pts)
+		skipped := func(i int) bool { return i%3 == 1 }
+		var kept []Point
+		var keptAt []int
+		for i, p := range fam.pts {
+			if !skipped(i) {
+				kept, keptAt = append(kept, p), append(keptAt, i)
+			}
+		}
+		for gi, g := range indexesFor(fam.pts) {
+			for qi, q := range qs {
+				self := selves[qi]
+				for _, k := range []int{1, 5, 12, n} {
+					nbr := make([]int, k)
+					d2 := make([]float64, k)
+					what := fmt.Sprintf("%s/index %d query %d %v self %d k=%d", fam.name, gi, qi, q, self, k)
+					m := g.NearestK(q, self, skipped, nbr, d2)
+					keptSelf := slices.Index(keptAt, self)
+					var want []int
+					for _, x := range bruteNearestK(kept, q, keptSelf, k) {
+						want = append(want, keptAt[x])
+					}
+					if !slices.Equal(nbr[:m], want) {
+						t.Fatalf("%s: NearestK with skip = %v, brute %v", what, nbr[:m], want)
+					}
+					for _, j := range s.Perm(n) {
+						if skipped(j) && j != self {
+							m = InsertNearest(nbr, d2, m, j, fam.pts[j].Dist2(q))
+						}
+					}
+					if want := bruteNearestK(fam.pts, q, self, k); !slices.Equal(nbr[:m], want) {
+						t.Fatalf("%s: merged = %v, brute %v", what, nbr[:m], want)
+					}
+					for x, j := range nbr[:m] {
+						if d2[x] != fam.pts[j].Dist2(q) {
+							t.Fatalf("%s: d2[%d] = %v, want %v", what, x, d2[x], fam.pts[j].Dist2(q))
 						}
 					}
 				}
@@ -176,8 +229,9 @@ func TestGridIndexQueriesMatchBrute(t *testing.T) {
 }
 
 // FuzzGridIndexQueries decodes bytes into at most 64 points, a query, a
-// radius, k and an index constructor, and holds Within, NearestWithin,
-// Nearest and NearestK to brute force. The header picks a coordinate
+// radius, k and an index constructor, holds the build to
+// newGridIndexRef and Within, NearestWithin, Nearest and NearestK to
+// brute force. The header picks a coordinate
 // scale and offset (down to 1e-9 m cells, up to a 1e17 offset and
 // 1e100-scale fields) so lattice ties, coincident points, offset fields
 // and radii far past the field all occur; the committed corpus under
@@ -218,6 +272,7 @@ func FuzzGridIndexQueries(f *testing.F) {
 		default:
 			g = NewGridIndexFor(pts, scale*(1+float64(build%11)))
 		}
+		sameGrid(t, g, newGridIndexRef(pts, g.cell), "build")
 		self := -1
 		if n > 0 && build%2 == 1 {
 			self = int(build) % n
@@ -232,7 +287,7 @@ func FuzzGridIndexQueries(f *testing.F) {
 		}
 		nbr := make([]int, k)
 		d2 := make([]float64, k)
-		m := g.NearestK(q, self, nbr, d2)
+		m := g.NearestK(q, self, nil, nbr, d2)
 		if want := bruteNearestK(pts, q, self, k); !slices.Equal(nbr[:m], want) {
 			t.Fatalf("NearestK(k=%d, self=%d) = %v, brute %v", k, self, nbr[:m], want)
 		}

@@ -129,7 +129,7 @@ func assemble(sink geom.Point, stops []geom.Point, segments [][]int) *MultiPlan 
 		for _, s := range seg {
 			segPts = append(segPts, stops[s])
 		}
-		tour, _ := tsp.Improve(segPts, tsp.DefaultOptions(), nil)
+		tour, _ := tsp.Improve(segPts, nil, tsp.DefaultOptions(), nil)
 		tour.RotateTo(0)
 		ordered := make([]geom.Point, 0, len(seg))
 		for _, idx := range tour[1:] {

@@ -108,8 +108,11 @@ func Repair(ctx context.Context, nw *wsn.Network, prev *collector.TourPlan, carr
 	// Phase 2 — rehome: a dirty sensor that drifted into range of some
 	// other existing stop needs no new stop, just a new assignment.
 	spRehome := root.Child("rehome")
-	var stopIdx *geom.GridIndex // also finds each new stop's nearest stop in the splice phase
-	if len(dirty) > 0 && m > 0 {
+	// One grid over the previous stops serves the round: it rehomes the
+	// dirty sensors, finds each new stop's nearest surviving stop in the
+	// splice phase and answers the improve phase's neighbour lists.
+	var stopIdx *geom.GridIndex
+	if len(dirty) > 0 {
 		stopIdx = geom.NewGridIndexFor(prev.Stops, nw.Range)
 		rehomed := par.Map(opts.Pool, len(dirty), func(k int) int {
 			s, _ := stopIdx.NearestWithin(nw.Nodes[dirty[k]].Pos, nw.Range)
@@ -164,24 +167,23 @@ func Repair(ctx context.Context, nw *wsn.Network, prev *collector.TourPlan, carr
 	}
 
 	// Phase 4 — eject: drop previous stops that served sensors before and
-	// serve none now. Previous load comes from the plan itself (not from
-	// carried, which has already lost removed sensors); stops that were
-	// load-free in the previous plan stay, preserving the Δ=∅ identity
-	// even for plans carrying idle stops.
-	loadPrev := make([]int, m)
+	// serve none now. Previous service comes from the plan itself (not
+	// from carried, which has already lost removed sensors); stops that
+	// were load-free in the previous plan stay, preserving the Δ=∅
+	// identity even for plans carrying idle stops.
+	eject := make([]bool, m)
 	for _, s := range prev.UploadAt {
 		if s >= 0 && s < m {
-			loadPrev[s]++
+			eject[s] = true
 		}
 	}
-	loadNew := make([]int, m+len(newStops))
 	for _, s := range assign {
-		loadNew[s]++
+		if s < m {
+			eject[s] = false
+		}
 	}
-	eject := make([]bool, m)
-	for j := 0; j < m; j++ {
-		if loadNew[j] == 0 && loadPrev[j] > 0 {
-			eject[j] = true
+	for _, e := range eject {
+		if e {
 			st.Ejected++
 		}
 	}
@@ -192,18 +194,17 @@ func Repair(ctx context.Context, nw *wsn.Network, prev *collector.TourPlan, carr
 	// touched collects the stop ids whose tour neighbourhood changed;
 	// they seed the local search below.
 	spSplice := root.Child("splice")
-	allStops := append(append(make([]geom.Point, 0, m+len(newStops)), prev.Stops...), newStops...)
+	stops := m + len(newStops)
 	anchor := make([]int, len(newStops))
 	fresh := make([]int, len(newStops))
 	for k, q := range newStops {
-		anchor[k], fresh[k] = -1, m+k
-		if stopIdx != nil {
-			anchor[k] = stopIdx.Nearest(q, func(j int) bool { return eject[j] })
-		}
+		// New stops come only from dirty sensors, so the rehome phase
+		// built stopIdx; over no previous stops it finds none (-1).
+		anchor[k], fresh[k] = stopIdx.Nearest(q, func(j int) bool { return eject[j] }), m+k
 	}
 	slices.SortStableFunc(fresh, func(a, b int) int { return anchor[a-m] - anchor[b-m] })
-	order := make([]int, 0, len(allStops))
-	touched := make([]bool, len(allStops))
+	order := make([]int, 0, stops)
+	touched := make([]bool, stops)
 	placeAfter := func(j int) {
 		for len(fresh) > 0 && anchor[fresh[0]-m] == j {
 			order = append(order, fresh[0])
@@ -248,12 +249,16 @@ func Repair(ctx context.Context, nw *wsn.Network, prev *collector.TourPlan, carr
 
 	// Phase 6 — improve: one seeded tsp.Improve around the touched
 	// stops. Tour points: index 0 is the sink, 1..k the stops in visit
-	// order.
+	// order, the round's one copy of the stop positions.
 	spImprove := root.Child("improve")
-	pts := make([]geom.Point, 0, len(order)+1)
-	pts = append(pts, nw.Sink)
+	pts := make([]geom.Point, 1, len(order)+1)
+	pts[0] = nw.Sink
 	for _, g := range order {
-		pts = append(pts, allStops[g])
+		if g < m {
+			pts = append(pts, prev.Stops[g])
+		} else {
+			pts = append(pts, newStops[g-m])
+		}
 	}
 	// An ejection touches at most two stops and a new stop three.
 	seeds := make([]int, 0, 3*(2*st.Ejected+3*st.NewStops))
@@ -264,29 +269,54 @@ func Repair(ctx context.Context, nw *wsn.Network, prev *collector.TourPlan, carr
 			seeds = append(seeds, i, i+1, (i+2)%len(pts))
 		}
 	}
-	// The passes read the neighbour lists of only the points they
-	// examine, so only those lists are computed.
-	tour, moves := tsp.Improve(pts, tsp.DefaultOptions(), seeds)
+	// pos[g] is stop g's index in pts while the passes run, and its
+	// visit position once they are done.
+	pos := make([]int32, stops)
+	var nb *tsp.Neighbors
+	if len(seeds) > 0 {
+		// The passes read the neighbour lists of only the points they
+		// examine, through stopIdx: the survivors keep their previous
+		// order in pts, so the grid ranks them as pts does, and the
+		// sink and the new stops get a grid of their own.
+		if stopIdx == nil {
+			stopIdx = geom.NewGridIndexFor(prev.Stops, nw.Range)
+		}
+		for j := range pos[:m] {
+			pos[j] = -1
+		}
+		for i, g := range order {
+			pos[g] = int32(i + 1)
+		}
+		nb = tsp.NeighborsOn(pts, stopIdx, pos[:m], len(seeds))
+	}
+	tour, moves := tsp.Improve(pts, nb, tsp.DefaultOptions(), seeds)
 	tour.RotateTo(0)
 	st.Moves = moves
 	spImprove.SetInt("moves", int64(st.Moves))
 	spImprove.End()
 
-	// Reassemble: visit order from the improved tour, assignment remapped
-	// in place from global stop ids to visit positions.
-	finalStops := make([]geom.Point, 0, len(order))
-	finalPos := make([]int, len(allStops))
-	for i := range finalPos {
-		finalPos[i] = -1
-	}
-	for _, ti := range tour[1:] {
-		finalPos[order[ti-1]] = len(finalStops)
-		finalStops = append(finalStops, pts[ti])
+	// Reassemble in place: the assignment is remapped from global stop
+	// ids to visit positions, and pts is permuted into visit order behind
+	// the sink (tour[0] = 0), one cycle of the tour at a time, so it
+	// becomes the plan's stops. No sensor uploads at an ejected stop, so
+	// its stale entry is never read.
+	for k, ti := range tour[1:] {
+		pos[order[ti-1]] = int32(k)
 	}
 	for i, s := range assign {
-		assign[i] = finalPos[s]
+		assign[i] = int(pos[s])
 	}
-	root.SetInt("stops", int64(len(finalStops)))
+	for k := range tour {
+		// Slot j takes pts[tour[j]]; tour[j] = j marks it filled.
+		first, j := pts[k], k
+		for tour[j] != k {
+			next := tour[j]
+			pts[j], tour[j] = pts[next], j
+			j = next
+		}
+		pts[j], tour[j] = first, j
+	}
+	root.SetInt("stops", int64(len(order)))
 	root.SetInt("dirty", int64(st.Dirty()))
-	return &collector.TourPlan{Sink: nw.Sink, Stops: finalStops, UploadAt: assign}, st, nil
+	return &collector.TourPlan{Sink: nw.Sink, Stops: pts[1:], UploadAt: assign}, st, nil
 }

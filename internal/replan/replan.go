@@ -22,11 +22,13 @@
 // around the touched tour segments only. Its Or-opt pass moves each new
 // stop on to a cheaper slot beside its nearest stops.
 //
-// A round's cost follows the delta, not the tour. The splice finds each
-// new stop's nearest stop through the rehome grid. The seeded passes
-// compute the neighbour lists of only the points they examine, and an
-// Or-opt move shifts only the stops between the segment and its new
-// place.
+// A round's cost follows the delta, not the tour. One grid over the
+// previous stops serves the round: the rehome phase, each new stop's
+// nearest surviving stop and the neighbour lists of the seeded passes,
+// which compute the lists of only the points they examine. The round
+// copies the stop positions once, into the tour the passes improve,
+// which is permuted in place into the plan's stops, and an Or-opt move
+// shifts only the stops between the segment and its new place.
 package replan
 
 import (
@@ -64,8 +66,7 @@ type Delta struct {
 // walk of the nodes against a sorted copy of Removed, and each move
 // finds its survivor's slot by binary search in that copy, so the cost
 // is O(n + |Δ| log |Δ|) and the delta's own slices are left as they are.
-// The nodes are written once, straight into the new network, with the
-// IDs wsn.New gives them: each equals its index.
+// The nodes are written once, straight into the new network.
 func (d Delta) Apply(prev *wsn.Network, prevUpload []int) (*wsn.Network, []int, error) {
 	n := prev.N()
 	if len(prevUpload) != n {
@@ -95,7 +96,7 @@ func (d Delta) Apply(prev *wsn.Network, prevUpload []int) (*wsn.Network, []int, 
 			next = next[1:]
 			continue
 		}
-		nodes = append(nodes, wsn.Node{ID: len(nodes), Pos: node.Pos})
+		nodes = append(nodes, node)
 		carried = append(carried, prevUpload[i])
 	}
 	// Survivor i sits at i minus the removals below it. Moves apply in
@@ -106,7 +107,7 @@ func (d Delta) Apply(prev *wsn.Network, prevUpload []int) (*wsn.Network, []int, 
 		}
 	}
 	for _, p := range d.Added {
-		nodes = append(nodes, wsn.Node{ID: len(nodes), Pos: p})
+		nodes = append(nodes, wsn.Node{Pos: p})
 		carried = append(carried, -1)
 	}
 	return &wsn.Network{Nodes: nodes, Sink: prev.Sink, Range: prev.Range, Field: prev.Field}, carried, nil

@@ -340,9 +340,8 @@ func TestDeltaApplyMatchesMapReference(t *testing.T) {
 }
 
 // TestApplyMatchesNew: the network Apply writes in one pass is the one
-// wsn.New builds over the post-delta positions, node for node (IDs equal
-// to indices) with the same sink, range and field, and its lazy index
-// answers like New's.
+// wsn.New builds over the post-delta positions, node for node, with the
+// same sink, range and field, and its lazy index answers like New's.
 func TestApplyMatchesNew(t *testing.T) {
 	nw := deploy(40, 200, 30, 9)
 	upload := make([]int, nw.N())

@@ -26,11 +26,11 @@ func PlanCapacitated(p *Problem, cap int) (*Solution, error) {
 	if cap <= 0 {
 		return nil, fmt.Errorf("shdgp: capacity must be positive, got %d", cap)
 	}
-	inst, err := p.Instance()
+	sensors := p.Net.Positions()
+	inst, err := p.Instance(sensors)
 	if err != nil {
 		return nil, err
 	}
-	sensors := p.Net.Positions()
 
 	uncovered := bitset.New(inst.Universe)
 	uncovered.Fill()
@@ -118,11 +118,11 @@ func (s *Solution) ValidateCapacity(cap int) error {
 // consecutive stops spatially coherent, which the final TSP pass then
 // exploits. It exists as an E8 ablation point against the global greedy.
 func PlanSweep(p *Problem, opts tsp.Options) (*Solution, error) {
-	inst, err := p.Instance()
+	sensors := p.Net.Positions()
+	inst, err := p.Instance(sensors)
 	if err != nil {
 		return nil, err
 	}
-	sensors := p.Net.Positions()
 	if len(sensors) == 0 {
 		return nil, fmt.Errorf("shdgp: empty network")
 	}
@@ -147,7 +147,7 @@ func PlanSweep(p *Problem, opts tsp.Options) (*Solution, error) {
 			uncovered.Remove(int(sv))
 		}
 	}
-	sol := buildSolution(p, inst, chosen, tsp.Solve, opts, "shdg-sweep")
+	sol := buildSolution(p, sensors, inst, chosen, tsp.Solve, opts, "shdg-sweep")
 	return sol, nil
 }
 

@@ -56,7 +56,7 @@ func dropRedundantOracle(inst *cover.Instance, chosen *[]int) bool {
 func TestDropRedundantMatchesOracle(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		p := deploy(180, 220, 30, seed)
-		inst, err := p.Instance()
+		inst, err := p.Instance(p.Net.Positions())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -150,7 +150,7 @@ func relocateStopsOracle(p *Problem, inst *cover.Instance, chosen *[]int) int {
 func TestRelocateStopsMatchesOracle(t *testing.T) {
 	for seed := uint64(10); seed < 16; seed++ {
 		p := deploy(160, 240, 30, seed)
-		inst, err := p.Instance()
+		inst, err := p.Instance(p.Net.Positions())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -258,7 +258,7 @@ func TestRelocateStopsMatchesFullScan(t *testing.T) {
 		nw := wsn.MustDeploy(f.cfg)
 		for _, strategy := range f.strategies {
 			p := &Problem{Net: nw, Strategy: strategy}
-			inst, err := p.Instance()
+			inst, err := p.Instance(p.Net.Positions())
 			if err != nil {
 				t.Fatalf("%s/%v: %v", f.name, strategy, err)
 			}

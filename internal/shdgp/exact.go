@@ -76,7 +76,8 @@ func exactTSP() tsp.Options {
 // the chosen stops q. On a line the MST is half the tour and prunes
 // little; the per-sensor bound is what ends the search there.
 func PlanExact(ctx context.Context, p *Problem) (*Solution, error) {
-	instFull, err := p.Instance()
+	sensors := p.Net.Positions()
+	instFull, err := p.Instance(sensors)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func PlanExact(ctx context.Context, p *Problem) (*Solution, error) {
 	for i, c := range bestChosen {
 		mapped[i] = orig[c]
 	}
-	sol := buildSolution(p, instFull, mapped, tsp.Solve, exactTSP(), "exact")
+	sol := buildSolution(p, sensors, instFull, mapped, tsp.Solve, exactTSP(), "exact")
 	sol.Exact = exact
 	return sol, nil
 }
@@ -244,7 +245,7 @@ func searchCovers(ctx context.Context, inst *cover.Instance, sink geom.Point, in
 // reports whether the search closed). It is used by the E1 experiment to
 // verify the combinatorial exact search against an independent solver.
 func MinStopsILP(p *Problem) (int, bool, error) {
-	full, err := p.Instance()
+	full, err := p.Instance(p.Net.Positions())
 	if err != nil {
 		return 0, false, err
 	}

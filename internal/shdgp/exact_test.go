@@ -54,7 +54,7 @@ func TestPlanExactMatchesBruteForce(t *testing.T) {
 				name := fmt.Sprintf("%v/%v/seed%d", pl, st, seed)
 				nw := wsn.MustDeploy(wsn.Config{N: 8, FieldSide: 100, Range: 25, Placement: pl, Seed: seed})
 				p := &Problem{Net: nw, Strategy: st}
-				full, err := p.Instance()
+				full, err := p.Instance(p.Net.Positions())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +100,7 @@ func TestPlanExactCertifiesPrunedCandidatesOnly(t *testing.T) {
 	ctx := context.Background()
 	nw := wsn.MustDeploy(wsn.Config{N: 8, FieldSide: 150, Range: 20, Placement: wsn.Clustered, Seed: 3})
 	p := &Problem{Net: nw, Strategy: cover.FieldGrid}
-	full, err := p.Instance()
+	full, err := p.Instance(p.Net.Positions())
 	if err != nil {
 		t.Fatal(err)
 	}

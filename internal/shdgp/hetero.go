@@ -32,7 +32,7 @@ func PlanHetero(nw *wsn.Network, radii []float64) (*Solution, error) {
 		return nil, err
 	}
 	p := NewProblem(nw)
-	sol := buildSolution(p, inst, chosen, tsp.Solve, tsp.DefaultOptions(), "shdg-hetero")
+	sol := buildSolution(p, sensors, inst, chosen, tsp.Solve, tsp.DefaultOptions(), "shdg-hetero")
 	return sol, nil
 }
 

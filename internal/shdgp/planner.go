@@ -58,7 +58,8 @@ func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, erro
 		return nil, err
 	}
 	spCand := root.Child("candidates")
-	inst, err := p.Instance()
+	sensors := p.Net.Positions() // the plan's one copy, for the instance and the assignment
+	inst, err := p.Instance(sensors)
 	if err != nil {
 		spCand.End()
 		return nil, err
@@ -127,7 +128,7 @@ func Plan(ctx context.Context, p *Problem, opts PlannerOptions) (*Solution, erro
 	if opts.Refine {
 		name = "shdg-greedy+refine"
 	}
-	sol := buildSolution(p, inst, chosen, polish, tourOpts, name)
+	sol := buildSolution(p, sensors, inst, chosen, polish, tourOpts, name)
 	spTSP.SetInt("stops", int64(len(chosen)))
 	//mdglint:ignore unitcheck obs boundary: trace fields carry raw numbers
 	spTSP.SetFloat("tour_m", float64(sol.Length))
@@ -158,7 +159,7 @@ func visitOrder(p *Problem, inst *cover.Instance, chosen []int, opts tsp.Options
 // polish returns the tour that visits pts in order, improved over its
 // whole length by tsp.Improve: the tsp phase's order function.
 func polish(pts []geom.Point, opts tsp.Options) tsp.Tour {
-	tour, _ := tsp.Improve(pts, opts, nil)
+	tour, _ := tsp.Improve(pts, nil, opts, nil)
 	return tour
 }
 
@@ -334,6 +335,6 @@ func PlanVisitAll(p *Problem, opts tsp.Options) (*Solution, error) {
 	}
 	// Assign every sensor to its own position, not the nearest stop: with
 	// all sensors as stops the nearest stop IS its own position.
-	sol := buildSolution(p, inst, chosen, tsp.Solve, opts, "visit-all-tsp")
+	sol := buildSolution(p, sensors, inst, chosen, tsp.Solve, opts, "visit-all-tsp")
 	return sol, nil
 }

@@ -43,13 +43,14 @@ type Problem struct {
 // NewProblem wraps a network with default candidate generation.
 func NewProblem(nw *wsn.Network) *Problem { return &Problem{Net: nw} }
 
-// Instance materialises the covering instance for the problem. It fails
-// when the candidate strategy is unknown or the instance is infeasible
-// (some sensor out of range of every candidate).
+// Instance materialises the covering instance for the problem over
+// sensors, the network's positions as p.Net.Positions() returns them: a
+// planner passes the one copy it also assigns the sensors from. It
+// fails when the candidate strategy is unknown or the instance is
+// infeasible (some sensor out of range of every candidate).
 //
 //mdglint:allow-alloc(instance materialisation runs once per plan and owns the candidate/cover storage)
-func (p *Problem) Instance() (*cover.Instance, error) {
-	sensors := p.Net.Positions()
+func (p *Problem) Instance(sensors []geom.Point) (*cover.Instance, error) {
 	cands, err := cover.GenerateCandidates(sensors, p.Net.Field, p.Net.Range, p.Strategy, p.GridSpacing)
 	if err != nil {
 		return nil, err
@@ -134,12 +135,11 @@ func orderStops(p *Problem, inst *cover.Instance, chosen []int, order func([]geo
 }
 
 // buildSolution assembles a Solution from chosen candidate indices: order
-// the stops (orderStops with order and opts) and assign each sensor to
-// its nearest chosen stop.
+// the stops (orderStops with order and opts) and assign each sensor, at
+// its position in sensors, to its nearest chosen stop.
 //
 //mdglint:allow-alloc(solution assembly runs once per plan and owns the tour plan it returns)
-func buildSolution(p *Problem, inst *cover.Instance, chosen []int, order func([]geom.Point, tsp.Options) tsp.Tour, opts tsp.Options, algorithm string) *Solution {
-	sensors := p.Net.Positions()
+func buildSolution(p *Problem, sensors []geom.Point, inst *cover.Instance, chosen []int, order func([]geom.Point, tsp.Options) tsp.Tour, opts tsp.Options, algorithm string) *Solution {
 	orderedStops, orderPos := orderStops(p, inst, chosen, order, opts)
 	rawAssign := inst.Assign(sensors, chosen)
 	uploadAt := make([]int, len(sensors))

@@ -26,7 +26,8 @@ func PlanDiverse(p *Problem, k int) ([]*Solution, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shdgp: need at least one plan, got %d", k)
 	}
-	inst, err := p.Instance()
+	sensors := p.Net.Positions()
+	inst, err := p.Instance(sensors)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +44,7 @@ func PlanDiverse(p *Problem, k int) ([]*Solution, error) {
 		if err != nil {
 			return nil, err
 		}
-		sol := buildSolution(p, inst, chosen, tsp.Solve, tsp.DefaultOptions(), fmt.Sprintf("shdg-diverse%d", j))
+		sol := buildSolution(p, sensors, inst, chosen, tsp.Solve, tsp.DefaultOptions(), fmt.Sprintf("shdg-diverse%d", j))
 		key := stopKey(sol)
 		if slices.ContainsFunc(seen, func(s []geom.Point) bool { return slices.Equal(s, key) }) {
 			continue

@@ -208,7 +208,7 @@ func TestPlanExactRejectsHugeInstances(t *testing.T) {
 func TestMinStopsILPMatchesExactCover(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		p := deploy(14, 80, 25, seed)
-		inst, err := p.Instance()
+		inst, err := p.Instance(p.Net.Positions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -121,6 +121,72 @@ func TestNeighborListsMatchFullSort(t *testing.T) {
 	}
 }
 
+// splitForShared splits pts as warm repair does for NeighborsOn: point
+// 0 (the sink) and each other point with probability 1-keep stay with
+// NeighborsOn's own grid; the rest go, in ascending order, into a base
+// set interleaved with points pts does not hold (ejected stops), some
+// random in pts' bounding box and some on one of pts' points. It
+// returns the base points and at.
+func splitForShared(s *rng.Source, pts []geom.Point, keep float64) ([]geom.Point, []int32) {
+	b := geom.Bound(pts)
+	var base []geom.Point
+	var at []int32
+	eject := func() {
+		for s.Uniform(0, 1) < 0.2 {
+			p := pts[s.Intn(len(pts))]
+			if s.Uniform(0, 1) < 0.5 {
+				p = geom.Pt(s.Uniform(b.Min.X, b.Max.X), s.Uniform(b.Min.Y, b.Max.Y))
+			}
+			base, at = append(base, p), append(at, -1)
+		}
+	}
+	for i := range pts {
+		eject()
+		if i > 0 && s.Uniform(0, 1) < keep {
+			base, at = append(base, pts[i]), append(at, int32(i))
+		}
+	}
+	eject()
+	return base, at
+}
+
+// TestNeighborsOnMatchFullSort holds NeighborsOn's lists, computed
+// through a grid over other points, to the quadratic oracle on every
+// neighbour family, with none, most or all of the points but the first
+// in that grid, ejected points among them, under three cell sizes, read
+// in a shuffled order into storage reserved for one list, and read
+// again after the last first read.
+func TestNeighborsOnMatchFullSort(t *testing.T) {
+	for seed := uint64(5); seed < 8; seed++ {
+		s := rng.New(seed)
+		for _, fam := range neighborFamilies(s) {
+			pts := fam.pts
+			want := make([][]int, len(pts))
+			for i := range want {
+				want[i] = sortedNeighbors(pts, i, min(neighborK, len(pts)-1))
+			}
+			for _, keep := range []float64{0, 0.8, 1} {
+				base, at := splitForShared(s, pts, keep)
+				for gi, idx := range []*geom.GridIndex{geom.NewGridIndexAuto(base, 1), geom.NewGridIndexFor(base, 30), geom.NewGridIndex(base, 1000)} {
+					what := fmt.Sprintf("%s seed=%d keep=%v index %d", fam.name, seed, keep, gi)
+					nb := NeighborsOn(pts, idx, at, 1)
+					held := make([][]int, len(pts))
+					for _, i := range s.Perm(len(pts)) {
+						if held[i] = nb.List(i); !slices.Equal(held[i], want[i]) {
+							t.Fatalf("%s point %d: %v, want %v", what, i, held[i], want[i])
+						}
+					}
+					for i, got := range held {
+						if again := nb.List(i); !slices.Equal(got, want[i]) || !slices.Equal(again, want[i]) {
+							t.Fatalf("%s point %d: list changed to %v (read again: %v) after later reads", what, i, got, again)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLazyNeighborsMatchEager: seeded passes over lists filled on first
 // read make the same moves as over lists built up front, store only the
 // lists of the points they examine, and leave every stored list equal

@@ -1,6 +1,7 @@
 package tsp
 
 import (
+	"math"
 	"slices"
 
 	"mobicol/internal/geom"
@@ -27,12 +28,16 @@ const neighborK = 12
 // grows by k entries per first read. Solve's greedy-edge construction
 // reads every list, so Solve reserves all n·k entries up front; the
 // seeded passes of warm repair read only the lists of the points they
-// examine, a few hundred of a 16k-stop tour. The search is exact however
-// the grid is sized, and a list does not depend on when it is read, so
-// neither changes a tour. A Neighbors must not be shared between
-// concurrent passes.
+// examine, a few hundred of a 16k-stop tour, through the grid the repair
+// already holds (NeighborsOn). The search is exact however the grid is
+// sized, and a list does not depend on when it is read, so neither
+// changes a tour. A Neighbors must not be shared between concurrent
+// passes.
 type Neighbors struct {
 	pts []geom.Point
+	// idx is the grid over pts, which greedy-edge also links fragments
+	// through, or, for NeighborsOn's lists, the caller's grid over other
+	// points.
 	idx *geom.GridIndex
 	k   int
 	// slot[i] is the end of list i in flat, so the list is
@@ -43,6 +48,15 @@ type Neighbors struct {
 	// array: its values never change.
 	flat []int
 	d2   [neighborK]float64
+
+	// NeighborsOn's lists also read where idx's points sit in pts (at;
+	// -1 for none) and a grid over the rest of pts (restIdx, whose point
+	// h is pts[rest[h]]); hits holds one range query's answer.
+	at      []int32
+	rest    []int
+	restIdx *geom.GridIndex
+	hits    []int
+	hitBuf  [2 * neighborK]int
 }
 
 // NewNeighbors indexes pts for their k-nearest lists, with room for
@@ -52,14 +66,62 @@ func NewNeighbors(pts []geom.Point) *Neighbors { return newNeighbors(pts, len(pt
 // newNeighbors is NewNeighbors with room reserved for the given number
 // of lists; reading more grows the backing array.
 func newNeighbors(pts []geom.Point, lists int) *Neighbors {
+	nb := newLists(pts, lists)
+	nb.idx = geom.NewGridIndexAuto(pts, 1)
+	return nb
+}
+
+// newLists returns pts' lists, none computed, with no index yet.
+func newLists(pts []geom.Point, lists int) *Neighbors {
 	k := max(min(neighborK, len(pts)-1), 0)
 	return &Neighbors{
 		pts:  pts,
-		idx:  geom.NewGridIndexAuto(pts, 1),
 		k:    k,
 		slot: make([]int32, len(pts)),
 		flat: make([]int, 0, lists*k),
 	}
+}
+
+// NeighborsOn returns pts' lists, with room reserved for the given
+// number, computed through idx, a grid the caller already built over
+// other points, instead of through a new grid over pts. at[j] is the
+// index in pts of idx's point j, bit for bit the same point, or -1 when
+// that point is not one of pts; the non-negative entries must increase
+// with j. The pts indices at does not name get a grid of their own,
+// sized to them. A list is then idx's k nearest points left in pts,
+// which rank by pts index as they rank by j, merged with the points of
+// the other grid within the k-th distance: both queries are exact, so
+// every list equals NewNeighbors'. Warm repair passes the grid it
+// rehomed sensors on, over the previous stops, of which all but the
+// ejected sit in pts in their previous order.
+//
+//mdglint:allow-alloc(per-round setup: the slot table and the other points' grid allocate once)
+func NeighborsOn(pts []geom.Point, idx *geom.GridIndex, at []int32, lists int) *Neighbors {
+	nb := newLists(pts, lists)
+	nb.idx, nb.at = idx, at
+	named := 0
+	for _, a := range at {
+		if a >= 0 {
+			named++
+		}
+	}
+	nb.rest = make([]int, 0, len(pts)-named)
+	restPts := make([]geom.Point, 0, len(pts)-named)
+	j := 0
+	for i := range pts {
+		for j < len(at) && at[j] < 0 {
+			j++
+		}
+		if j < len(at) && int(at[j]) == i {
+			j++
+			continue
+		}
+		nb.rest = append(nb.rest, i)
+		restPts = append(restPts, pts[i])
+	}
+	nb.restIdx = geom.NewGridIndexAuto(restPts, 1)
+	nb.hits = nb.hitBuf[:0]
+	return nb
 }
 
 // List returns point i's neighbour list, computing it on first read. The
@@ -72,11 +134,42 @@ func (nb *Neighbors) List(i int) []int {
 		at := len(nb.flat)
 		//mdglint:allow-alloc(the backing array grows by one list per first read, amortized, when the reserved room runs out)
 		nb.flat = slices.Grow(nb.flat, k)[:at+k]
-		nb.idx.NearestK(nb.pts[i], i, nb.flat[at:at+k], nb.d2[:k])
+		if nb.restIdx == nil {
+			nb.idx.NearestK(nb.pts[i], i, nil, nb.flat[at:at+k], nb.d2[:k])
+		} else {
+			nb.sharedList(i, nb.flat[at:at+k])
+		}
 		nb.slot[i] = int32(at + k)
 	}
 	end := int(nb.slot[i])
 	return nb.flat[end-k : end : end]
+}
+
+// sharedList writes point i's list, a NeighborsOn list, to out: the
+// caller's grid's nearest points still in pts, then every point of the
+// other grid within the k-th distance merged in by (squared distance,
+// pts index). Rounding the k-th distance up by 1e-9 keeps every point
+// at up to that squared distance in the range query however large the
+// coordinates.
+func (nb *Neighbors) sharedList(i int, out []int) {
+	q, d2, at := nb.pts[i], nb.d2[:len(out)], nb.at
+	//mdglint:allow-alloc(the closure stays on the stack: NearestK only calls it)
+	m := nb.idx.NearestK(q, -1, func(j int) bool { return at[j] < 0 || int(at[j]) == i }, out, d2)
+	for x := range out[:m] {
+		out[x] = int(at[out[x]])
+	}
+	r := math.Inf(1)
+	if m == len(out) {
+		r = math.Sqrt(d2[m-1]) * (1 + 1e-9)
+	}
+	//mdglint:allow-alloc(amortized growth of the reused hit buffer)
+	nb.hits = nb.restIdx.Within(q, r, nb.hits[:0])
+	for _, h := range nb.hits {
+		if j := nb.rest[h]; j != i {
+			dx, dy := nb.pts[j].X-q.X, nb.pts[j].Y-q.Y
+			m = geom.InsertNearest(out, d2, m, j, dx*dx+dy*dy)
+		}
+	}
 }
 
 // Scratch holds the reusable working state of the local-search passes.
@@ -89,8 +182,8 @@ func (nb *Neighbors) List(i int) []int {
 type Scratch struct {
 	pos      []int  // point -> position in tour
 	dontLook []bool // don't-look bits
-	queue    []int  // work queue of points to (re-)examine
-	reloc    Tour   // relocation splice buffer for wrapping segments
+	queue    []int  // work queue of points to (re-)examine, grown from the seeds
+	reloc    Tour   // relocation splice buffer, made by the first wrapping segment
 	// priced[j] == stamp: Or-opt has priced the insertion into the tour
 	// edge after position j for the current anchor and segment length.
 	// stamp only grows, and every entry is cleared when it wraps, so a
@@ -99,18 +192,16 @@ type Scratch struct {
 	stamp  uint32
 }
 
-// ensure sizes the buffers for an n-stop tour and resets per-pass state.
+// ensure sizes the buffers the passes index by point for an n-stop tour
+// and resets per-pass state. The queue and the splice buffer grow only
+// as a pass uses them.
 //
 //mdglint:allow-alloc(scratch growth is amortized; steady state reuses the retained buffers)
 func (s *Scratch) ensure(n int) {
 	if cap(s.pos) < n {
 		s.pos = make([]int, n)
 		s.dontLook = make([]bool, n)
-		s.reloc = make(Tour, 0, n)
 		s.priced = make([]uint32, n)
-	}
-	if cap(s.queue) < n {
-		s.queue = make([]int, 0, n)
 	}
 	s.pos = s.pos[:n]
 	s.dontLook = s.dontLook[:n]
@@ -131,6 +222,10 @@ func (s *Scratch) seedQueue(tour Tour, seeds []int) {
 		//mdglint:allow-alloc(append reuses queue capacity retained in the scratch)
 		s.queue = append(s.queue, tour...)
 		return
+	}
+	if cap(s.queue) < len(seeds) {
+		//mdglint:allow-alloc(the queue grows to the seed list once; later passes reuse it)
+		s.queue = make([]int, 0, 2*len(seeds))
 	}
 	for i := range s.dontLook {
 		s.dontLook[i] = true
@@ -381,6 +476,10 @@ func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, nb *Neighbors, seeds []int)
 							}
 						}
 						if added < removed-1e-12 {
+							if i+segLen > n && cap(s.reloc) < n {
+								//mdglint:allow-alloc(made once, by the first segment that wraps the array end; later moves reuse it)
+								s.reloc = make(Tour, 0, n)
+							}
 							relocate(tour, pos, i, segLen, j, rev, s.reloc)
 							for _, v := range [6]int{p0, p1, s0, s1, a, b} {
 								if dontLook[v] {

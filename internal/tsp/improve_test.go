@@ -20,7 +20,7 @@ func noLonger(got, start geom.Meters) bool {
 // an empty, non-nil seed list the identity tour itself with no moves.
 func checkImprove(t *testing.T, name string, pts []geom.Point, opts Options, seeds []int) Tour {
 	t.Helper()
-	got, moves := Improve(pts, opts, seeds)
+	got, moves := Improve(pts, nil, opts, seeds)
 	if err := got.Validate(len(pts)); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

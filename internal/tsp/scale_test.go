@@ -89,7 +89,7 @@ func TestSeededEmptyIsNoop(t *testing.T) {
 	if m := s.OrOpt(pts, tour, nb, nil2()); m != 0 || !slices.Equal(tour, before) {
 		t.Fatalf("OrOpt(empty seeds) moved: %d", m)
 	}
-	if got, m := Improve(visitPoints(pts, tour), DefaultOptions(), nil2()); m != 0 || !slices.Equal(got, trivialTour(len(pts))) {
+	if got, m := Improve(visitPoints(pts, tour), nil, DefaultOptions(), nil2()); m != 0 || !slices.Equal(got, trivialTour(len(pts))) {
 		t.Fatalf("Improve(empty seeds) moved: %d", m)
 	}
 }

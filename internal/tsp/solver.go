@@ -122,10 +122,11 @@ func Solve(pts []geom.Point, opts Options) Tour {
 // the Held–Karp optimum and no moves. Every move shortens the tour, so
 // the result is never longer than the identity tour. A planner that
 // already holds a tour passes its points in visit order, and Improve
-// polishes that tour without building another.
+// polishes that tour without building another. nb supplies pts'
+// neighbour lists (NeighborsOn's, say); nil indexes pts for them.
 //
 //mdglint:allow-alloc(per-call setup: the identity tour and neighbour lists allocate once; the improvement passes are scratch-based hot roots)
-func Improve(pts []geom.Point, opts Options, seeds []int) (Tour, int) {
+func Improve(pts []geom.Point, nb *Neighbors, opts Options, seeds []int) (Tour, int) {
 	n := len(pts)
 	t := trivialTour(n)
 	if seeds != nil && len(seeds) == 0 {
@@ -138,13 +139,16 @@ func Improve(pts []geom.Point, opts Options, seeds []int) (Tour, int) {
 	}
 	moves := 0
 	if opts.TwoOpt || opts.OrOpt {
-		// An unseeded pass reads every list; a seeded one reads about
-		// one per seed unless its moves spread.
-		lists := n
-		if seeds != nil {
-			lists = min(len(seeds), n)
+		if nb == nil {
+			// An unseeded pass reads every list; a seeded one reads
+			// about one per seed unless its moves spread.
+			lists := n
+			if seeds != nil {
+				lists = min(len(seeds), n)
+			}
+			nb = newNeighbors(pts, lists)
 		}
-		moves = improve(pts, t, newNeighbors(pts, lists), opts, seeds)
+		moves = improve(pts, t, nb, opts, seeds)
 	}
 	return t, moves
 }

@@ -13,9 +13,8 @@ import (
 	"mobicol/internal/graph"
 )
 
-// Node is one sensor.
+// Node is one sensor. Its index in Network.Nodes is its identity.
 type Node struct {
-	ID  int
 	Pos geom.Point
 }
 
@@ -46,7 +45,7 @@ func New(positions []geom.Point, sink geom.Point, transmissionRange float64, fie
 	}
 	nodes := make([]Node, len(positions))
 	for i, p := range positions {
-		nodes[i] = Node{ID: i, Pos: p}
+		nodes[i] = Node{Pos: p}
 	}
 	return &Network{Nodes: nodes, Sink: sink, Range: transmissionRange, Field: field}
 }
@@ -92,7 +91,9 @@ func (nw *Network) Validate() error {
 // N returns the number of sensors.
 func (nw *Network) N() int { return len(nw.Nodes) }
 
-// Positions returns the sensor positions in ID order as a fresh slice.
+// Positions returns the sensor positions in index order as a fresh slice.
+//
+//mdglint:allow-alloc(the copy is the result; a planner takes one per plan)
 func (nw *Network) Positions() []geom.Point {
 	out := make([]geom.Point, len(nw.Nodes))
 	for i, n := range nw.Nodes {
@@ -139,8 +140,9 @@ func (nw *Network) buildGraph() *graph.Graph {
 	return g
 }
 
-// CoveredBy returns the sensor IDs within transmission range of point p —
-// the sensors that could upload to a collector parked at p in a single hop.
+// CoveredBy returns the indices of the sensors within transmission range
+// of point p — the sensors that could upload to a collector parked at p
+// in a single hop.
 func (nw *Network) CoveredBy(p geom.Point) []int {
 	return nw.ensureIndex().Within(p, nw.Range, nil)
 }
